@@ -339,12 +339,14 @@ SimTime Fabric::occupy(const Path& path, double bytes, double bwFactor) {
     linkBusy_[static_cast<std::size_t>(l)] = t0 + occ;
   }
   if (obs::Tracer* tr = engine_.tracer()) {
+    obs::Tracer* tl = engine_.timeline();
+    obs::Metrics& m = tr->metrics();
+    MetricIds& ids = metricIds();
     for (const int l : path.links) {
-      traceLinkSpan(*tr, l, t0, t0 + occ, bytes);
-      obs::Metrics& m = tr->metrics();
-      const std::string label = "fabric.link[" + linkName(l) + "]";
-      m.add(label + ".bytes", bytes);
-      m.add(label + ".busy_sec", occ.toSeconds());
+      if (tl != nullptr) traceLinkSpan(*tl, l, t0, t0 + occ, bytes);
+      MetricIds::Link& li = ids.links[static_cast<std::size_t>(l)];
+      addLinkMetric(m, li.bytes, l, ".bytes", bytes);
+      addLinkMetric(m, li.busySec, l, ".busy_sec", occ.toSeconds());
     }
   }
   return t0 + path.latency + occ;
@@ -358,7 +360,8 @@ void Fabric::deliverLeg(int srcEp, int dstEp, double bytes,
     nextBridge_ = (nextBridge_ + 1) % bridgeNodes_.size();
     ++stats_.bridgeHops;
     if (obs::Tracer* tr = engine_.tracer()) {
-      tr->metrics().add("fabric.bridge_hops");
+      obs::Metrics& m = tr->metrics();
+      m.add(m.counter(metricIds().bridgeHops, "fabric.bridge_hops"));
     }
     deliverViaBridge(bridgeNode, srcEp, dstEp, bytes, std::move(onArrive));
     return;
@@ -380,13 +383,15 @@ void Fabric::deliverLeg(int srcEp, int dstEp, double bytes,
           ++stats_.reroutes;
           ++stats_.bridgeHops;
           if (obs::Tracer* tr = engine_.tracer()) {
-            tr->metrics().add("fabric.reroutes");
-            tr->metrics().add("fabric.bridge_hops");
+            obs::Metrics& m = tr->metrics();
+            MetricIds& ids = metricIds();
+            m.add(m.counter(ids.reroutes, "fabric.reroutes"));
+            m.add(m.counter(ids.bridgeHops, "fabric.bridge_hops"));
           }
           deliverViaBridge(bridge, srcEp, dstEp, bytes, std::move(onArrive));
           return;
         }
-        dropMessage("link_down", l);
+        dropMessage(DropReason::LinkDown, l);
         return;
       }
       // Approximation: the most-degraded link's factor scales the whole
@@ -481,8 +486,10 @@ void Fabric::flowStart(const Path& path, double bytes, double bwFactor,
   }
   if (obs::Tracer* tr = engine_.tracer()) {
     obs::Metrics& m = tr->metrics();
+    MetricIds& ids = metricIds();
     for (const int l : f.links) {
-      m.add("fabric.link[" + linkName(l) + "].bytes", bytes);
+      addLinkMetric(m, ids.links[static_cast<std::size_t>(l)].bytes, l,
+                    ".bytes", bytes);
     }
   }
   const std::vector<int> links = f.links;
@@ -508,11 +515,13 @@ void Fabric::flowComplete(std::uint64_t id, std::uint64_t gen) {
     return;
   }
   if (obs::Tracer* tr = engine_.tracer()) {
+    obs::Tracer* tl = engine_.timeline();
     obs::Metrics& m = tr->metrics();
+    MetricIds& ids = metricIds();
     for (const int l : f.links) {
-      traceLinkSpan(*tr, l, f.start, now, f.bytesTotal);
-      m.add("fabric.link[" + linkName(l) + "].busy_sec",
-            (now - f.start).toSeconds());
+      if (tl != nullptr) traceLinkSpan(*tl, l, f.start, now, f.bytesTotal);
+      addLinkMetric(m, ids.links[static_cast<std::size_t>(l)].busySec, l,
+                    ".busy_sec", (now - f.start).toSeconds());
     }
   }
   for (const int l : f.links) {
@@ -558,14 +567,20 @@ double Fabric::linkFaultFactor(int link, sim::SimTime t) const {
   return f;
 }
 
-void Fabric::dropMessage(const char* reason, int link) {
+void Fabric::dropMessage(DropReason reason, int link) {
+  static constexpr const char* kReasonKeys[] = {"fabric.drops.random",
+                                                "fabric.drops.link_down"};
   ++stats_.drops;
   if (obs::Tracer* tr = engine_.tracer()) {
     obs::Metrics& m = tr->metrics();
-    m.add("fabric.drops");
-    m.add(std::string("fabric.drops.") + reason);
-    const int row = linkRow(*tr, link);
-    tr->instant(static_cast<obs::Group>(
+    MetricIds& ids = metricIds();
+    const auto r = static_cast<std::size_t>(reason);
+    m.add(m.counter(ids.drops, "fabric.drops"));
+    m.add(m.counter(ids.dropsBy[r], kReasonKeys[r]));
+  }
+  if (obs::Tracer* tl = engine_.timeline()) {
+    const int row = linkRow(*tl, link);
+    tl->instant(static_cast<obs::Group>(
                     linkRowGroups_[static_cast<std::size_t>(link)]),
                 row, "fault.drop", "fault", engine_.now(), {});
   }
@@ -612,7 +627,8 @@ void Fabric::sendReliable(int srcEp, int dstEp, double bytes,
 void Fabric::noteRetransmit() {
   ++stats_.retransmits;
   if (obs::Tracer* tr = engine_.tracer()) {
-    tr->metrics().add("fabric.retransmits");
+    obs::Metrics& m = tr->metrics();
+    m.add(m.counter(metricIds().retransmits, "fabric.retransmits"));
   }
 }
 
@@ -622,8 +638,9 @@ void Fabric::send(int srcEp, int dstEp, double bytes,
   stats_.bytes += bytes;
   if (obs::Tracer* tr = engine_.tracer()) {
     obs::Metrics& m = tr->metrics();
-    m.add("fabric.messages");
-    m.add("fabric.bytes", bytes);
+    MetricIds& ids = metricIds();
+    m.add(m.counter(ids.messages, "fabric.messages"));
+    m.add(m.counter(ids.bytes, "fabric.bytes"), bytes);
   }
   if (srcEp == dstEp) {
     // Loopback: shared-memory (or device-internal) copy, never touches the
@@ -642,7 +659,7 @@ void Fabric::send(int srcEp, int dstEp, double bytes,
     // what any other subsystem samples.
     if (faultPlan_->dropProb > 0.0 &&
         engine_.faultRng().uniform() < faultPlan_->dropProb) {
-      dropMessage("random", upLink(srcEp));
+      dropMessage(DropReason::Random, upLink(srcEp));
       return;
     }
     if (faultPlan_->corruptProb > 0.0 &&
@@ -653,10 +670,13 @@ void Fabric::send(int srcEp, int dstEp, double bytes,
       onArrive = [this, dstEp] {
         ++stats_.corrupts;
         if (obs::Tracer* tr = engine_.tracer()) {
-          tr->metrics().add("fabric.corrupts");
+          obs::Metrics& m = tr->metrics();
+          m.add(m.counter(metricIds().corrupts, "fabric.corrupts"));
+        }
+        if (obs::Tracer* tl = engine_.timeline()) {
           const int link = downLink(dstEp);
-          const int row = linkRow(*tr, link);  // registers the row first
-          tr->instant(static_cast<obs::Group>(
+          const int row = linkRow(*tl, link);  // registers the row first
+          tl->instant(static_cast<obs::Group>(
                           linkRowGroups_[static_cast<std::size_t>(link)]),
                       row, "fault.corrupt", "fault", engine_.now(), {});
         }
@@ -735,6 +755,27 @@ void Fabric::traceLinkSpan(obs::Tracer& tr, int link, sim::SimTime t0,
   tr.span(static_cast<obs::Group>(
               linkRowGroups_[static_cast<std::size_t>(link)]),
           row, "xfer", "extoll", t0, end, {{"bytes", bytes}});
+}
+
+Fabric::MetricIds& Fabric::metricIds() {
+  const std::uint64_t generation = engine_.tracerGeneration();
+  if (metricIds_.generation != generation) {
+    metricIds_ = {};
+    metricIds_.generation = generation;
+    metricIds_.links.resize(linkBusy_.size());
+  }
+  return metricIds_;
+}
+
+void Fabric::addLinkMetric(obs::Metrics& m, obs::Metrics::Id& slot, int link,
+                           const char* suffix, double delta) {
+  if (!slot.valid()) [[unlikely]] slot = internLinkMetric(m, link, suffix);
+  m.add(slot, delta);
+}
+
+obs::Metrics::Id Fabric::internLinkMetric(obs::Metrics& m, int link,
+                                          const char* suffix) const {
+  return m.counter("fabric.link[" + linkName(link) + "]" + suffix);
 }
 
 }  // namespace cbsim::extoll

@@ -209,9 +209,12 @@ class Fabric {
                         std::function<void()> onArrive);
   /// Fault-plan bandwidth factor of one link at time `t` (1.0 without a plan).
   [[nodiscard]] double linkFaultFactor(int link, sim::SimTime t) const;
-  /// Counts a lost message (`stats_.drops`) under a reason label and marks
-  /// it on the link's trace row.
-  void dropMessage(const char* reason, int link);
+  /// Why a message was lost in flight; each reason has its own
+  /// "fabric.drops.<reason>" counter.
+  enum class DropReason { Random, LinkDown };
+  /// Counts a lost message (`stats_.drops`) under its reason and marks it
+  /// on the link's trace row.
+  void dropMessage(DropReason reason, int link);
   /// Intra-endpoint copy bandwidth in GB/s: node memory bandwidth for node
   /// endpoints, the device's streaming rate for NAM endpoints.
   [[nodiscard]] double loopbackBwGBs(int ep) const;
@@ -223,6 +226,30 @@ class Fabric {
   /// Emits the occupancy span of `link` onto its timeline row.
   void traceLinkSpan(obs::Tracer& tr, int link, sim::SimTime t0,
                      sim::SimTime end, double bytes);
+
+  /// Handles of the fabric's metric keys in the attached tracer's registry.
+  /// Each is interned on first touch, so a report holds exactly the keys
+  /// that were updated.
+  struct MetricIds {
+    struct Link {
+      obs::Metrics::Id bytes, busySec;
+    };
+    std::uint64_t generation = 0;  ///< Engine::tracerGeneration() they belong to
+    obs::Metrics::Id messages, bytes, bridgeHops, reroutes, retransmits,
+        corrupts, drops;
+    obs::Metrics::Id dropsBy[2];  ///< indexed by DropReason
+    std::vector<Link> links;      ///< indexed by link
+  };
+  /// The handle cache, emptied first when the engine's tracer was swapped.
+  /// Only call with a tracer attached.
+  MetricIds& metricIds();
+  /// Adds `delta` to the "fabric.link[<name>]<suffix>" counter whose handle
+  /// `slot` caches (the key string is built only on the first touch).
+  void addLinkMetric(obs::Metrics& m, obs::Metrics::Id& slot, int link,
+                     const char* suffix, double delta);
+  /// Slow path of addLinkMetric(): builds the key and interns it.
+  [[nodiscard]] obs::Metrics::Id internLinkMetric(obs::Metrics& m, int link,
+                                                  const char* suffix) const;
 
   // ---- Flow-level congestion model ----------------------------------------
   struct Flow {
@@ -261,6 +288,7 @@ class Fabric {
   std::size_t nextBridge_ = 0;         ///< round-robin bridge selection
   std::vector<int> linkRows_;          ///< lazily registered obs/ rows
   std::vector<int> linkRowGroups_;     ///< obs::Group of each link's row
+  MetricIds metricIds_;
   const fault::FaultPlan* faultPlan_ = nullptr;
   Stats stats_;
 

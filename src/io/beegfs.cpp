@@ -78,7 +78,6 @@ void BeeGfs::writeAsync(int clientNode, const std::string& path,
   // disk.  Chunk index is derived from the file offset so concurrent
   // writers hit disjoint targets.
   const int me = machine_.endpointOfNode(clientNode);
-  sim::Engine& engine = machine_.engine();
   auto outstanding = std::make_shared<int>(0);
   auto done = std::make_shared<std::function<void()>>(std::move(onDone));
   for (std::size_t pos = 0; pos < data.size(); pos += cfg_.stripeBytes) {
@@ -89,11 +88,11 @@ void BeeGfs::writeAsync(int clientNode, const std::string& path,
     ++*outstanding;
     fabric_.sendReliable(me, machine_.endpointOfNode(target),
                  static_cast<double>(chunk),
-                 [this, target, chunk, outstanding, done, &engine] {
+                 [this, target, chunk, outstanding, done] {
                    const SimTime at =
                        machine_.disk(target).reserve(static_cast<double>(chunk),
                                                      /*isWrite=*/true);
-                   engine.scheduleAt(at, [outstanding, done] {
+                   machine_.engine().scheduleAt(at, [outstanding, done] {
                      if (--*outstanding == 0 && *done) (*done)();
                    });
                  });
@@ -105,17 +104,12 @@ void BeeGfs::write(pmpi::Env& env, const File& f, std::size_t offset,
                    pmpi::ConstBytes data) {
   if (!f.valid()) throw std::logic_error("BeeGfs::write on closed file");
   if (!exists(f.path())) throw std::logic_error("BeeGfs::write: file was removed");
-  bool finished = false;
-  sim::Engine& engine = machine_.engine();
-  sim::Process& proc = env.ctx().process();
   const double t0 = env.wtime();
+  const auto done = std::make_shared<Completion>(env);
   writeAsync(env.node().id, f.path(), offset,
              std::vector<std::byte>(data.begin(), data.end()),
-             [&finished, &engine, &proc] {
-               finished = true;
-               engine.wake(proc);
-             });
-  while (!finished) env.ctx().suspend();
+             [done] { done->arrive(); });
+  done->wait(env);
   env.noteIo(env.wtime() - t0);
 }
 
@@ -130,32 +124,28 @@ std::size_t BeeGfs::read(pmpi::Env& env, const File& f, std::size_t offset,
 
   const int me = clientEp(env);
   const double t0 = env.wtime();
-  sim::Engine& engine = machine_.engine();
-  sim::Process& proc = env.ctx().process();
-  int outstanding = 0;
+  const auto done = std::make_shared<Completion>(env, 0);
   for (std::size_t pos = 0; pos < n; pos += cfg_.stripeBytes) {
     const std::size_t chunk = std::min(cfg_.stripeBytes, n - pos);
     const std::size_t chunkIdx = (offset + pos) / cfg_.stripeBytes;
     const int target = targets_[chunkIdx % targets_.size()];
     ++stats_.chunkReads;
-    ++outstanding;
+    done->expect();
     // Request (small), disk read at the target, then the data transfer.
     fabric_.sendReliable(me, machine_.endpointOfNode(target), 128.0,
-                 [this, target, chunk, me, &outstanding, &engine, &proc] {
-                   const SimTime done =
+                 [this, target, chunk, me, done] {
+                   const SimTime at =
                        machine_.disk(target).reserve(static_cast<double>(chunk),
                                                      /*isWrite=*/false);
-                   engine.scheduleAt(done, [this, target, chunk, me,
-                                            &outstanding, &engine, &proc] {
+                   machine_.engine().scheduleAt(at, [this, target, chunk, me,
+                                                     done] {
                      fabric_.sendReliable(machine_.endpointOfNode(target), me,
                                   static_cast<double>(chunk),
-                                  [&outstanding, &engine, &proc] {
-                                    if (--outstanding == 0) engine.wake(proc);
-                                  });
+                                  [done] { done->arrive(); });
                    });
                  });
   }
-  while (outstanding > 0) env.ctx().suspend();
+  done->wait(env);
   env.noteIo(env.wtime() - t0);
   return n;
 }

@@ -1,48 +1,39 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
 namespace cbsim::obs {
 
-Metrics::Entry& Metrics::entry(std::string_view name, Kind kind) {
-  const auto it = entries_.find(name);
-  if (it != entries_.end()) return it->second;
-  Entry& e = entries_[std::string(name)];
-  e.kind = kind;
-  return e;
+Metrics::Id Metrics::intern(std::string_view name, Kind kind) {
+  const auto it = index_.lower_bound(name);
+  if (it != index_.end() && it->first == name) return it->second;
+  const Id id{static_cast<std::uint32_t>(entries_.size())};
+  entries_.push_back(Entry{kind, 0.0, 0.0});
+  index_.emplace_hint(it, std::string(name), id);
+  return id;
 }
 
-void Metrics::add(std::string_view name, double delta) {
-  entry(name, Kind::Counter).value += delta;
-}
-
-double Metrics::gaugeSet(std::string_view name, double value) {
-  Entry& e = entry(name, Kind::Gauge);
-  e.value = value;
-  if (value > e.max) e.max = value;
-  return e.value;
-}
-
-double Metrics::gaugeAdd(std::string_view name, double delta) {
-  Entry& e = entry(name, Kind::Gauge);
-  return gaugeSet(name, e.value + delta);
+const Metrics::Entry* Metrics::find(std::string_view name) const {
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &at(it->second);
 }
 
 double Metrics::value(std::string_view name) const {
-  const auto it = entries_.find(name);
-  return it == entries_.end() ? 0.0 : it->second.value;
+  const Entry* e = find(name);
+  return e == nullptr ? 0.0 : e->value;
 }
 
 double Metrics::maxValue(std::string_view name) const {
-  const auto it = entries_.find(name);
-  return it == entries_.end() ? 0.0 : it->second.max;
+  const Entry* e = find(name);
+  return e == nullptr ? 0.0 : e->max;
 }
 
 void Metrics::writeTable(std::ostream& os) const {
   std::size_t width = 0;
-  for (const auto& [name, e] : entries_) width = std::max(width, name.size());
-  for (const auto& [name, e] : entries_) {
+  for (const auto& [name, e] : entries()) width = std::max(width, name.size());
+  for (const auto& [name, e] : entries()) {
     char buf[160];
     if (e.kind == Kind::Counter) {
       std::snprintf(buf, sizeof(buf), "%-*s %14.6g", static_cast<int>(width),

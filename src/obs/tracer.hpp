@@ -57,10 +57,12 @@ class Tracer {
   void setRunLabel(std::string label) { runLabel_ = std::move(label); }
   [[nodiscard]] const std::string& runLabel() const { return runLabel_; }
 
-  /// Metrics-only mode: span/instant/counter become no-ops (row
-  /// registration still hands out ids) while the metrics registry keeps
-  /// recording.  Campaign sweeps run hundreds of worlds with a tracer each
-  /// and only want the numbers, not an unbounded timeline.
+  /// Metrics-only mode: the metrics registry keeps recording while the
+  /// timeline stays empty.  Instrumented layers check the mode (through
+  /// sim::Engine::timeline()) and skip timeline work altogether — no row
+  /// registration, no argument building; span/instant/counter are no-ops
+  /// as a backstop.  Campaign sweeps run hundreds of worlds with a tracer
+  /// each and only want the numbers, not an unbounded timeline.
   void setMetricsOnly(bool on) { metricsOnly_ = on; }
   [[nodiscard]] bool metricsOnly() const { return metricsOnly_; }
 

@@ -26,7 +26,7 @@ void Env::ioDelay(SimTime t) {
 }
 
 void Env::tracePhase(const char* name, SimTime start) {
-  obs::Tracer* tr = rt_.engine().tracer();
+  obs::Tracer* tr = rt_.engine().timeline();
   if (tr == nullptr || proc_.sproc == nullptr) return;
   const SimTime now = ctx_.now();
   if (now <= start) return;
@@ -48,7 +48,7 @@ Status Env::waitTracked(Request r) {
 }
 
 void Env::traceWait(SimTime start) {
-  obs::Tracer* tr = rt_.engine().tracer();
+  obs::Tracer* tr = rt_.engine().timeline();
   if (tr == nullptr || proc_.sproc == nullptr) return;
   const SimTime now = ctx_.now();
   if (now <= start) return;  // completed instantly: no span to show

@@ -65,7 +65,8 @@ class Env {
   [[nodiscard]] double ioSec() const { return proc_.ioSec; }
 
   /// Emits a [start, now] span named `name` (category "phase") on this
-  /// rank's timeline row; no-op without an attached tracer.  `name` must
+  /// rank's timeline row; no-op unless the attached tracer records a
+  /// timeline (sim::Engine::timeline()).  `name` must
   /// have static storage duration.  Used by application drivers to mark
   /// algorithmic phases (e.g. xpic's fields/particles/aux/exchange).
   void tracePhase(const char* name, sim::SimTime start);

@@ -15,22 +15,34 @@ using sim::SimTime;
 namespace {
 
 /// Message-lifecycle instant on a rank's timeline row (no-op without sproc,
-/// which only happens for procs torn down mid-flight).
-void traceMsgEvent(sim::Engine& eng, obs::Tracer& tr, const Proc& p,
+/// which only happens for procs torn down mid-flight).  `tl` is the
+/// engine's timeline(); callers test it before building `args`.
+void traceMsgEvent(sim::Engine& eng, obs::Tracer& tl, const Proc& p,
                    const char* name, std::initializer_list<obs::TraceArg> args) {
   if (p.sproc == nullptr) return;
-  tr.instant(obs::kGroupRanks, eng.processRow(*p.sproc), name, "pmpi",
+  tl.instant(obs::kGroupRanks, eng.processRow(*p.sproc), name, "pmpi",
              eng.now(), args);
 }
 
-/// Tracks one of the matching queues' depth as gauge + counter track.
-void traceQueueDepth(sim::Engine& eng, obs::Tracer& tr, const char* gauge,
-                     double delta) {
-  const double depth = tr.metrics().gaugeAdd(gauge, delta);
-  tr.counter(gauge, eng.now(), depth);
+}  // namespace
+
+Runtime::MetricIds& Runtime::metricIds() {
+  const std::uint64_t generation = engine().tracerGeneration();
+  if (metricIds_.generation != generation) {
+    metricIds_ = {};
+    metricIds_.generation = generation;
+  }
+  return metricIds_;
 }
 
-}  // namespace
+void Runtime::traceQueueDepth(obs::Tracer& tr, obs::Metrics::Id& slot,
+                              const char* gauge, double delta) {
+  obs::Metrics& m = tr.metrics();
+  const double depth = m.gaugeAdd(m.gauge(slot, gauge), delta);
+  if (obs::Tracer* tl = engine().timeline()) {
+    tl->counter(gauge, engine().now(), depth);
+  }
+}
 
 Runtime::Runtime(hw::Machine& machine, extoll::Fabric& fabric,
                  rm::ResourceManager& rm, AppRegistry& registry,
@@ -172,9 +184,13 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
   msg.bytes = data.size();
   msg.srcProcIdx = src.idx;
   if (obs::Tracer* tr = engine().tracer()) {
-    tr->metrics().add(rendezvous ? "pmpi.sends.rendezvous"
-                                 : "pmpi.sends.eager");
-    traceMsgEvent(engine(), *tr, src, "send.post",
+    MetricIds& ids = metricIds();
+    obs::Metrics& m = tr->metrics();
+    m.add(rendezvous ? m.counter(ids.sendsRendezvous, "pmpi.sends.rendezvous")
+                     : m.counter(ids.sendsEager, "pmpi.sends.eager"));
+  }
+  if (obs::Tracer* tl = engine().timeline()) {
+    traceMsgEvent(engine(), *tl, src, "send.post",
                   {{"dst", static_cast<double>(dstRank)},
                    {"tag", static_cast<double>(tag)},
                    {"bytes", static_cast<double>(data.size())},
@@ -249,8 +265,11 @@ Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf) {
   if (hit) {
     Proc::UnexpectedMsg msg = std::move(*hit);
     if (obs::Tracer* tr = engine().tracer()) {
-      traceQueueDepth(engine(), *tr, "pmpi.unexpected.depth", -1.0);
-      traceMsgEvent(engine(), *tr, dst, "msg.match",
+      traceQueueDepth(*tr, metricIds().unexpectedDepth,
+                      "pmpi.unexpected.depth", -1.0);
+    }
+    if (obs::Tracer* tl = engine().timeline()) {
+      traceMsgEvent(engine(), *tl, dst, "msg.match",
                     {{"src", static_cast<double>(msg.srcRank)},
                      {"tag", static_cast<double>(msg.tag)},
                      {"bytes", static_cast<double>(msg.bytes)}});
@@ -264,7 +283,7 @@ Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf) {
   }
   dst.posted.push(req);
   if (obs::Tracer* tr = engine().tracer()) {
-    traceQueueDepth(engine(), *tr, "pmpi.posted.depth", 1.0);
+    traceQueueDepth(*tr, metricIds().postedDepth, "pmpi.posted.depth", 1.0);
   }
   return req;
 }
@@ -275,8 +294,10 @@ bool Runtime::tryMatchArrival(Proc& dst, Proc::UnexpectedMsg& msg) {
   if (!hit) return false;
   const Request req = *hit;
   if (obs::Tracer* tr = engine().tracer()) {
-    traceQueueDepth(engine(), *tr, "pmpi.posted.depth", -1.0);
-    traceMsgEvent(engine(), *tr, dst, "msg.match",
+    traceQueueDepth(*tr, metricIds().postedDepth, "pmpi.posted.depth", -1.0);
+  }
+  if (obs::Tracer* tl = engine().timeline()) {
+    traceMsgEvent(engine(), *tl, dst, "msg.match",
                   {{"src", static_cast<double>(msg.srcRank)},
                    {"tag", static_cast<double>(msg.tag)},
                    {"bytes", static_cast<double>(msg.bytes)}});
@@ -298,12 +319,7 @@ void Runtime::deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg) {
       dst.eagerPayloads.release(msg.payloadOff, msg.payloadLen);
       msg.payloadLen = 0;
     }
-    if (obs::Tracer* tr = engine().tracer()) {
-      traceQueueDepth(engine(), *tr, "pmpi.unexpected.depth", 1.0);
-      traceMsgEvent(engine(), *tr, dst, "msg.unexpected",
-                    {{"src", static_cast<double>(msg.srcRank)},
-                     {"tag", static_cast<double>(msg.tag)}});
-    }
+    traceUnexpected(dst, msg);
     dst.unexpected.push(msg);
   }
 }
@@ -311,13 +327,20 @@ void Runtime::deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg) {
 void Runtime::deliverRts(int dstProcIdx, Proc::UnexpectedMsg msg) {
   Proc& dst = procs_[static_cast<std::size_t>(dstProcIdx)];
   if (!tryMatchArrival(dst, msg)) {
-    if (obs::Tracer* tr = engine().tracer()) {
-      traceQueueDepth(engine(), *tr, "pmpi.unexpected.depth", 1.0);
-      traceMsgEvent(engine(), *tr, dst, "msg.unexpected",
-                    {{"src", static_cast<double>(msg.srcRank)},
-                     {"tag", static_cast<double>(msg.tag)}});
-    }
+    traceUnexpected(dst, msg);
     dst.unexpected.push(msg);
+  }
+}
+
+void Runtime::traceUnexpected(const Proc& dst, const Proc::UnexpectedMsg& msg) {
+  if (obs::Tracer* tr = engine().tracer()) {
+    traceQueueDepth(*tr, metricIds().unexpectedDepth, "pmpi.unexpected.depth",
+                    1.0);
+  }
+  if (obs::Tracer* tl = engine().timeline()) {
+    traceMsgEvent(engine(), *tl, dst, "msg.unexpected",
+                  {{"src", static_cast<double>(msg.srcRank)},
+                   {"tag", static_cast<double>(msg.tag)}});
   }
 }
 
@@ -352,8 +375,8 @@ void Runtime::startRendezvousTransfer(Proc& dst, Request req,
     throw std::runtime_error("pmpi: rendezvous message truncates receive buffer");
   }
   const hw::Node& dstNode = machine_.node(dst.nodeId);
-  if (obs::Tracer* tr = engine().tracer()) {
-    traceMsgEvent(engine(), *tr, dst, "rdv.cts",
+  if (obs::Tracer* tl = engine().timeline()) {
+    traceMsgEvent(engine(), *tl, dst, "rdv.cts",
                   {{"src", static_cast<double>(msg.srcRank)},
                    {"bytes", static_cast<double>(msg.bytes)}});
   }
@@ -400,8 +423,8 @@ void Runtime::completeRequest(Proc& owner, Request req, int srcRank, int tag,
   s->status.source = srcRank;
   s->status.tag = tag;
   s->status.bytes = bytes;
-  if (obs::Tracer* tr = engine().tracer()) {
-    traceMsgEvent(engine(), *tr, owner, "msg.complete",
+  if (obs::Tracer* tl = engine().timeline()) {
+    traceMsgEvent(engine(), *tl, owner, "msg.complete",
                   {{"src", static_cast<double>(srcRank)},
                    {"tag", static_cast<double>(tag)},
                    {"bytes", static_cast<double>(bytes)}});
@@ -492,7 +515,8 @@ void Runtime::onFrameArrive(int srcIdx, int dstIdx, std::uint32_t seq) {
   if (seq < ch.nextDeliverSeq || ch.reorder.contains(seq)) {
     // Spurious retransmit of a frame already handed over (or queued).
     if (obs::Tracer* tr = engine().tracer()) {
-      tr->metrics().add("pmpi.transport.duplicates");
+      obs::Metrics& m = tr->metrics();
+      m.add(m.counter(metricIds().duplicates, "pmpi.transport.duplicates"));
     }
     return;
   }
@@ -535,7 +559,8 @@ void Runtime::onFrameTimeout(int srcIdx, int dstIdx, std::uint32_t seq) {
   inf.rto = std::min(grown, std::max(params_.retransmitCap, inf.rto));
   fabric_.noteRetransmit();
   if (obs::Tracer* tr = engine().tracer()) {
-    tr->metrics().add("pmpi.transport.retransmits");
+    obs::Metrics& m = tr->metrics();
+    m.add(m.counter(metricIds().retransmits, "pmpi.transport.retransmits"));
   }
   if (chooser_ != nullptr) {
     // Choice point: a retransmission may go out immediately (slot 0, the
@@ -559,7 +584,8 @@ void Runtime::onPeerUnreachable(int srcIdx, int dstIdx, std::uint32_t seq) {
   channel(srcIdx, dstIdx).inflight.erase(seq);
   ++unreachablePeers_;
   if (obs::Tracer* tr = engine().tracer()) {
-    tr->metrics().add("pmpi.transport.unreachable");
+    obs::Metrics& m = tr->metrics();
+    m.add(m.counter(metricIds().unreachable, "pmpi.transport.unreachable"));
   }
   // Surface as a rank failure, not a hang: tear down the involved job(s)
   // exactly like a node loss, so checkpoint/restart supervision takes over.

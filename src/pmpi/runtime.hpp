@@ -317,6 +317,26 @@ class Runtime {
   void completeRequest(Proc& owner, Request req, int srcRank, int tag,
                        std::size_t bytes);
 
+  // ---- Metrics --------------------------------------------------------------
+  /// Handles of the runtime's per-message metric keys in the attached
+  /// tracer's registry.  Each is interned on first touch, so a report holds
+  /// exactly the keys that were updated.
+  struct MetricIds {
+    std::uint64_t generation = 0;  ///< Engine::tracerGeneration() they belong to
+    obs::Metrics::Id sendsEager, sendsRendezvous;
+    obs::Metrics::Id postedDepth, unexpectedDepth;
+    obs::Metrics::Id duplicates, retransmits, unreachable;
+  };
+  /// The handle cache, emptied first when the engine's tracer was swapped.
+  /// Only call with a tracer attached.
+  MetricIds& metricIds();
+  /// Adds `delta` to the depth gauge of one matching queue (and samples it
+  /// onto the timeline's counter track when one is recorded).
+  void traceQueueDepth(obs::Tracer& tr, obs::Metrics::Id& slot,
+                       const char* gauge, double delta);
+  /// Records `msg` joining `dst`'s unexpected queue.
+  void traceUnexpected(const Proc& dst, const Proc::UnexpectedMsg& msg);
+
   // ---- Request pool access (Env) -------------------------------------------
   [[nodiscard]] bool requestDone(Request r) const {
     const RequestState* s = requests_.find(r);
@@ -373,6 +393,7 @@ class Runtime {
   std::function<void(int)> drainHook_;
   int unreachablePeers_ = 0;
   mc::Chooser* chooser_ = nullptr;
+  MetricIds metricIds_;
 };
 
 }  // namespace cbsim::pmpi

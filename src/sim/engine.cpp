@@ -87,7 +87,7 @@ void Engine::scheduleResume(Process& p, SimTime when) {
 }
 
 int Engine::processRow(Process& p) {
-  if (p.traceRow_ < 0 && tracer_ != nullptr) {
+  if (p.traceRow_ < 0 && timeline() != nullptr) {
     p.traceRow_ = tracer_->row(obs::kGroupRanks, p.name());
   }
   return p.traceRow_;

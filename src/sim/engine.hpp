@@ -164,11 +164,27 @@ class Engine {
   /// Attaches (or detaches, with nullptr) an observability tracer.  Every
   /// layer built on the engine reaches it through tracer(); a null handle
   /// disables all instrumentation at the cost of one pointer test per site.
-  void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  void setTracer(obs::Tracer* tracer) {
+    tracer_ = tracer;
+    ++tracerGeneration_;
+  }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
+  /// The attached tracer when it records a timeline, nullptr when there is
+  /// none or it is metrics-only.  Timeline-only instrumentation (spans,
+  /// instants, counter tracks, row registration) guards on this, so a
+  /// metrics-only run skips that work before building any argument.
+  [[nodiscard]] obs::Tracer* timeline() const {
+    return tracer_ != nullptr && !tracer_->metricsOnly() ? tracer_ : nullptr;
+  }
+  /// Bumped by every setTracer() call.  Layers that cache metric handles
+  /// resolved against tracer()'s registry tag the cache with the generation
+  /// and drop it when the generation moves on (a swapped tracer).
+  [[nodiscard]] std::uint64_t tracerGeneration() const {
+    return tracerGeneration_;
+  }
 
   /// Timeline row for `p` (group obs::kGroupRanks), registered on first use
-  /// under the process's name.  Returns -1 when no tracer is attached.
+  /// under the process's name.  Returns -1 when timeline() is null.
   int processRow(Process& p);
 
  private:
@@ -225,6 +241,7 @@ class Engine {
   std::uint64_t watchdogMaxEventsPerInstant_ = 0;
   std::uint64_t nextProcId_ = 1;
   obs::Tracer* tracer_ = nullptr;
+  std::uint64_t tracerGeneration_ = 0;
 };
 
 }  // namespace cbsim::sim

@@ -545,7 +545,7 @@ const std::string& Context::name() const { return proc_.name(); }
 
 void Context::delay(SimTime d, const char* label) {
   const SimTime until = engine_.now() + d;
-  if (engine_.tracer() != nullptr) [[unlikely]] traceDelay(label, until);
+  if (engine_.timeline() != nullptr) [[unlikely]] traceDelay(label, until);
   engine_.scheduleResume(proc_, until);
   proc_.state_ = Process::State::Runnable;
   proc_.yieldToEngine();
@@ -554,8 +554,8 @@ void Context::delay(SimTime d, const char* label) {
 void Context::traceDelay(const char* label, SimTime until) {
   // The delay interval is this process's active simulated time (compute,
   // I/O service, protocol overhead) — the span that makes up its timeline.
-  engine_.tracer()->span(obs::kGroupRanks, engine_.processRow(proc_), label,
-                         "sim", engine_.now(), until);
+  engine_.timeline()->span(obs::kGroupRanks, engine_.processRow(proc_), label,
+                           "sim", engine_.now(), until);
 }
 
 void Context::suspend() {

@@ -72,8 +72,9 @@ class Context {
   [[nodiscard]] const std::string& name() const;
 
   /// Advances this process's simulated clock by `d`.  `label` names the
-  /// resulting activity span on this process's timeline row when a tracer
-  /// is attached (obs/); it must be a string with static storage duration.
+  /// resulting activity span on this process's timeline row when the
+  /// attached tracer records a timeline (obs/; Engine::timeline()); it must
+  /// be a string with static storage duration.
   void delay(SimTime d, const char* label = "delay");
 
   /// Blocks until another party calls Engine::wake() on this process.
@@ -84,8 +85,8 @@ class Context {
   void suspend();
 
  private:
-  /// Out-of-line tracer bookkeeping; the hot path tests one pointer and
-  /// calls this only when a tracer is attached.
+  /// Out-of-line tracer bookkeeping; the hot path tests the timeline
+  /// handle and calls this only when a timeline is recorded.
   void traceDelay(const char* label, SimTime until);
 
   Engine& engine_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -307,6 +308,58 @@ TEST(Beeond, AsyncWriteReturnsBeforeFlushCompletes) {
   EXPECT_LT(asyncSec * 3, syncSec);
   EXPECT_EQ(fs.fileSize("/async"), 32u << 20);
   EXPECT_EQ(async.pendingFlushes(), 0);
+}
+
+// --------------------------------------------------------- failure mid-I/O
+
+// A node failure kills two ranks while a striped global write and a NAM
+// put are still in flight.  Their completions arrive after the ranks are
+// gone; they must touch neither the dead ranks' stacks — which the stack
+// pool hands straight to the ranks launched next — nor wake the dead
+// ranks.  The ranks launched next fill their stacks with a canary pattern
+// and check it once every late completion has fired.
+TEST(IoFailure, LateCompletionsLeaveDeadStacksAlone) {
+  World w;
+  io::BeeGfs fs(w.machine, w.fabric);
+  io::NamStore nam(w.machine, w.fabric);
+  int inFlight = 0;
+  int returned = 0;
+  w.registry.add("victims", [&](Env& env) {
+    const auto data = pattern(env.rank() == 0 ? 16u << 20 : 64u << 20, 3);
+    if (env.rank() == 0) {
+      auto f = fs.create(env, "/ckpt");
+      ++inFlight;
+      fs.write(env, f, 0, data);
+    } else {
+      ++inFlight;
+      nam.put(env, 0, "ckpt", pmpi::ConstBytes(data));
+    }
+    ++returned;
+  });
+  std::vector<unsigned char*> canaries;
+  int canariesIntact = 0;
+  w.registry.add("canaries", [&](Env& env) {
+    unsigned char fill[96 * 1024];
+    std::fill(std::begin(fill), std::end(fill), 0xa5);
+    canaries.push_back(fill);  // escapes: the stores must really happen
+    env.ioDelay(sim::SimTime::seconds(1.0));  // outlives every completion
+    canariesIntact += std::all_of(std::begin(fill), std::end(fill),
+                                  [](unsigned char c) { return c == 0xa5; });
+  });
+  const int victims = w.rt.launch("victims", hw::NodeKind::Cluster, 2, 1).id;
+  w.engine.scheduleAt(sim::SimTime::ms(1), [&] {
+    EXPECT_EQ(inFlight, 2);
+    w.rt.killJob(victims);
+    // Launched once the killed ranks are reaped, onto their pooled stacks.
+    w.engine.schedule(sim::SimTime::us(1), [&] {
+      w.rt.launch("canaries", hw::NodeKind::Cluster, 2, 1);
+    });
+  });
+  w.run();
+  EXPECT_EQ(returned, 0);
+  EXPECT_EQ(canariesIntact, 2);
+  EXPECT_TRUE(w.rt.jobDone(victims));
+  EXPECT_EQ(fs.stats().chunkWrites, 16u);  // the write did go out
 }
 
 TEST(Beeond, ReadHitsLocalCache) {
