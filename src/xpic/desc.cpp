@@ -1,5 +1,8 @@
 #include "xpic/desc.hpp"
 
+#include <cmath>
+#include <string>
+
 namespace cbsim::xpic {
 
 std::vector<std::string> xpicPresetNames() { return {"table-ii", "tiny"}; }
@@ -45,6 +48,17 @@ XpicConfig xpicConfigFromDesc(desc::Reader& r) {
     r.fail("ppc_real and ppc_modeled must be positive");
   }
   if (c.steps <= 0) r.fail("steps must be positive");
+  if (c.nspec < 1) r.fail("nspec must be >= 1");
+  if (c.moverIterations < 1) r.fail("mover_iterations must be >= 1");
+  const auto requireFinitePositive = [&](const char* key, double v) {
+    if (!(std::isfinite(v) && v > 0)) {
+      r.fail(std::string(key) + " must be finite and > 0");
+    }
+  };
+  requireFinitePositive("dt", c.dt);
+  requireFinitePositive("lx", c.lx);
+  requireFinitePositive("ly", c.ly);
+  requireFinitePositive("mass_ratio", c.massRatio);
   return c;
 }
 

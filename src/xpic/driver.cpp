@@ -1,6 +1,8 @@
 #include "xpic/driver.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -24,21 +26,20 @@ constexpr int kTagFields = 10;
 constexpr int kTagMoments = 11;
 constexpr int kTagClusterStats = 12;
 
-std::vector<double> packInterior(const Grid2D& g,
-                                 std::initializer_list<const Field2D*> fs) {
-  std::vector<double> out;
-  out.reserve(fs.size() * static_cast<std::size_t>(g.lnx()) *
-              static_cast<std::size_t>(g.lny()));
+/// Copies the interior cells of `fs` into the front of `out`, field by
+/// field in row order.
+void packInterior(const Grid2D& g, std::span<Field2D* const> fs,
+                  std::vector<double>& out) {
+  std::size_t k = 0;
   for (const Field2D* f : fs) {
     for (int j = 1; j <= g.lny(); ++j) {
-      for (int i = 1; i <= g.lnx(); ++i) out.push_back(f->at(i, j));
+      for (int i = 1; i <= g.lnx(); ++i, ++k) out[k] = f->at(i, j);
     }
   }
-  return out;
 }
 
 void unpackInterior(const Grid2D& g, std::span<const double> in,
-                    std::initializer_list<Field2D*> fs) {
+                    std::span<Field2D* const> fs) {
   std::size_t k = 0;
   for (Field2D* f : fs) {
     for (int j = 1; j <= g.lny(); ++j) {
@@ -47,28 +48,19 @@ void unpackInterior(const Grid2D& g, std::span<const double> in,
   }
 }
 
-/// Pads a packed interface buffer to the production-xPic payload size
-/// (cfg.interfaceDoublesPerCell per local cell) so the simulated exchange
-/// carries the full 3D multi-species 10-moment interface volume.
-void padInterface(std::vector<double>& buf, const Grid2D& g,
-                  const XpicConfig& cfg) {
+/// Zeroed buffer for one direction of the inter-module interface: `fields`
+/// packed interior arrays at the front, padded to the production-xPic
+/// payload size (cfg.interfaceDoublesPerCell per local cell) so the
+/// simulated exchange carries the full 3D multi-species 10-moment
+/// interface volume.  Each rank allocates its buffers once; packing
+/// rewrites only the front, so the padding stays zero.
+std::vector<double> interfaceBuffer(const Grid2D& g, const XpicConfig& cfg,
+                                    std::size_t fields) {
+  const std::size_t packed = fields * static_cast<std::size_t>(g.lnx()) *
+                             static_cast<std::size_t>(g.lny());
   const std::size_t target = static_cast<std::size_t>(
       cfg.interfaceDoublesPerCell * g.lnx() * g.lny());
-  if (buf.size() < target) buf.resize(target, 0.0);
-}
-
-std::vector<double> packEM(const Grid2D& g, const FieldArrays& f) {
-  return packInterior(g, {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
-}
-void unpackEM(const Grid2D& g, std::span<const double> in, FieldArrays& f) {
-  unpackInterior(g, in, {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
-}
-std::vector<double> packMoments(const Grid2D& g, const FieldArrays& f) {
-  return packInterior(g, {&f.rho, &f.jx, &f.jy, &f.jz, &f.chi});
-}
-void unpackMoments(const Grid2D& g, std::span<const double> in,
-                   FieldArrays& f) {
-  unpackInterior(g, in, {&f.rho, &f.jx, &f.jy, &f.jz, &f.chi});
+  return std::vector<double>(std::max(packed, target), 0.0);
 }
 
 struct PhaseTimers {
@@ -193,33 +185,30 @@ void boosterMain(Env& env, const XpicConfig& cfg, int nodesPerSolver,
     env.tracePhase(name, s0);
   };
 
+  // Every send of `mom` completes before the next pack rewrites it.
+  std::vector<double> mom = interfaceBuffer(grid, cfg, 5);
+  std::vector<double> emBuf = interfaceBuffer(grid, cfg, 6);
+
   // Initial moments feed the Cluster's first calculateE.
   phase(t.particles, "particles", [&] { ps.particleMoments(f, halo, env); });
-  {
-    auto mom = packMoments(grid, f);
-    padInterface(mom, grid, cfg);
-    env.send(inter, peer, kTagMoments, std::span<const double>(mom));
-  }
+  packInterior(grid, f.momentFields(), mom);
+  env.send(inter, peer, kTagMoments, std::span<const double>(mom));
 
-  std::vector<double> emBuf(6 * static_cast<std::size_t>(cells));
-  padInterface(emBuf, grid, cfg);
   pmpi::Request recvFields =
       env.irecv(inter, peer, kTagFields, std::span<double>(emBuf));
 
   for (int step = 0; step < cfg.steps; ++step) {
-    std::vector<double> mom;
     pmpi::Request sendMoments;
     phase(t.sync, "sync", [&] { env.wait(recvFields); });  // ClusterWait
     phase(t.particles, "particles", [&] {
-      unpackEM(grid, emBuf, f);
+      unpackInterior(grid, emBuf, f.emFields());
       env.compute(workmodel::interfaceCopy(cells));  // cpyFromArr_F
       halo.exchange({&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
       ps.particlesMove(f, env);
       ps.migrate(env, env.world());
       ps.particleMoments(f, halo, env);
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_M
-      mom = packMoments(grid, f);
-      padInterface(mom, grid, cfg);
+      packInterior(grid, f.momentFields(), mom);
       sendMoments =
           env.issend(inter, peer, kTagMoments, std::span<const double>(mom));
       if (step + 1 < cfg.steps) {
@@ -291,19 +280,18 @@ void clusterMain(Env& env, const XpicConfig& cfg) {
     env.tracePhase(name, s0);
   };
 
-  std::vector<double> momBuf(5 * static_cast<std::size_t>(cells));
-  padInterface(momBuf, grid, cfg);
+  // Every send of `em` completes before the next pack rewrites it.
+  std::vector<double> em = interfaceBuffer(grid, cfg, 6);
+  std::vector<double> momBuf = interfaceBuffer(grid, cfg, 5);
   env.recv(up, peer, kTagMoments, std::span<double>(momBuf));
-  unpackMoments(grid, momBuf, f);
+  unpackInterior(grid, momBuf, f.momentFields());
 
   for (int step = 0; step < cfg.steps; ++step) {
-    std::vector<double> em;
     pmpi::Request sendFields, recvMoments;
     phase(t.fields, "fields", [&] {
       fs.calculateE(f, halo, env, env.world());
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_F
-      em = packEM(grid, f);
-      padInterface(em, grid, cfg);
+      packInterior(grid, f.emFields(), em);
       sendFields =
           env.issend(up, peer, kTagFields, std::span<const double>(em));
       recvMoments = env.irecv(up, peer, kTagMoments, std::span<double>(momBuf));
@@ -322,7 +310,7 @@ void clusterMain(Env& env, const XpicConfig& cfg) {
     });
     if (!cfg.overlapAux) phase(t.aux, "aux", clusterAux);
     phase(t.fields, "fields", [&] {
-      unpackMoments(grid, momBuf, f);
+      unpackInterior(grid, momBuf, f.momentFields());
       env.compute(workmodel::interfaceCopy(cells));  // cpyFromArr_M
       fs.calculateB(f, halo, env);
     });

@@ -2,44 +2,93 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace cbsim::xpic {
 
 namespace {
 
-/// Bilinear stencil around (x, y) in padded-local coordinates.
+/// Particles pushed or deposited together.  One mover sweep of one
+/// particle is a serial chain (divide, floor, gather, rotate, next
+/// position); interleaving a batch of independent chains lets the CPU
+/// overlap them.  A population's tail runs the same code one particle at a
+/// time, so every particle sees exactly the same arithmetic.
+constexpr std::size_t kBatch = 8;
+
+/// Bilinear (CIC) stencil of one position: flat padded index of the base
+/// cell (i, j) and the weights of (i, j), (i+1, j), (i, j+1), (i+1, j+1).
 struct Stencil {
-  int i, j;           ///< base cell (padded local)
-  double wx, wy;      ///< weights toward (i+1, j+1)
+  std::size_t base;
+  double w00, w10, w01, w11;
 };
 
-Stencil stencilAt(const Grid2D& g, double x, double y) {
-  const double gx = x / g.dx() - 0.5;
-  const double gy = y / g.dy() - 0.5;
-  const int gi = static_cast<int>(std::floor(gx));
-  const int gj = static_cast<int>(std::floor(gy));
-  Stencil s;
-  s.i = gi - g.x0() + 1;
-  s.j = gj - g.y0() + 1;
-  s.wx = gx - gi;
-  s.wy = gy - gj;
-  assert(s.i >= 0 && s.i <= g.lnx() && s.j >= 0 && s.j <= g.lny());
-  return s;
-}
+/// Stencil geometry of one rank's padded block.
+class StencilMap {
+ public:
+  explicit StencilMap(const Grid2D& g)
+      : g_(g),
+        dx_(g.dx()),
+        dy_(g.dy()),
+        stride_(static_cast<std::size_t>(g.lnx()) + 2),
+        loX_(g.x0() - 1),
+        hiX_(g.x0() + g.lnx()),
+        loY_(g.y0() - 1),
+        hiY_(g.y0() + g.lny()) {}
 
-double gather(const Field2D& f, const Stencil& s) {
-  return (1 - s.wx) * (1 - s.wy) * f.at(s.i, s.j) +
-         s.wx * (1 - s.wy) * f.at(s.i + 1, s.j) +
-         (1 - s.wx) * s.wy * f.at(s.i, s.j + 1) +
-         s.wx * s.wy * f.at(s.i + 1, s.j + 1);
-}
+  /// The base cell must lie in [0, lnx] x [0, lny] (padded), i.e. the
+  /// whole stencil inside the ghost ring; throws otherwise.
+  [[nodiscard]] Stencil at(double x, double y) const {
+    const double gx = x / dx_ - 0.5;
+    const double gy = y / dy_ - 0.5;
+    // Checked as doubles, before any int conversion: NaN and inf fail too.
+    if (!(gx >= loX_ && gx < hiX_ && gy >= loY_ && gy < hiY_)) [[unlikely]] {
+      leftGhostRing(x, y);
+    }
+    const int gi = floorToInt(gx);
+    const int gj = floorToInt(gy);
+    const double wx = gx - gi;
+    const double wy = gy - gj;
+    return {static_cast<std::size_t>(gj - g_.y0() + 1) * stride_ +
+                static_cast<std::size_t>(gi - g_.x0() + 1),
+            (1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy};
+  }
 
-void scatter(Field2D& f, const Stencil& s, double v) {
-  f.at(s.i, s.j) += (1 - s.wx) * (1 - s.wy) * v;
-  f.at(s.i + 1, s.j) += s.wx * (1 - s.wy) * v;
-  f.at(s.i, s.j + 1) += (1 - s.wx) * s.wy * v;
-  f.at(s.i + 1, s.j + 1) += s.wx * s.wy * v;
-}
+  /// Bilinear interpolation of one padded field array at a stencil.
+  [[nodiscard]] double gather(const double* a, const Stencil& s) const {
+    return s.w00 * a[s.base] + s.w10 * a[s.base + 1] +
+           s.w01 * a[s.base + stride_] + s.w11 * a[s.base + stride_ + 1];
+  }
+
+  /// CIC deposit of `v` into one padded moment array at a stencil.
+  void scatter(double* a, const Stencil& s, double v) const {
+    a[s.base] += s.w00 * v;
+    a[s.base + 1] += s.w10 * v;
+    a[s.base + stride_] += s.w01 * v;
+    a[s.base + stride_ + 1] += s.w11 * v;
+  }
+
+ private:
+  /// floor() for the guarded range (gx >= -1): truncation, then one step
+  /// down for negative non-integers — the same integer, without a libm call.
+  static int floorToInt(double v) {
+    const int t = static_cast<int>(v);
+    return t - (v < t ? 1 : 0);
+  }
+
+  [[noreturn]] void leftGhostRing(double x, double y) const {
+    throw std::runtime_error(
+        "xpic: particle left the ghost ring of rank " +
+        std::to_string(g_.rank()) + "'s block at x=" + std::to_string(x) +
+        ", y=" + std::to_string(y) +
+        " (time step too large for the cell size, or non-finite fields)");
+  }
+
+  const Grid2D& g_;
+  double dx_, dy_;
+  std::size_t stride_;
+  double loX_, hiX_, loY_, hiY_;
+};
 
 double wrap(double v, double period) {
   if (v >= period) return v - period;
@@ -47,10 +96,87 @@ double wrap(double v, double period) {
   return v;
 }
 
+/// One Species::move call: constants, field views and particle arrays.
+struct Mover {
+  const StencilMap& map;
+  const double *ex, *ey, *ez, *bx, *by, *bz;
+  double *x, *y, *u, *v, *w;
+  double qdt2m, dt, halfDt, lx, ly;
+  int iters;
+
+  /// Pushes particles [k, k + W) with their sweeps interleaved.
+  template <std::size_t W>
+  void push(std::size_t k) const {
+    double xb[W], yb[W], ub[W], vb[W], wb[W];
+    for (std::size_t l = 0; l < W; ++l) {
+      xb[l] = x[k + l];
+      yb[l] = y[k + l];
+      ub[l] = u[k + l];
+      vb[l] = v[k + l];
+      wb[l] = w[k + l];
+    }
+    for (int it = 0; it < iters; ++it) {
+      Stencil s[W];
+      for (std::size_t l = 0; l < W; ++l) s[l] = map.at(xb[l], yb[l]);
+      for (std::size_t l = 0; l < W; ++l) {
+        const double fex = map.gather(ex, s[l]), fey = map.gather(ey, s[l]),
+                     fez = map.gather(ez, s[l]);
+        const double fbx = map.gather(bx, s[l]), fby = map.gather(by, s[l]),
+                     fbz = map.gather(bz, s[l]);
+        // Exact solution of v~ = v' + v~ x t  with v' = v^n + qdt/2m E,
+        // t = qdt/2m B (the implicit-moment rotation).
+        const double vx = u[k + l] + qdt2m * fex;
+        const double vy = v[k + l] + qdt2m * fey;
+        const double vz = w[k + l] + qdt2m * fez;
+        const double tx = qdt2m * fbx, ty = qdt2m * fby, tz = qdt2m * fbz;
+        const double tsq = tx * tx + ty * ty + tz * tz;
+        const double vdt = vx * tx + vy * ty + vz * tz;
+        const double inv = 1.0 / (1.0 + tsq);
+        ub[l] = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
+        vb[l] = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
+        wb[l] = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
+        // Half-step position for the next field gather.
+        xb[l] = x[k + l] + halfDt * ub[l];
+        yb[l] = y[k + l] + halfDt * vb[l];
+      }
+    }
+    for (std::size_t l = 0; l < W; ++l) {
+      u[k + l] = 2.0 * ub[l] - u[k + l];
+      v[k + l] = 2.0 * vb[l] - v[k + l];
+      w[k + l] = 2.0 * wb[l] - w[k + l];
+      x[k + l] = wrap(x[k + l] + dt * ub[l], lx);
+      y[k + l] = wrap(y[k + l] + dt * vb[l], ly);
+    }
+  }
+};
+
+/// One Species::deposit call: constants, moment views and particle arrays.
+struct Depositor {
+  const StencilMap& map;
+  double *rho, *jx, *jy, *jz, *chi;
+  const double *x, *y, *u, *v, *w;
+  double qw, chiw;
+
+  /// Deposits particles [k, k + W) in order, their stencils computed first.
+  template <std::size_t W>
+  void deposit(std::size_t k) const {
+    Stencil s[W];
+    for (std::size_t l = 0; l < W; ++l) s[l] = map.at(x[k + l], y[k + l]);
+    for (std::size_t l = 0; l < W; ++l) {
+      map.scatter(rho, s[l], qw);
+      map.scatter(jx, s[l], qw * u[k + l]);
+      map.scatter(jy, s[l], qw * v[k + l]);
+      map.scatter(jz, s[l], qw * w[k + l]);
+      map.scatter(chi, s[l], chiw);
+    }
+  }
+};
+
 }  // namespace
 
 double interpolate(const Field2D& f, const Grid2D& g, double x, double y) {
-  return gather(f, stencilAt(g, x, y));
+  const StencilMap map(g);
+  return map.gather(f.raw().data(), map.at(x, y));
 }
 
 Species::Species(SpeciesParams p, const XpicConfig& cfg)
@@ -104,54 +230,34 @@ void Species::addParticle(double x, double y, double u, double v, double w) {
 }
 
 void Species::move(const FieldArrays& f, const Grid2D& g) {
-  const double qdt2m = p_.charge * dt_ / (2.0 * p_.mass);
-  const int iters = iters_;
-  for (std::size_t k = 0; k < x_.size(); ++k) {
-    double xb = x_[k], yb = y_[k];
-    double ub = u_[k], vb = v_[k], wb = w_[k];
-    for (int it = 0; it < iters; ++it) {
-      const Stencil s = stencilAt(g, xb, yb);
-      const double ex = gather(f.ex, s), ey = gather(f.ey, s), ez = gather(f.ez, s);
-      const double bx = gather(f.bx, s), by = gather(f.by, s), bz = gather(f.bz, s);
-      // Exact solution of v~ = v' + v~ x t  with v' = v^n + qdt/2m E,
-      // t = qdt/2m B (the implicit-moment rotation).
-      const double vx = u_[k] + qdt2m * ex;
-      const double vy = v_[k] + qdt2m * ey;
-      const double vz = w_[k] + qdt2m * ez;
-      const double tx = qdt2m * bx, ty = qdt2m * by, tz = qdt2m * bz;
-      const double tsq = tx * tx + ty * ty + tz * tz;
-      const double vdt = vx * tx + vy * ty + vz * tz;
-      const double inv = 1.0 / (1.0 + tsq);
-      ub = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
-      vb = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
-      wb = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
-      // Half-step position for the next field gather; stays within the
-      // ghost ring for CFL-respecting time steps.
-      xb = x_[k] + 0.5 * dt_ * ub;
-      yb = y_[k] + 0.5 * dt_ * vb;
-    }
-    u_[k] = 2.0 * ub - u_[k];
-    v_[k] = 2.0 * vb - v_[k];
-    w_[k] = 2.0 * wb - w_[k];
-    x_[k] = wrap(x_[k] + dt_ * ub, g.lxGlobal());
-    y_[k] = wrap(y_[k] + dt_ * vb, g.lyGlobal());
-  }
+  const StencilMap map(g);
+  const Mover m{map,
+                f.ex.raw().data(), f.ey.raw().data(), f.ez.raw().data(),
+                f.bx.raw().data(), f.by.raw().data(), f.bz.raw().data(),
+                x_.data(), y_.data(), u_.data(), v_.data(), w_.data(),
+                p_.charge * dt_ / (2.0 * p_.mass), dt_, 0.5 * dt_,
+                g.lxGlobal(), g.lyGlobal(), iters_};
+  const std::size_t n = x_.size();
+  std::size_t k = 0;
+  for (; k + kBatch <= n; k += kBatch) m.push<kBatch>(k);
+  for (; k < n; ++k) m.push<1>(k);
 }
 
 void Species::deposit(FieldArrays& f, const Grid2D& g) const {
-  const double qw = p_.charge * weight_ * invDV_;
+  const StencilMap map(g);
   // Implicit susceptibility: chi = sum_s omega_ps^2 (theta dt)^2 / 2,
   // deposited per particle like the density.
   const double chiw = p_.charge * p_.charge / p_.mass * weight_ * invDV_ *
                       0.5 * (theta_ * dt_) * (theta_ * dt_);
-  for (std::size_t k = 0; k < x_.size(); ++k) {
-    const Stencil s = stencilAt(g, x_[k], y_[k]);
-    scatter(f.rho, s, qw);
-    scatter(f.jx, s, qw * u_[k]);
-    scatter(f.jy, s, qw * v_[k]);
-    scatter(f.jz, s, qw * w_[k]);
-    scatter(f.chi, s, chiw);
-  }
+  const Depositor d{map,
+                    f.rho.raw().data(), f.jx.raw().data(), f.jy.raw().data(),
+                    f.jz.raw().data(), f.chi.raw().data(),
+                    x_.data(), y_.data(), u_.data(), v_.data(), w_.data(),
+                    p_.charge * weight_ * invDV_, chiw};
+  const std::size_t n = x_.size();
+  std::size_t k = 0;
+  for (; k + kBatch <= n; k += kBatch) d.deposit<kBatch>(k);
+  for (; k < n; ++k) d.deposit<1>(k);
 }
 
 int Species::dirIndex(int dx, int dy) {
@@ -168,10 +274,26 @@ std::pair<int, int> Species::dirOffset(int dir) {
 void Species::collectLeavers(const Grid2D& g,
                              std::array<std::vector<double>, 8>& out) {
   const int lnx = g.lnx(), lny = g.lny();
+  const double gnx = static_cast<double>(lnx) * g.px();
+  const double gny = static_cast<double>(lny) * g.py();
+  const auto jumped = [&](std::size_t k) {
+    return std::runtime_error(
+        "xpic: particle at x=" + std::to_string(x_[k]) +
+        ", y=" + std::to_string(y_[k]) + " jumped more than one block from rank " +
+        std::to_string(g.rank()) + " (time step too large for the block size)");
+  };
   std::size_t k = 0;
   while (k < x_.size()) {
-    const int gi = static_cast<int>(x_[k] / g.dx());
-    const int gj = static_cast<int>(y_[k] / g.dy());
+    const double cellX = x_[k] / g.dx();
+    const double cellY = y_[k] / g.dy();
+    // move() wraps positions into the domain; a coordinate beyond one
+    // period (or NaN) cannot belong to a neighbour.  Checked as doubles so
+    // the int conversions below are always defined.
+    if (!(cellX > -gnx && cellX < 2 * gnx && cellY > -gny && cellY < 2 * gny)) {
+      throw jumped(k);
+    }
+    const int gi = static_cast<int>(cellX);
+    const int gj = static_cast<int>(cellY);
     const int ox = gi / lnx;  // owning block column
     const int oy = gj / lny;
     int dx = ox - g.cx();
@@ -181,7 +303,7 @@ void Species::collectLeavers(const Grid2D& g,
     if (dx < -g.px() / 2) dx += g.px();
     if (dy > g.py() / 2) dy -= g.py();
     if (dy < -g.py() / 2) dy += g.py();
-    assert(dx >= -1 && dx <= 1 && dy >= -1 && dy <= 1);
+    if (dx < -1 || dx > 1 || dy < -1 || dy > 1) throw jumped(k);
     if (dx == 0 && dy == 0) {
       ++k;
       continue;

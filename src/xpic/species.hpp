@@ -41,16 +41,20 @@ class Species {
   /// Implicit moment mover (predictor-corrector, cfg.moverIterations
   /// sweeps) against E, B (ghosts must be valid).  Applies the global
   /// periodic wrap; block ownership is restored by collectLeavers().
+  /// Throws std::runtime_error when a sweep's position takes the bilinear
+  /// stencil outside the ghost ring (a time step beyond the CFL limit, or
+  /// non-finite fields).
   void move(const FieldArrays& f, const Grid2D& g);
 
   /// CIC deposition of rho, J, and the implicit susceptibility chi into
   /// the padded arrays (ghost contributions included; caller runs the
-  /// reverse halo afterwards).
+  /// reverse halo afterwards).  Same ghost-ring check as move().
   void deposit(FieldArrays& f, const Grid2D& g) const;
 
   /// Removes particles that left the local block and packs them as
   /// [x y u v w]* per direction (8 neighbour directions, index
-  /// dir = (dy+1)*3 + (dx+1) skipping the centre).
+  /// dir = (dy+1)*3 + (dx+1) skipping the centre).  Throws
+  /// std::runtime_error for a particle more than one block away.
   void collectLeavers(const Grid2D& g, std::array<std::vector<double>, 8>& out);
 
   /// Appends packed particles produced by collectLeavers on another rank.
@@ -85,7 +89,7 @@ class Species {
 };
 
 /// Bilinear interpolation of a cell-centered field at (x, y); the grid's
-/// ghost ring must be valid.
+/// ghost ring must be valid.  Same ghost-ring check as Species::move().
 [[nodiscard]] double interpolate(const Field2D& f, const Grid2D& g, double x,
                                  double y);
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "campaign/builtin.hpp"
+#include "campaign/desc.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "desc/cache.hpp"
@@ -83,6 +84,25 @@ TEST(Runner, ScenarioErrorsAreCapturedPerScenario) {
   EXPECT_EQ(rep.scenarios[1].values.at("ok"), 1.0);
   // The report stays serializable and names the failure.
   EXPECT_NE(campaign::toJson(rep).find("\"error\": \"boom\""), std::string::npos);
+}
+
+// A time step far beyond the CFL limit throws particles out of the ghost
+// ring in the first mover sweep.  That used to read and write outside the
+// field arrays (SIGSEGV); now every world fails with a named error and the
+// campaign reports it per scenario.
+TEST(Runner, XpicTimeStepBeyondGhostRingIsANamedScenarioError) {
+  campaign::CampaignSpec spec = campaign::campaignSpecFromDescText(
+      campaign::builtinCampaignText("fig8-tiny"), "fig8-tiny");
+  spec.fig8.xpic.dt = 40;
+  const CampaignReport rep =
+      campaign::runCampaign(campaign::buildCampaign(spec), campaign::withJobs(4));
+  ASSERT_EQ(rep.scenarios.size(), 12u);
+  EXPECT_EQ(rep.failedCount(), 12);
+  for (const auto& s : rep.scenarios) {
+    EXPECT_NE(s.error.find("xpic: particle left the ghost ring"),
+              std::string::npos)
+        << s.name << ": " << s.error;
+  }
 }
 
 TEST(Runner, JobsZeroMeansHardwareConcurrency) {

@@ -285,6 +285,27 @@ TEST(DescXpic, PresetStringAndOverridesWork) {
   EXPECT_EQ(desc::dump(xpic::toDesc(xpic::xpicConfigFromDesc(rr))), d1);
 }
 
+// Values that would crash the run (a zero species count divides by zero,
+// a huge time step throws particles out of the ghost ring) are rejected
+// at the description, naming the path and the key.
+TEST(DescXpic, RejectsOutOfRangeValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"nspec": 0})", "desc: xpic: nspec must be >= 1"},
+      {R"({"mover_iterations": 0})", "desc: xpic: mover_iterations must be >= 1"},
+      {R"({"dt": 0})", "desc: xpic: dt must be finite and > 0"},
+      {R"({"dt": -0.1})", "desc: xpic: dt must be finite and > 0"},
+      {R"({"lx": 0})", "desc: xpic: lx must be finite and > 0"},
+      {R"({"ly": -25.6})", "desc: xpic: ly must be finite and > 0"},
+      {R"({"mass_ratio": 0})", "desc: xpic: mass_ratio must be finite and > 0"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const desc::Value v = desc::parse(text);
+    desc::Reader r(v, "xpic");
+    EXPECT_EQ(errorOf([&] { (void)xpic::xpicConfigFromDesc(r); }), expected)
+        << text;
+  }
+}
+
 TEST(DescFault, PlanRoundTripsWindows) {
   const char* text = R"({
     "drop_prob": 0.01,
