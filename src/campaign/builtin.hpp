@@ -26,7 +26,7 @@
 //     running an invariant-checked mc scenario under a seed-deterministic
 //     fault schedule (chaos/generate.hpp).  Trial seeds match
 //     chaos::fuzz(), so any violating cell is reproducible — and
-//     shrinkable — with `cbsim_chaos --trials 1 --seed <trial seed>`.
+//     shrinkable — with `cbsim chaos --trials 1 --seed <trial seed>`.
 //
 // The grid builders live in grids.cpp; the builtin registry (builtin.cpp)
 // holds nothing but embedded description strings, parsed through the

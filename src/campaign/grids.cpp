@@ -581,7 +581,7 @@ Campaign chaosCampaign(const ChaosParams& params) {
     s.name = name;
     s.run = [spec, world, i](ScenarioContext&) {
       // The trial seed comes from the spec, not ctx.seed: the contract is
-      // that `cbsim_chaos --trials 1 --seed <trial_seed>` (or fuzz())
+      // that `cbsim chaos --trials 1 --seed <trial_seed>` (or fuzz())
       // rebuilds exactly this schedule and shrinks it.
       const std::uint64_t seed = chaos::trialSeed(*spec, i);
       const chaos::Schedule sched =

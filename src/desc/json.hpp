@@ -18,7 +18,7 @@
 //   * object member order is preserved, and dump() is canonical (fixed
 //     indentation, shortest round-trip number rendering), so
 //     parse(dump(x)) == x and dump(parse(dump(x))) == dump(x) byte for
-//     byte — the property `cbsim_campaign --dump` is tested against.
+//     byte — the property `cbsim campaign --dump` is tested against.
 
 #include <cstdint>
 #include <stdexcept>

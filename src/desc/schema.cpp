@@ -226,4 +226,11 @@ std::string readFile(const std::string& path) {
   return ss.str();
 }
 
+void writeFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out) throw Error("desc: cannot write file '" + path + "'");
+}
+
 }  // namespace cbsim::desc

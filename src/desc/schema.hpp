@@ -101,4 +101,9 @@ class Reader {
 /// message) when the file cannot be read.
 [[nodiscard]] std::string readFile(const std::string& path);
 
+/// Writes `text` to `path` (created or truncated), closes the file and only
+/// then checks the stream, so a failing buffered flush (a full disk,
+/// /dev/full) is caught too; throws Error with the path in the message.
+void writeFile(const std::string& path, std::string_view text);
+
 }  // namespace cbsim::desc

@@ -29,7 +29,7 @@
 //
 // The seeded-defect switch (breakDedup) is deliberately NOT part of the
 // schema: a description file describes an experiment, not a code bug; the
-// defect is enabled only by the cbsim_mc --break-dedup flag and tests.
+// defect is enabled only by the `cbsim mc --break-dedup` flag and tests.
 
 #include "desc/schema.hpp"
 #include "mc/scenarios.hpp"

@@ -1,8 +1,5 @@
 #include "mc/trace.hpp"
 
-#include <fstream>
-#include <stdexcept>
-
 #include "desc/json.hpp"
 #include "desc/schema.hpp"
 
@@ -73,15 +70,6 @@ Trace parseTrace(const std::string& text, const std::string& origin) {
   }
   r.finish();
   return t;
-}
-
-void writeTraceFile(const std::string& path, const Trace& t) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("mc: cannot write trace file " + path);
-  out << dumpTrace(t);
-  if (!out.good()) {
-    throw std::runtime_error("mc: short write to trace file " + path);
-  }
 }
 
 Trace readTraceFile(const std::string& path) {

@@ -43,9 +43,6 @@ struct Trace {
 [[nodiscard]] Trace parseTrace(const std::string& text,
                                const std::string& origin);
 
-/// Writes `t` to `path`; throws std::runtime_error on I/O failure.
-void writeTraceFile(const std::string& path, const Trace& t);
-
 /// Reads and parses a trace file.
 [[nodiscard]] Trace readTraceFile(const std::string& path);
 

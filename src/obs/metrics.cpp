@@ -1,9 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <ostream>
-
 namespace cbsim::obs {
 
 Metrics::Id Metrics::intern(std::string_view name, Kind kind) {
@@ -28,22 +24,6 @@ double Metrics::value(std::string_view name) const {
 double Metrics::maxValue(std::string_view name) const {
   const Entry* e = find(name);
   return e == nullptr ? 0.0 : e->max;
-}
-
-void Metrics::writeTable(std::ostream& os) const {
-  std::size_t width = 0;
-  for (const auto& [name, e] : entries()) width = std::max(width, name.size());
-  for (const auto& [name, e] : entries()) {
-    char buf[160];
-    if (e.kind == Kind::Counter) {
-      std::snprintf(buf, sizeof(buf), "%-*s %14.6g", static_cast<int>(width),
-                    name.c_str(), e.value);
-    } else {
-      std::snprintf(buf, sizeof(buf), "%-*s %14.6g  (max %.6g)",
-                    static_cast<int>(width), name.c_str(), e.value, e.max);
-    }
-    os << buf << '\n';
-  }
 }
 
 }  // namespace cbsim::obs

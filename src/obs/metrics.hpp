@@ -2,14 +2,14 @@
 
 // Metric registry: named counters (monotonic sums) and gauges (last value +
 // running maximum).  Deterministic by construction — values are plain
-// doubles fed from simulated quantities, entries() walks the keys in name
-// order, and the rendered table depends only on the sequence of calls.
+// doubles fed from simulated quantities, and entries() walks the keys in
+// name order.
 //
 // Entries live in one contiguous vector and are addressed by dense handles:
 // counter(name) / gauge(name) intern a key once and return its Id, and
 // add / gaugeSet / gaugeAdd on an Id are a single indexed update.  The
 // name -> Id index is consulted only when a key is interned and when the
-// registry is read back (entries(), value(), writeTable()).  The by-name
+// registry is read back (entries(), value()).  The by-name
 // update overloads are thin intern-then-update wrappers for cold paths.
 //
 // Registration is lazy by contract: a key exists only once something
@@ -23,7 +23,6 @@
 // the Tracer handle so a disabled run never pays even the indexed update.
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -133,10 +132,6 @@ class Metrics {
     const std::vector<Entry>& entries_;
   };
   [[nodiscard]] EntryView entries() const { return {index_, entries_}; }
-
-  /// Renders the registry as an aligned text table (one metric per line,
-  /// gauges show "last (max ...)").
-  void writeTable(std::ostream& os) const;
 
  private:
   Id intern(std::string_view name, Kind kind);

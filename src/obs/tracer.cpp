@@ -56,9 +56,7 @@ Tracer::Tracer() : nextTid_(4, 0) {}
 
 int Tracer::row(Group group, std::string_view name) {
   const int tid = nextTid_[static_cast<std::size_t>(group)]++;
-  std::string full = runLabel_;
-  full += name;
-  rows_.push_back(Row{group, tid, std::move(full)});
+  rows_.push_back(Row{group, tid, std::string(name)});
   return tid;
 }
 

@@ -51,12 +51,6 @@ class Tracer {
   Metrics& metrics() { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
-  /// Prefix applied to the names of rows registered from now on.  Benches
-  /// driving several independent simulations through one Tracer use it to
-  /// keep the runs' rows apart (e.g. "C+B/").
-  void setRunLabel(std::string label) { runLabel_ = std::move(label); }
-  [[nodiscard]] const std::string& runLabel() const { return runLabel_; }
-
   /// Metrics-only mode: the metrics registry keeps recording while the
   /// timeline stays empty.  Instrumented layers check the mode (through
   /// sim::Engine::timeline()) and skip timeline work altogether — no row
@@ -112,7 +106,6 @@ class Tracer {
   std::vector<Row> rows_;
   std::vector<Event> events_;
   std::vector<int> nextTid_;  ///< per-group row id allocator
-  std::string runLabel_;
   bool metricsOnly_ = false;
   Metrics metrics_;
 };

@@ -672,10 +672,8 @@ Job& Runtime::startJob(const std::string& appName,
               rt->requests_.releaseAll(self->ownedRequests);
               obs::Tracer* tr = rt->engine().tracer();
               if (tr != nullptr && self->sproc != nullptr) {
-                // Final per-rank time split for the metrics table.  The run
-                // label keeps same-named ranks of separate runs apart.
-                const std::string key =
-                    tr->runLabel() + "rank[" + self->sproc->name() + "]";
+                // Final per-rank time split.
+                const std::string key = "rank[" + self->sproc->name() + "]";
                 obs::Metrics& m = tr->metrics();
                 m.gaugeSet(key + ".compute_sec", self->computeSec);
                 m.gaugeSet(key + ".comm_sec", self->commSec);

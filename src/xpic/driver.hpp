@@ -60,15 +60,6 @@ struct Report {
   double momentumX = 0;
   long long particleCount = 0;
   int cgIterations = 0;
-
-  [[nodiscard]] double fieldCommPct() const {
-    return fieldsSec > 0 ? 100.0 * fieldCommSec / (fieldsSec + fieldCommSec) : 0;
-  }
-  [[nodiscard]] double particleCommPct() const {
-    return particlesSec > 0
-               ? 100.0 * particleCommSec / (particlesSec + particleCommSec)
-               : 0;
-  }
 };
 
 /// Runs one scenario on a freshly built machine.  `nodesPerSolver` follows

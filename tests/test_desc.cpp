@@ -381,7 +381,8 @@ TEST(DescCampaign, CommittedDumpsAreCurrent) {
         slurp(std::string(CBSIM_DESC_DUMPS_DIR) + "/" + name + ".json");
     EXPECT_EQ(committed, expect)
         << "stale committed dump for " << name
-        << "; regenerate with: cbsim_campaign --dump " << name;
+        << "; regenerate with: cbsim campaign --campaign " << name
+        << " --dump";
   }
 }
 

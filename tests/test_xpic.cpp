@@ -583,12 +583,4 @@ TEST(Xpic, InterfacePayloadBytesArePinned) {
   }
 }
 
-TEST(Xpic, ReportsCommunicationShares) {
-  const XpicConfig cfg = integrationCfg();
-  const xpic::Report r = xpic::runXpic(xpic::Mode::ClusterBooster, 2, cfg);
-  EXPECT_GE(r.fieldCommPct(), 0.0);
-  EXPECT_LT(r.fieldCommPct(), 100.0);
-  EXPECT_GE(r.particleCommPct(), 0.0);
-}
-
 }  // namespace
