@@ -15,7 +15,7 @@
 //     amortizing; if it degrades, dispatch overhead dominates.
 //
 // Emits BENCH_campaign.json (override with --out) with scenarios/sec per
-// worker count, for the same CI artifact flow as bench_engine_hotpath.
+// worker count; CI's bench-smoke job uploads it as an artifact.
 // The committed BENCH_campaign.json must come from a multi-core host
 // (EXPERIMENTS.md); the pool-scaling CI job enforces jobs=2 speedup >= 1.
 

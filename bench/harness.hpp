@@ -1,13 +1,9 @@
 #pragma once
 
-// Shared support for the wall-clock benches that emit machine-readable
-// BENCH_*.json files (picked up as CI artifacts; see EXPERIMENTS.md).
-//
-// Deliberately tiny: a steady_clock stopwatch, a best-of-N repeat helper
-// (minimum wall time is the standard estimator for a noisy shared host),
-// and an insertion-ordered JSON object builder.  Header-only, no deps.
+// Shared support for benches that emit machine-readable BENCH_*.json files
+// (picked up as CI artifacts; see EXPERIMENTS.md): peak RSS and an
+// insertion-ordered JSON object builder.  Header-only, no deps.
 
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -35,27 +31,6 @@ inline double peakRssBytes() {
 #else
   return 0.0;
 #endif
-}
-
-/// Wall-clock seconds consumed by `fn()`.
-template <typename Fn>
-double wallSeconds(Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Runs `fn` `repeats` times and returns the minimum wall time — the run
-/// least disturbed by scheduler noise, cache warmup, or neighbours.
-template <typename Fn>
-double bestOfSeconds(int repeats, Fn&& fn) {
-  double best = -1.0;
-  for (int i = 0; i < repeats; ++i) {
-    const double s = wallSeconds(fn);
-    if (best < 0.0 || s < best) best = s;
-  }
-  return best;
 }
 
 /// Insertion-ordered JSON object.  Values are rendered eagerly; nesting

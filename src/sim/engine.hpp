@@ -137,15 +137,9 @@ class Engine {
   /// budget through this instead of mutating the environment.
   void setFiberStackBytes(std::size_t bytes) { fiberStackBytes_ = bytes; }
   [[nodiscard]] std::size_t fiberStackBytes() const { return fiberStackBytes_; }
-  /// Carve fiber stacks from shared slab mappings of `n` stacks each
-  /// instead of one fully guarded mapping per stack — required to fit
-  /// >~32k concurrent fibers under the kernel's default vm.max_map_count;
-  /// see detail::FiberStackPool::setStacksPerSlab for the guard-page
-  /// trade-off.  Must be called before the first process spawns; 0 (the
-  /// default) keeps per-stack guard pages.
-  void setFiberStacksPerSlab(std::size_t n) { stackPool_.setStacksPerSlab(n); }
-  /// Stack-mapping recycler shared by this engine's fibers (telemetry:
-  /// pooledCount / reuseCount).
+  /// Owner of this engine's fiber stack mappings; it guards the first
+  /// detail::FiberStackPool::kGuardedStacks stacks individually and carves
+  /// the rest from slabs (telemetry: guardedCount / slabCount / reuseCount).
   [[nodiscard]] const detail::FiberStackPool& stackPool() const {
     return stackPool_;
   }

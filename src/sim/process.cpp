@@ -13,9 +13,13 @@
 // identity, or any other ambient state, so simulations are bit-identical
 // across backends (tests/test_backend.cpp pins this).
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -115,28 +119,53 @@ namespace detail {
 
 // ---------------------------------------------------------- stack pooling
 
-FiberStackPool::~FiberStackPool() {
+namespace {
+
 #if defined(CBSIM_HAS_FIBERS)
-  // Slab chunks live inside the slab mappings; only whole mappings are
-  // ever handed to munmap.
-  if (stacksPerSlab_ != 0) {
-    for (const Stack& s : slabs_) munmap(s.map, s.mapSize);
-  } else {
-    for (const Stack& s : free_) munmap(s.map, s.mapSize);
+std::size_t pageBytes() {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+/// Maps `bytes` read-write with the lowest page PROT_NONE: two VMAs.
+void* mapGuarded(std::size_t bytes, const std::string& owner,
+                 std::size_t guarded) {
+#if defined(CBSIM_HAS_FIBERS)
+  const auto fail = [&](const char* call, int err) {
+    return std::runtime_error(std::string("sim: fiber stack ") + call +
+                              " failed for process '" + owner +
+                              "': " + std::strerror(err) +
+                              " (guarded stacks mapped: " +
+                              std::to_string(guarded) + ")");
+  };
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                    -1, 0);
+  if (base == MAP_FAILED) throw fail("mmap", errno);
+  if (mprotect(base, pageBytes(), PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(base, bytes);
+    throw fail("mprotect", err);
   }
+  return base;
+#else
+  (void)bytes;
+  (void)owner;
+  (void)guarded;
+  throw std::logic_error("sim: fiber stacks are not supported on this build");
 #endif
 }
 
-void FiberStackPool::setStacksPerSlab(std::size_t n) {
-  if (!free_.empty() || !slabs_.empty()) {
-    throw std::logic_error(
-        "FiberStackPool: slab mode must be chosen before any stack is "
-        "acquired");
-  }
-  stacksPerSlab_ = n;
+}  // namespace
+
+FiberStackPool::~FiberStackPool() {
+#if defined(CBSIM_HAS_FIBERS)
+  for (const Stack& m : mappings_) munmap(m.map, m.mapSize);
+#endif
 }
 
-FiberStackPool::Stack FiberStackPool::acquire(std::size_t mapSize) {
+FiberStackPool::Stack FiberStackPool::acquire(std::size_t mapSize,
+                                              const std::string& owner) {
   for (std::size_t i = 0; i < free_.size(); ++i) {
     if (free_[i].mapSize != mapSize) continue;
     const Stack s = free_[i];
@@ -145,62 +174,38 @@ FiberStackPool::Stack FiberStackPool::acquire(std::size_t mapSize) {
     ++reuses_;
     return s;
   }
-  if (stacksPerSlab_ != 0) return carve(mapSize);
-  return Stack{};
-}
-
-FiberStackPool::Stack FiberStackPool::carve(std::size_t mapSize) {
-#if defined(CBSIM_HAS_FIBERS)
-  if (slabs_.empty() || slabCarved_ == stacksPerSlab_ ||
-      slabSlotSize_ != mapSize) {
-    const std::size_t total = stacksPerSlab_ * mapSize;
-    void* base = mmap(nullptr, total, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                      -1, 0);
-    if (base == MAP_FAILED) {
-      throw std::runtime_error("sim: fiber stack slab mmap failed");
-    }
-    // Guard the slab's low edge so the very first stack still faults on
-    // overflow; interior chunk boundaries stay unprotected (that is the
-    // whole point — protecting them would split the slab back into two
-    // VMAs per stack).
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    if (mprotect(base, page, PROT_NONE) != 0) {
-      munmap(base, total);
-      throw std::runtime_error("sim: fiber stack slab mprotect failed");
-    }
-    slabs_.push_back(Stack{base, total});
-    slabCarved_ = 0;
-    slabSlotSize_ = mapSize;
+  if (guarded_ < guardedCap_) {
+    const Stack s{mapGuarded(mapSize, owner, guarded_), mapSize};
+    mappings_.push_back(s);
+    ++guarded_;
+    return s;
   }
-  Stack s{static_cast<char*>(slabs_.back().map) + slabCarved_ * mapSize,
-          mapSize};
-  ++slabCarved_;
-  return s;
-#else
-  (void)mapSize;
-  return Stack{};
-#endif
+  if (slab_ == nullptr || slabCarved_ == kStacksPerSlab ||
+      slabChunk_ != mapSize) {
+    if (mapSize > SIZE_MAX / kStacksPerSlab) {
+      throw std::length_error("sim: fiber stack of " +
+                              std::to_string(mapSize) + " bytes for process '" +
+                              owner + "' does not fit a slab");
+    }
+    // Only the slab's low edge gets a guard page: protecting every chunk
+    // boundary would split the slab back into two VMAs per stack.
+    const std::size_t bytes = kStacksPerSlab * mapSize;
+    slab_ = static_cast<char*>(mapGuarded(bytes, owner, guarded_));
+    mappings_.push_back(Stack{slab_, bytes});
+    slabCarved_ = 0;
+    slabChunk_ = mapSize;
+  }
+  return Stack{slab_ + slabCarved_++ * mapSize, mapSize};
 }
 
 void FiberStackPool::release(Stack s) {
 #if defined(CBSIM_HAS_FIBERS)
-  if (s.map == nullptr) return;
-  if (stacksPerSlab_ == 0 && free_.size() >= kMaxPooled) {
-    munmap(s.map, s.mapSize);
-    return;
-  }
   // Drop the resident pages but keep the mapping (guard page included):
-  // a pooled stack holds address space, not memory.  Reuse re-faults
-  // zero pages lazily, exactly like a fresh mapping.  Slab chunks skip
-  // the kMaxPooled cap: they cannot be unmapped individually, and their
-  // count is already bounded by the high-water live-fiber count.
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  // reuse re-faults zero pages lazily, exactly like a fresh mapping.
+  const std::size_t page = pageBytes();
   madvise(static_cast<char*>(s.map) + page, s.mapSize - page, MADV_DONTNEED);
-  free_.push_back(s);
-#else
-  (void)s;
 #endif
+  free_.push_back(s);
 }
 
 std::size_t FiberStackPool::pooledAddressBytes() const {
@@ -281,10 +286,10 @@ class ThreadExec final : public ExecContext {
 
 // ----------------------------------------------------------- fiber backend
 //
-// Stackful fibers.  The stack is mmap'd lazily at first resume (a process
-// cancelled before it ever ran costs nothing) with a PROT_NONE guard page
-// below it, so an overflow faults instead of corrupting a neighbouring
-// fiber.  All switches happen on the engine's own OS thread.
+// Stackful fibers.  The stack is taken from the engine's FiberStackPool
+// lazily at first resume (a process cancelled before it ever ran costs
+// nothing); the pool decides whether it gets a guard page of its own.  All
+// switches happen on the engine's own OS thread.
 //
 // ucontext is used only to bootstrap a fiber onto its fresh stack: glibc's
 // swapcontext performs a sigprocmask system call on every switch, which
@@ -294,14 +299,24 @@ class ThreadExec final : public ExecContext {
 
 #if defined(CBSIM_HAS_FIBERS)
 
+constexpr std::size_t kMinStackBytes = 16 * 1024;
+
+/// $CBSIM_FIBER_STACK_KB in bytes, 256 KiB when unset or empty.  Like a
+/// bad CBSIM_PROCESS_BACKEND, anything but a plain digit string throws.
 std::size_t fiberStackBytes() {
   // Re-read per start: tests shrink stacks for mass-spawn scenarios.
-  if (const char* env = std::getenv("CBSIM_FIBER_STACK_KB");
-      env != nullptr && *env != '\0') {
-    const long kb = std::strtol(env, nullptr, 10);
-    if (kb >= 16) return static_cast<std::size_t>(kb) * 1024;
+  const char* env = std::getenv("CBSIM_FIBER_STACK_KB");
+  if (env == nullptr || *env == '\0') return 256 * 1024;
+  const std::string v(env);
+  std::size_t kb = 0;
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, kb);
+  if (ec != std::errc{} || stop != end || kb > SIZE_MAX / 1024) {
+    throw std::invalid_argument(
+        "CBSIM_FIBER_STACK_KB must be a stack size in KiB (digits only), "
+        "got '" + v + "'");
   }
-  return 256 * 1024;
+  return kb * 1024;
 }
 
 class FiberExec final : public ExecContext {
@@ -351,9 +366,9 @@ class FiberExec final : public ExecContext {
   void finalize() override {
     // Called once the process terminated: its stack can never be resumed,
     // so the mapping goes back to the engine's pool for the next spawn.
-    if (map_ != nullptr) {
-      pool_.release(FiberStackPool::Stack{map_, mapSize_});
-      map_ = nullptr;
+    if (stack_.map != nullptr) {
+      pool_.release(stack_);
+      stack_ = {};
     }
   }
 
@@ -394,34 +409,13 @@ class FiberExec final : public ExecContext {
   }
 
   void startFiber() {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    std::size_t stackBytes =
-        stackBytesHint_ != 0 ? std::max<std::size_t>(stackBytesHint_, 16 * 1024)
-                             : fiberStackBytes();
+    const std::size_t page = pageBytes();
+    std::size_t stackBytes = std::max(
+        stackBytesHint_ != 0 ? stackBytesHint_ : fiberStackBytes(),
+        kMinStackBytes);
     stackBytes = (stackBytes + page - 1) / page * page;
-    mapSize_ = stackBytes + page;  // + low guard page
-    const FiberStackPool::Stack pooled = pool_.acquire(mapSize_);
-    if (pooled.map != nullptr) {
-      // Recycled mapping: guard page and stack protections are still in
-      // place from its first life; contents were dropped on release.
-      map_ = pooled.map;
-    } else {
-      void* base = mmap(nullptr, mapSize_, PROT_NONE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                        -1, 0);
-      if (base == MAP_FAILED) {
-        throw std::runtime_error("sim: fiber stack mmap failed for process '" +
-                                 processName() + "'");
-      }
-      map_ = base;
-      if (mprotect(static_cast<char*>(base) + page, stackBytes,
-                   PROT_READ | PROT_WRITE) != 0) {
-        munmap(map_, mapSize_);
-        map_ = nullptr;
-        throw std::runtime_error("sim: fiber stack mprotect failed");
-      }
-    }
-    char* lo = static_cast<char*>(map_) + page;
+    stack_ = pool_.acquire(stackBytes + page, proc_.name());
+    char* lo = static_cast<char*>(stack_.map) + page;
     stackLo_ = lo;
     stackBytes_ = stackBytes;
 
@@ -449,15 +443,12 @@ class FiberExec final : public ExecContext {
 #endif
   }
 
-  [[nodiscard]] const std::string& processName() const { return proc_.name(); }
-
   Process& proc_;
   FiberStackPool& pool_;
   std::size_t stackBytesHint_;  ///< 0 = environment default
   sigjmp_buf engineJmp_{};  ///< resume point on the engine stack
   sigjmp_buf fiberJmp_{};   ///< resume point on the fiber stack
-  void* map_ = nullptr;        ///< mmap base (guard page + stack)
-  std::size_t mapSize_ = 0;
+  FiberStackPool::Stack stack_;  ///< guard page + stack, from pool_
   void* stackLo_ = nullptr;    ///< usable stack, lowest address
   std::size_t stackBytes_ = 0;
   bool started_ = false;

@@ -95,65 +95,74 @@ class Context {
 
 namespace detail {
 
-/// Recycles fiber stack mappings across process lifetimes.  mmap/munmap
-/// per process is measurable at campaign scale (TLB shootdowns plus VMA
-/// churn for hundreds of thousands of short-lived ranks); a finished
-/// fiber's mapping goes back here instead, its pages dropped so pooled
-/// stacks cost address space but no resident memory.  Stacks are matched
-/// by exact mapping size (the stack size is engine-wide per scenario, so
-/// the pool is effectively homogeneous); a size mismatch or a full pool
-/// falls through to munmap.  Owned by the Engine; thread backend unused.
+/// Owns every fiber stack mapping of one engine and picks the kind of
+/// stack itself.  The first `guardedCap` stacks are mappings of their own
+/// with a PROT_NONE guard page below the stack, so an overflow faults
+/// instead of corrupting a neighbour; each costs two VMAs.  Past the cap,
+/// stacks are carved from slab mappings of kStacksPerSlab stacks each,
+/// two VMAs per slab, so a world far beyond half the kernel's
+/// vm.max_map_count (65,530 by default) still fits.  The trade: only a
+/// slab's low edge keeps a guard page; an interior chunk that overflows
+/// runs into its neighbour's unprotected first page and then the
+/// neighbour's stack without faulting.  kGuardedStacks keeps every world
+/// of up to 16,384 fibers fully guarded.
+///
+/// Mapping per process is measurable at campaign scale (VMA churn and TLB
+/// shootdowns for hundreds of thousands of short-lived ranks), so a
+/// finished fiber's stack comes back here with its pages dropped (a
+/// pooled stack costs address space, not resident memory) and acquire()
+/// reuses a pooled stack of the same size before mapping anything new
+/// (the stack size is engine-wide per scenario, so the pool is effectively
+/// homogeneous).  Nothing is unmapped before the pool is destroyed.  Owned
+/// by the Engine; the thread backend leaves it unused.
 class FiberStackPool {
  public:
   struct Stack {
-    void* map = nullptr;  ///< mmap base (guard page + stack)
+    void* map = nullptr;  ///< lowest address: guard page, then the stack
     std::size_t mapSize = 0;
   };
 
-  FiberStackPool() = default;
+  /// Guarded stacks an engine maps before carving slabs: 49,152 VMAs.
+  static constexpr std::size_t kGuardedStacks = 24576;
+  static constexpr std::size_t kStacksPerSlab = 4096;
+
+  /// `guardedCap` bounds the stacks that get a mapping of their own;
+  /// engines always use kGuardedStacks.
+  explicit FiberStackPool(std::size_t guardedCap = kGuardedStacks)
+      : guardedCap_(guardedCap) {}
   ~FiberStackPool();
   FiberStackPool(const FiberStackPool&) = delete;
   FiberStackPool& operator=(const FiberStackPool&) = delete;
 
-  /// A pooled mapping of exactly `mapSize` bytes, or {nullptr, 0}.  In
-  /// slab mode never null: an empty free list carves a fresh chunk (and
-  /// maps a new slab when the current one is exhausted).
-  [[nodiscard]] Stack acquire(std::size_t mapSize);
-  /// Returns a mapping to the pool (resident pages are released back to
-  /// the kernel) or unmaps it when the pool is at capacity.  Slab chunks
-  /// are always pooled — they cannot be unmapped individually.
+  /// A stack mapping of exactly `mapSize` bytes (guard page included) for
+  /// process `owner`: a pooled one, else a new guarded mapping while fewer
+  /// than the cap exist, else the next chunk of a slab.  A failed mapping
+  /// throws std::runtime_error naming the call, errno, `owner` and
+  /// guardedCount().
+  [[nodiscard]] Stack acquire(std::size_t mapSize, const std::string& owner);
+  /// Takes a stack back for reuse; its resident pages go back to the
+  /// kernel, the mapping stays.
   void release(Stack s);
 
-  /// Slab mode: carve stacks out of shared mappings of `n` stacks each
-  /// instead of one mmap per stack.  A guarded per-stack mapping costs two
-  /// VMAs (PROT_NONE guard + stack), which caps concurrent fibers at about
-  /// half the kernel's vm.max_map_count (default 65530) — far below a
-  /// 131,072-rank world.  A slab is ONE mapping regardless of `n`, so VMA
-  /// use drops to ceil(fibers / n) + 1.  The trade: only the slab's low
-  /// edge keeps a guard page; an interior stack that overflows runs into
-  /// its neighbour's dead zone (the chunk's unprotected first page) and
-  /// then the neighbour's stack without faulting.  Opt-in for mass-scale
-  /// sweeps; 0 (the default) keeps fully guarded per-stack mappings.
-  /// Must be called before the first stack is acquired.
-  void setStacksPerSlab(std::size_t n);
-  [[nodiscard]] std::size_t stacksPerSlab() const { return stacksPerSlab_; }
-  [[nodiscard]] std::size_t slabCount() const { return slabs_.size(); }
-
+  /// Stacks mapped with their own guard page.
+  [[nodiscard]] std::size_t guardedCount() const { return guarded_; }
+  [[nodiscard]] std::size_t slabCount() const {
+    return mappings_.size() - guarded_;
+  }
   [[nodiscard]] std::size_t pooledCount() const { return free_.size(); }
   [[nodiscard]] std::size_t pooledAddressBytes() const;
-  /// Times acquire() was served from the pool (mmaps avoided).
+  /// Times acquire() was served from the pool (mappings avoided).
   [[nodiscard]] std::uint64_t reuseCount() const { return reuses_; }
 
  private:
-  [[nodiscard]] Stack carve(std::size_t mapSize);
-
-  static constexpr std::size_t kMaxPooled = 256;
+  std::size_t guardedCap_;
   std::vector<Stack> free_;
+  std::vector<Stack> mappings_;  ///< guarded stacks and whole slabs
   std::uint64_t reuses_ = 0;
-  std::size_t stacksPerSlab_ = 0;  ///< 0 = one guarded mapping per stack
-  std::vector<Stack> slabs_;       ///< whole-slab mappings, for teardown
-  std::size_t slabCarved_ = 0;     ///< chunks carved from slabs_.back()
-  std::size_t slabSlotSize_ = 0;   ///< chunk size of the current slab
+  std::size_t guarded_ = 0;
+  char* slab_ = nullptr;        ///< newest slab
+  std::size_t slabCarved_ = 0;  ///< chunks carved from slab_
+  std::size_t slabChunk_ = 0;   ///< chunk size of slab_
 };
 
 /// One process's execution substrate: an independent stack plus control
@@ -178,9 +187,10 @@ class ExecContext {
   static void markCancelledBeforeStart(Process& p);
 };
 
-/// `stackBytes` 0 means the environment default ($CBSIM_FIBER_STACK_KB or
-/// 256 KiB); nonzero values are clamped to at least 16 KiB.  Both the pool
-/// and the size are ignored by the thread backend.
+/// `stackBytes` 0 means the environment default: $CBSIM_FIBER_STACK_KB
+/// (digits only, else std::invalid_argument at the fiber's first run), or
+/// 256 KiB when unset or empty.  Sizes below 16 KiB are clamped to 16 KiB.
+/// Both the pool and the size are ignored by the thread backend.
 std::unique_ptr<ExecContext> makeExecContext(ProcessBackend backend,
                                              Process& proc,
                                              FiberStackPool& stackPool,

@@ -1,12 +1,14 @@
-// Process-backend equivalence and stress tests.
+// Process-backend equivalence, stress and environment tests.
 //
 // The fiber and thread backends must be observationally identical: all
 // scheduling is decided by the Engine's event queue and the Process state
 // machine, a backend only transfers control (process.hpp).  These tests
 // assert that claim on a direct engine workload, on a full campaign report
-// (byte-for-byte), and under a mass cancel/wake stress load.
+// (byte-for-byte), and under a mass cancel/wake stress load.  They also
+// pin how $CBSIM_FIBER_STACK_KB is parsed.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <string>
@@ -54,6 +56,38 @@ struct EnvGuard {
   std::string saved_;
   bool had_ = false;
 };
+
+TEST(BackendEnv, FiberStackKbIsDigitsOnly) {
+  if (sim::effectiveProcessBackend(ProcessBackend::Fiber) !=
+      ProcessBackend::Fiber) {
+    GTEST_SKIP() << "fiber backend unavailable on this build";
+  }
+  // Address space of the one stack a single-fiber engine pools after its
+  // run: the stack size the variable selected, plus the guard page.
+  const auto pooledStackBytes = [](const char* kb) {
+    EnvGuard env("CBSIM_FIBER_STACK_KB", kb);
+    Engine e(1, ProcessBackend::Fiber);
+    e.spawn("p", [](Context& ctx) { ctx.delay(SimTime::us(1)); });
+    e.run();
+    return e.stackPool().pooledAddressBytes();
+  };
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(pooledStackBytes("64"), 64 * 1024 + page);
+  EXPECT_EQ(pooledStackBytes("8"), 16 * 1024 + page);  // clamped like
+  EXPECT_EQ(pooledStackBytes("0"), 16 * 1024 + page);  // setFiberStackBytes
+  EXPECT_EQ(pooledStackBytes(""), 256 * 1024 + page);  // unset: default
+  for (const char* bad : {"32k", "abc", "-64", "+64", " 64", "64 ", "0x40",
+                          "99999999999999999999"}) {
+    try {
+      (void)pooledStackBytes(bad);
+      ADD_FAILURE() << "accepted CBSIM_FIBER_STACK_KB='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CBSIM_FIBER_STACK_KB"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 /// A workload exercising every control-transfer path: delays, plain events,
 /// suspend/wake, cancellation before and after first run, and RNG use.

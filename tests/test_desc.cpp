@@ -404,7 +404,8 @@ TEST(DescCampaign, UnknownKindAndKeysAreRejected) {
 TEST(DescCampaign, ExamplesParseValidateAndBuild) {
   const std::vector<std::string> files = {
       "table1-fig8.json", "scaled-64x64.json", "degraded-fabric-sweep.json",
-      "fat-tree-16k.json"};
+      "fat-tree-16k.json", "scale-4k.json", "scale-16k.json", "scale-40k.json",
+      "scale-131k.json"};
   for (const std::string& f : files) {
     const std::string path = std::string(CBSIM_EXAMPLES_DESC_DIR) + "/" + f;
     const campaign::CampaignSpec spec =

@@ -1,12 +1,18 @@
 // Unit tests for the discrete-event engine: time arithmetic, PRNG,
 // event ordering, process lifecycle, wake semantics, triggers,
-// deadlock detection and cancellation.
+// deadlock detection, cancellation and the fiber stack pool.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -384,31 +390,189 @@ TEST(Engine, FiberStacksAreRecycledAcrossProcessLifetimes) {
   EXPECT_EQ(e.liveProcessCount(), 0u);
 }
 
-TEST(Engine, SlabStacksCarveManyFibersFromFewMappings) {
-  if (effectiveProcessBackend(ProcessBackend::Fiber) !=
-      ProcessBackend::Fiber) {
-    GTEST_SKIP() << "fiber backend unavailable on this build";
+// ----------------------------------------------------------- FiberStackPool
+
+using cbsim::sim::detail::FiberStackPool;
+
+bool fibersAvailable() {
+  return effectiveProcessBackend(ProcessBackend::Fiber) ==
+         ProcessBackend::Fiber;
+}
+
+std::size_t pageBytes() {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// A 16 KiB stack plus its guard page.
+std::size_t smallStackMap() { return 16 * 1024 + pageBytes(); }
+
+/// Writes one byte at `p`; death tests aim it at guard pages (the child
+/// that dies leaves no core file behind).
+void poke(void* p) {
+  const rlimit noCore{0, 0};
+  setrlimit(RLIMIT_CORE, &noCore);
+  *static_cast<volatile char*>(p) = 1;
+}
+
+/// Whether the page at `p` is mapped at all (mincore fails with ENOMEM on
+/// an unmapped range).
+bool mapped(void* p) {
+  unsigned char resident = 0;
+  return mincore(p, pageBytes(), &resident) == 0;
+}
+
+TEST(FiberStackPoolDeathTest, StacksUpToTheCapKeepTheirGuardPage) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  // Engines use kGuardedStacks, so every world of up to 16,384 fibers (all
+  // tests, halo-16k, the 16k scale gate) has a guard page under each stack.
+  static_assert(FiberStackPool::kGuardedStacks >= 16384);
+  FiberStackPool pool(3);
+  std::vector<FiberStackPool::Stack> stacks;
+  for (int i = 0; i < 3; ++i) {
+    stacks.push_back(pool.acquire(smallStackMap(), "g" + std::to_string(i)));
   }
-  Engine e(1, ProcessBackend::Fiber);
-  e.setFiberStackBytes(32 * 1024);
-  e.setFiberStacksPerSlab(64);
-  int done = 0;
+  EXPECT_EQ(pool.guardedCount(), 3u);
+  EXPECT_EQ(pool.slabCount(), 0u);
+  for (const FiberStackPool::Stack& s : stacks) {
+    char* lo = static_cast<char*>(s.map);
+    lo[pageBytes()] = 1;  // the stack itself is writable...
+    lo[s.mapSize - 1] = 1;
+    EXPECT_DEATH(poke(s.map), "");  // ...its guard page is not
+  }
+}
+
+TEST(FiberStackPoolDeathTest, StacksPastTheCapComeFromOneSlab) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  FiberStackPool pool(2);
+  const std::size_t map = smallStackMap();
+  (void)pool.acquire(map, "g0");
+  (void)pool.acquire(map, "g1");
+  std::vector<FiberStackPool::Stack> chunks;
+  for (int i = 0; i < 5; ++i) chunks.push_back(pool.acquire(map, "s"));
+  EXPECT_EQ(pool.guardedCount(), 2u);
+  EXPECT_EQ(pool.slabCount(), 1u);
+  for (std::size_t i = 1; i < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].map, static_cast<char*>(chunks[i - 1].map) + map);
+  }
+  // Only the slab's low edge is guarded: an interior chunk's first page is
+  // writable, so its overflow runs on into the lower neighbour's stack.
+  EXPECT_DEATH(poke(chunks[0].map), "");
+  *static_cast<volatile char*>(chunks[1].map) = 1;
+}
+
+TEST(FiberStackPool, ReleasedStacksOfBothKindsAreReusedFirst) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  FiberStackPool pool(1);
+  const std::size_t map = smallStackMap();
+  const FiberStackPool::Stack guarded = pool.acquire(map, "g");
+  const FiberStackPool::Stack chunk = pool.acquire(map, "s");
+  static_cast<char*>(guarded.map)[pageBytes()] = 7;
+  static_cast<char*>(chunk.map)[pageBytes()] = 7;
+  pool.release(guarded);
+  pool.release(chunk);
+  EXPECT_EQ(pool.pooledCount(), 2u);
+  EXPECT_EQ(pool.pooledAddressBytes(), 2 * map);
+
+  const FiberStackPool::Stack a = pool.acquire(map, "a");
+  const FiberStackPool::Stack b = pool.acquire(map, "b");
+  EXPECT_EQ(pool.reuseCount(), 2u);
+  EXPECT_EQ(pool.pooledCount(), 0u);
+  EXPECT_EQ(pool.guardedCount(), 1u);
+  EXPECT_EQ(pool.slabCount(), 1u);
+  EXPECT_TRUE((a.map == guarded.map && b.map == chunk.map) ||
+              (a.map == chunk.map && b.map == guarded.map));
+  // Released pages were dropped: a reused stack reads as fresh zeroes.
+  EXPECT_EQ(static_cast<char*>(guarded.map)[pageBytes()], 0);
+  EXPECT_EQ(static_cast<char*>(chunk.map)[pageBytes()], 0);
+}
+
+TEST(FiberStackPool, DestructionUnmapsEverything) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  std::vector<void*> pages;
+  pages.reserve(8);
+  {
+    FiberStackPool pool(2);
+    std::vector<FiberStackPool::Stack> stacks;
+    for (int i = 0; i < 4; ++i) {
+      stacks.push_back(pool.acquire(smallStackMap(), "p"));
+    }
+    pool.release(stacks[0]);  // a pooled guarded stack
+    pool.release(stacks[2]);  // a pooled slab chunk; 1 and 3 stay live
+    for (const FiberStackPool::Stack& s : stacks) {
+      pages.push_back(s.map);
+      pages.push_back(static_cast<char*>(s.map) + pageBytes());
+    }
+    for (void* p : pages) EXPECT_TRUE(mapped(p));
+  }
+  for (void* p : pages) EXPECT_FALSE(mapped(p));
+}
+
+TEST(FiberStackPool, CarvesManyStacksFromFewMappings) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  // 200 stacks past a cap of 8 are 8 guarded mappings plus one slab, not
+  // 200 mappings: the VMA economy that lets a 131k-rank world fit under
+  // vm.max_map_count.
+  FiberStackPool pool(8);
+  const std::size_t map = 32 * 1024 + pageBytes();
+  std::vector<FiberStackPool::Stack> stacks;
   for (int i = 0; i < 200; ++i) {
-    e.spawn("s" + std::to_string(i), [&](Context& ctx) {
+    stacks.push_back(pool.acquire(map, "s" + std::to_string(i)));
+  }
+  EXPECT_EQ(pool.guardedCount(), 8u);
+  EXPECT_EQ(pool.slabCount(), 1u);
+  // Dead fibers' chunks are pooled, not lost.
+  for (const FiberStackPool::Stack& s : stacks) pool.release(s);
+  EXPECT_EQ(pool.pooledCount(), 200u);
+  EXPECT_EQ(pool.pooledAddressBytes(), 200 * map);
+}
+
+TEST(Engine, FibersPastTheGuardedCapRunOnSlabChunks) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  // All fibers are alive at once: the first kGuardedStacks get guarded
+  // mappings, the rest run on chunks of one slab.
+  const std::size_t n = FiberStackPool::kGuardedStacks + 100;
+  Engine e(1, ProcessBackend::Fiber);
+  e.setFiberStackBytes(16 * 1024);
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    e.spawn("f" + std::to_string(i), [&](Context& ctx) {
       ctx.delay(1_us);
       ++done;
     });
   }
-  e.run();
-  EXPECT_EQ(done, 200);
-  // 200 concurrent fibers at 64 stacks per slab is 4 mappings, not 200 —
-  // the VMA economy that lets a 131k-rank world fit under vm.max_map_count.
-  EXPECT_GT(e.stackPool().slabCount(), 0u);
-  EXPECT_LE(e.stackPool().slabCount(), 4u);
-  // Dead fibers' chunks are recycled, and slab mode cannot be toggled
-  // once stacks exist.
-  EXPECT_EQ(e.stackPool().pooledCount(), 200u);
-  EXPECT_THROW(e.setFiberStacksPerSlab(8), std::logic_error);
+  const RunStats st = e.run();
+  EXPECT_FALSE(st.deadlocked());
+  EXPECT_EQ(done, n);
+  EXPECT_EQ(e.stackPool().guardedCount(), FiberStackPool::kGuardedStacks);
+  EXPECT_EQ(e.stackPool().slabCount(), 1u);
+  EXPECT_EQ(e.stackPool().pooledCount(), n);
+}
+
+TEST(FiberStackPool, MappingFailuresNameTheirCause) {
+  if (!fibersAvailable()) GTEST_SKIP() << "fiber backend unavailable";
+  // 1 PiB exceeds any user address space: both kinds fail in mmap.
+  const std::size_t huge = std::size_t{1} << 50;
+  FiberStackPool guardedPool(2);
+  (void)guardedPool.acquire(smallStackMap(), "r0");
+  FiberStackPool slabPool(0);
+  const std::pair<FiberStackPool*, const char*> cases[] = {
+      {&guardedPool, "(guarded stacks mapped: 1)"},
+      {&slabPool, "(guarded stacks mapped: 0)"}};
+  for (const auto& [pool, count] : cases) {
+    try {
+      (void)pool->acquire(huge, "rank-7");
+      ADD_FAILURE() << "a 1 PiB stack was mapped";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("fiber stack mmap failed"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'rank-7'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::strerror(ENOMEM)), std::string::npos) << msg;
+      EXPECT_NE(msg.find(count), std::string::npos) << msg;
+    }
+  }
+  // A slab of stacks this large would overflow its byte count.
+  EXPECT_THROW((void)slabPool.acquire(SIZE_MAX / 2, "rank-8"),
+               std::length_error);
 }
 
 TEST(Engine, DestructionCancelsLiveProcesses) {
