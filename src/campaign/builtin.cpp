@@ -21,6 +21,11 @@ struct BuiltinEntry {
   const char* text;
 };
 
+constexpr const char* kFig3Text = R"json({
+  "campaign": "pingpong",
+  "name": "fig3"
+})json";
+
 constexpr const char* kFig8Text = R"json({
   "campaign": "fig8",
   "fig8": {
@@ -121,6 +126,7 @@ constexpr const char* kHaloTinyText = R"json({
 })json";
 
 constexpr BuiltinEntry kBuiltins[] = {
+    {"fig3", kFig3Text},
     {"fig8", kFig8Text},
     {"fig8-tiny", kFig8TinyText},
     {"resilience", kResilienceText},

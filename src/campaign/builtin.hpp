@@ -28,9 +28,16 @@
 //     chaos::fuzz(), so any violating cell is reproducible — and
 //     shrinkable — with `cbsim chaos --trials 1 --seed <trial seed>`.
 //
+// pingpongCampaign — the paper's Fig. 3: one 2-rank MPI ping-pong world
+//     per node pair (CN-CN, BN-BN, CN-BN) and message size (powers of two
+//     from 1 B to 4 MiB), reporting one-way latency and bandwidth.  The
+//     machine and the pmpi protocol are its only parameters, which is all
+//     the eager-threshold and gen-1 bridge ablations vary.
+//
 // The grid builders live in grids.cpp; the builtin registry (builtin.cpp)
 // holds nothing but embedded description strings, parsed through the
-// campaign desc bindings — the same path that handles --scenario-file.
+// campaign desc bindings — the same path that handles --scenario-file,
+// which also names each campaign and gives it its description.
 
 #include <cstdint>
 #include <optional>
@@ -154,7 +161,16 @@ struct ChaosParams {
 
 [[nodiscard]] Campaign chaosCampaign(const ChaosParams& params = {});
 
-/// Built-in campaign by name ("fig8", "fig8-tiny", "resilience",
+struct PingPongParams {
+  hw::MachineConfig machine = hw::MachineConfig::deepEr();
+  pmpi::ProtocolParams protocol;
+};
+
+/// Throws std::invalid_argument when the machine has fewer than two
+/// Cluster or two Booster nodes.
+[[nodiscard]] Campaign pingpongCampaign(const PingPongParams& params = {});
+
+/// Built-in campaign by name ("fig3", "fig8", "fig8-tiny", "resilience",
 /// "resilience-tiny", "halo", "halo-tiny", "chaos", "chaos-tiny"); throws
 /// std::invalid_argument for unknown names.
 /// Resolved by parsing the builtin's embedded description string.

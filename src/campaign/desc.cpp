@@ -2,8 +2,10 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "campaign/runner.hpp"
 #include "desc/cache.hpp"
 #include "extoll/desc.hpp"
 #include "fault/desc.hpp"
@@ -15,19 +17,6 @@
 namespace cbsim::campaign {
 
 namespace {
-
-constexpr const char* kFig8Description =
-    "xPic strong scaling (paper Fig. 8): execution mode x nodes per "
-    "solver, one isolated world per cell";
-constexpr const char* kResilienceDescription =
-    "DEEP-ER-style resiliency matrix: node MTBF x SCR checkpoint-level "
-    "scheme under exponential failure injection";
-constexpr const char* kHaloDescription =
-    "2D halo-exchange stencil swept over rank counts on a generated "
-    "fabric; routing mode and congestion model are parameters";
-constexpr const char* kChaosDescription =
-    "fault-fuzzing sweep: invariant-checked scenario under one "
-    "seed-deterministic chaos schedule per trial";
 
 CheckpointScheme checkpointSchemeFromDesc(desc::Reader& r) {
   CheckpointScheme s;
@@ -224,33 +213,104 @@ ChaosParams chaosParamsFromDesc(desc::Reader& r) {
 
 desc::Value toDesc(const ChaosParams& p) { return chaos::toDesc(p.spec); }
 
+PingPongParams pingpongParamsFromDesc(desc::Reader& r) {
+  PingPongParams p;
+  if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
+  if (auto pr = r.tryChild("protocol")) {
+    p.protocol = pmpi::protocolParamsFromDesc(*pr);
+  }
+  r.finish();
+  return p;
+}
+
+desc::Value toDesc(const PingPongParams& p) {
+  desc::Value v = desc::Value::object();
+  v.set("machine", hw::toDesc(p.machine));
+  v.set("protocol", pmpi::toDesc(p.protocol));
+  return v;
+}
+
+namespace {
+
+/// One campaign kind: its name (also the key of its params object), its
+/// default description, its params binding and its grid builder.
+struct Kind {
+  const char* name;
+  const char* description;
+  void (*read)(desc::Reader&, CampaignSpec&);
+  desc::Value (*write)(const CampaignSpec&);
+  Campaign (*build)(const CampaignSpec&);
+};
+
+constexpr Kind kKinds[] = {
+    {"fig8",
+     "xPic strong scaling (paper Fig. 8): execution mode x nodes per "
+     "solver, one isolated world per cell",
+     [](desc::Reader& r, CampaignSpec& s) { s.fig8 = fig8ParamsFromDesc(r); },
+     [](const CampaignSpec& s) { return toDesc(s.fig8); },
+     [](const CampaignSpec& s) { return fig8Campaign(s.fig8); }},
+    {"resilience",
+     "DEEP-ER-style resiliency matrix: node MTBF x SCR checkpoint-level "
+     "scheme under exponential failure injection",
+     [](desc::Reader& r, CampaignSpec& s) {
+       s.resilience = resilienceParamsFromDesc(r);
+     },
+     [](const CampaignSpec& s) { return toDesc(s.resilience); },
+     [](const CampaignSpec& s) { return resilienceCampaign(s.resilience); }},
+    {"halo",
+     "2D halo-exchange stencil swept over rank counts on a generated "
+     "fabric; routing mode and congestion model are parameters",
+     [](desc::Reader& r, CampaignSpec& s) { s.halo = haloParamsFromDesc(r); },
+     [](const CampaignSpec& s) { return toDesc(s.halo); },
+     [](const CampaignSpec& s) { return haloCampaign(s.halo); }},
+    {"chaos",
+     "fault-fuzzing sweep: invariant-checked scenario under one "
+     "seed-deterministic chaos schedule per trial",
+     [](desc::Reader& r, CampaignSpec& s) { s.chaos = chaosParamsFromDesc(r); },
+     [](const CampaignSpec& s) { return toDesc(s.chaos); },
+     [](const CampaignSpec& s) { return chaosCampaign(s.chaos); }},
+    {"pingpong",
+     "MPI ping-pong (paper Fig. 3): node pair x message size, one 2-rank "
+     "world per cell",
+     [](desc::Reader& r, CampaignSpec& s) {
+       s.pingpong = pingpongParamsFromDesc(r);
+     },
+     [](const CampaignSpec& s) { return toDesc(s.pingpong); },
+     [](const CampaignSpec& s) { return pingpongCampaign(s.pingpong); }},
+};
+
+const Kind* findKind(const std::string& name) {
+  for (const Kind& k : kKinds) {
+    if (name == k.name) return &k;
+  }
+  return nullptr;
+}
+
+const Kind& kindOf(const CampaignSpec& spec) {
+  const Kind* k = findKind(spec.kind);
+  if (k == nullptr) {
+    throw std::invalid_argument("unknown campaign kind \"" + spec.kind + "\"");
+  }
+  return *k;
+}
+
+}  // namespace
+
 CampaignSpec campaignSpecFromDesc(desc::Reader& r) {
   CampaignSpec spec;
   spec.kind = r.stringAt("campaign");
-  if (spec.kind != "fig8" && spec.kind != "resilience" &&
-      spec.kind != "halo" && spec.kind != "chaos") {
-    r.fail("unknown campaign kind \"" + spec.kind +
-           "\"; known: fig8, resilience, halo, chaos");
-  }
-  const char* defaultDescription = spec.kind == "fig8" ? kFig8Description
-                                   : spec.kind == "halo" ? kHaloDescription
-                                   : spec.kind == "chaos"
-                                       ? kChaosDescription
-                                       : kResilienceDescription;
-  spec.name = r.stringAt("name", spec.kind);
-  spec.description = r.stringAt("description", defaultDescription);
-  spec.baseSeed = r.uintAt("base_seed", spec.baseSeed);
-  if (spec.kind == "fig8") {
-    if (auto f = r.tryChild("fig8")) spec.fig8 = fig8ParamsFromDesc(*f);
-  } else if (spec.kind == "halo") {
-    if (auto h = r.tryChild("halo")) spec.halo = haloParamsFromDesc(*h);
-  } else if (spec.kind == "chaos") {
-    if (auto ch = r.tryChild("chaos")) spec.chaos = chaosParamsFromDesc(*ch);
-  } else {
-    if (auto re = r.tryChild("resilience")) {
-      spec.resilience = resilienceParamsFromDesc(*re);
+  const Kind* kind = findKind(spec.kind);
+  if (kind == nullptr) {
+    std::string known;
+    for (const Kind& k : kKinds) {
+      known += std::string(known.empty() ? "" : ", ") + k.name;
     }
+    r.fail("unknown campaign kind \"" + spec.kind + "\"; known: " + known);
   }
+  spec.name = r.stringAt("name", spec.kind);
+  spec.description = r.stringAt("description", kind->description);
+  spec.baseSeed = r.uintAt("base_seed", spec.baseSeed);
+  if (auto params = r.tryChild(spec.kind)) kind->read(*params, spec);
   r.finish();
   if (spec.name.empty()) r.fail("name must be non-empty");
   return spec;
@@ -262,15 +322,7 @@ desc::Value toDesc(const CampaignSpec& spec) {
   v.set("name", desc::Value::string(spec.name));
   v.set("description", desc::Value::string(spec.description));
   v.set("base_seed", desc::Value::unsignedInt(spec.baseSeed));
-  if (spec.kind == "fig8") {
-    v.set("fig8", toDesc(spec.fig8));
-  } else if (spec.kind == "halo") {
-    v.set("halo", toDesc(spec.halo));
-  } else if (spec.kind == "chaos") {
-    v.set("chaos", toDesc(spec.chaos));
-  } else {
-    v.set("resilience", toDesc(spec.resilience));
-  }
+  v.set(spec.kind, kindOf(spec).write(spec));
   return v;
 }
 
@@ -285,13 +337,11 @@ CampaignSpec campaignSpecFromDescText(const std::string& text,
 }
 
 Campaign buildCampaign(const CampaignSpec& spec) {
-  Campaign c = spec.kind == "fig8"    ? fig8Campaign(spec.fig8)
-               : spec.kind == "halo"  ? haloCampaign(spec.halo)
-               : spec.kind == "chaos" ? chaosCampaign(spec.chaos)
-                                      : resilienceCampaign(spec.resilience);
+  Campaign c = kindOf(spec).build(spec);
   c.name = spec.name;
   c.description = spec.description;
   c.baseSeed = spec.baseSeed;
+  checkScenarioNames(c);
   return c;
 }
 

@@ -2,9 +2,9 @@
 
 // Description bindings for whole campaigns.  A CampaignSpec is the fully
 // resolved, declarative form of one experiment: which grid family to
-// build ("fig8" or "resilience"), the campaign's name/description/seed,
-// and every parameter of the chosen family — platform, workload, fault
-// plan, protocol and checkpoint schemes included.
+// build (fig8, resilience, halo, chaos or pingpong), the campaign's
+// name/description/seed, and every parameter of the chosen family —
+// platform, workload, fault plan, protocol and checkpoint schemes included.
 //
 // This is the single construction path: the builtin campaigns are
 // embedded description strings parsed through campaignSpecFromDescText,
@@ -12,12 +12,12 @@
 //
 // Top-level schema:
 //   {
-//     "campaign": "fig8" | "resilience" | "halo" | "chaos",
+//     "campaign": "fig8" | "resilience" | "halo" | "chaos" | "pingpong",
 //     "name": "fig8",                // optional; defaults per family
 //     "description": "...",         // optional; defaults per family
 //     "base_seed": 11400714819323198485,   // optional
 //     "fig8": { ... }               // params object matching "campaign"
-//     // or "resilience": { ... } or "halo": { ... } or "chaos": { ... }
+//     // or "resilience", "halo", "chaos" or "pingpong": { ... }
 //   }
 //
 // toDesc(spec) emits everything fully expanded (presets resolved, all
@@ -34,7 +34,7 @@
 namespace cbsim::campaign {
 
 struct CampaignSpec {
-  std::string kind;         ///< "fig8", "resilience", "halo" or "chaos"
+  std::string kind;  ///< "fig8", "resilience", "halo", "chaos" or "pingpong"
   std::string name;         ///< resolved campaign name
   std::string description;  ///< resolved one-line description
   std::uint64_t baseSeed = 0x9e3779b97f4a7c15ULL;
@@ -42,6 +42,7 @@ struct CampaignSpec {
   ResilienceParams resilience;   ///< used when kind == "resilience"
   HaloParams halo;               ///< used when kind == "halo"
   ChaosParams chaos;             ///< used when kind == "chaos"
+  PingPongParams pingpong;       ///< used when kind == "pingpong"
 };
 
 [[nodiscard]] CampaignSpec campaignSpecFromDesc(desc::Reader& r);
@@ -52,7 +53,10 @@ struct CampaignSpec {
 [[nodiscard]] CampaignSpec campaignSpecFromDescText(const std::string& text,
                                                     const std::string& origin);
 
-/// Instantiates the runnable Campaign a spec describes.
+/// Instantiates the runnable Campaign a spec describes.  Throws
+/// std::invalid_argument when the kind cannot build it (duplicate scenario
+/// names, a machine without the nodes the kind places ranks on), so that
+/// validating a description rejects everything a run would.
 [[nodiscard]] Campaign buildCampaign(const CampaignSpec& spec);
 
 // Per-family parameter bindings (exposed for tests).
@@ -64,5 +68,7 @@ struct CampaignSpec {
 [[nodiscard]] desc::Value toDesc(const HaloParams& p);
 [[nodiscard]] ChaosParams chaosParamsFromDesc(desc::Reader& r);
 [[nodiscard]] desc::Value toDesc(const ChaosParams& p);
+[[nodiscard]] PingPongParams pingpongParamsFromDesc(desc::Reader& r);
+[[nodiscard]] desc::Value toDesc(const PingPongParams& p);
 
 }  // namespace cbsim::campaign

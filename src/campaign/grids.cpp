@@ -1,7 +1,9 @@
-// Grid builders for the built-in campaign families (Fig. 8 strong-scaling
-// matrix, DEEP-ER resiliency matrix).  Everything here is driven by the
-// parameter structs in builtin.hpp; the values of the shipped campaigns
-// live as description text in builtin.cpp.
+// Grid builders for the campaign kinds (Fig. 8 strong-scaling matrix,
+// DEEP-ER resiliency matrix, halo scale sweep, chaos trials, Fig. 3
+// ping-pong).  Everything here is driven by the parameter structs in
+// builtin.hpp; the values of the shipped campaigns live as description
+// text in builtin.cpp, and each kind's name and default description in
+// desc.cpp.
 
 #include <algorithm>
 #include <array>
@@ -52,8 +54,6 @@ std::string fig8Name(xpic::Mode m, int n) {
   return std::string("fig8/") + xpic::toString(m) + "/n" + std::to_string(n);
 }
 
-/// Pulls `key` out of the named scenario; nullopt when the scenario failed
-/// or the key is absent (derivations then skip the dependent output).
 /// Records the world's structural memory footprint into the scenario's
 /// metrics registry (the mem.* counter family, which the runner snapshots
 /// into the campaign report columns).  Every value is a capacity or a peak
@@ -88,6 +88,8 @@ void recordMemoryMetrics(ScenarioContext& ctx, const sim::Engine& engine,
             static_cast<double>(stackBytes));
 }
 
+/// Pulls `key` out of the named scenario; nullopt when the scenario failed
+/// or the key is absent (derivations then skip the dependent output).
 std::optional<double> valueOf(const std::vector<ScenarioResult>& rs,
                               const std::string& scenario,
                               const std::string& key) {
@@ -104,10 +106,6 @@ std::optional<double> valueOf(const std::vector<ScenarioResult>& rs,
 
 Campaign fig8Campaign(const Fig8Params& params) {
   Campaign c;
-  c.name = "fig8";
-  c.description =
-      "xPic strong scaling (paper Fig. 8): execution mode x nodes per "
-      "solver, one isolated world per cell";
   for (const int n : params.nodeCounts) {
     for (const xpic::Mode m : kModes) {
       Scenario s;
@@ -147,13 +145,16 @@ Campaign fig8Campaign(const Fig8Params& params) {
   c.derive = [nodeCounts, steps, cells,
               ifaceDoubles](const std::vector<ScenarioResult>& rs) {
     Values d;
+    // Parallel efficiency relative to the first sweep point n0:
+    // (n0 * T(n0)) / (n * T(n)), which is T(1) / (n * T(n)) when n0 = 1.
+    const int n0 = nodeCounts.front();
     for (const xpic::Mode m : kModes) {
-      const auto t1 = valueOf(rs, fig8Name(m, nodeCounts.front()), "wall_sec");
+      const auto t0 = valueOf(rs, fig8Name(m, n0), "wall_sec");
       for (const int n : nodeCounts) {
         const auto tn = valueOf(rs, fig8Name(m, n), "wall_sec");
-        if (t1 && tn && *tn > 0) {
+        if (t0 && tn && *tn > 0) {
           d[std::string("efficiency/") + xpic::toString(m) + "/n" +
-            std::to_string(n)] = *t1 / (n * *tn);
+            std::to_string(n)] = n0 * *t0 / (n * *tn);
         }
       }
     }
@@ -170,22 +171,21 @@ Campaign fig8Campaign(const Fig8Params& params) {
       }
     }
     // Section IV-C single-node solver ratios (the paper's Fig. 7 numbers).
-    const int n1 = nodeCounts.front();
-    const auto fc = valueOf(rs, fig8Name(xpic::Mode::ClusterOnly, n1), "fields_sec");
-    const auto fb = valueOf(rs, fig8Name(xpic::Mode::BoosterOnly, n1), "fields_sec");
+    const auto fc = valueOf(rs, fig8Name(xpic::Mode::ClusterOnly, n0), "fields_sec");
+    const auto fb = valueOf(rs, fig8Name(xpic::Mode::BoosterOnly, n0), "fields_sec");
     const auto pc =
-        valueOf(rs, fig8Name(xpic::Mode::ClusterOnly, n1), "particles_sec");
+        valueOf(rs, fig8Name(xpic::Mode::ClusterOnly, n0), "particles_sec");
     const auto pb =
-        valueOf(rs, fig8Name(xpic::Mode::BoosterOnly, n1), "particles_sec");
+        valueOf(rs, fig8Name(xpic::Mode::BoosterOnly, n0), "particles_sec");
     if (fc && fb && *fc > 0) d["ratio/fields_cluster_advantage"] = *fb / *fc;
     if (pc && pb && *pb > 0) d["ratio/particles_booster_advantage"] = *pc / *pb;
     // Inter-module exchange share of the C+B runtime (paper: 3-4%): two
     // padded interface transfers per step at the fabric's ~10 GB/s goodput.
-    const auto tcb1 =
-        valueOf(rs, fig8Name(xpic::Mode::ClusterBooster, n1), "wall_sec");
-    if (tcb1 && *tcb1 > 0) {
+    const auto tcb0 =
+        valueOf(rs, fig8Name(xpic::Mode::ClusterBooster, n0), "wall_sec");
+    if (tcb0 && *tcb0 > 0) {
       const double xferSec = 2.0 * steps * cells * ifaceDoubles * 8.0 / 10e9;
-      d["ratio/intermodule_exchange_share"] = xferSec / *tcb1;
+      d["ratio/intermodule_exchange_share"] = xferSec / *tcb0;
     }
     return d;
   };
@@ -474,10 +474,6 @@ hw::MachineConfig defaultHaloMachine() {
 
 Campaign haloCampaign(const HaloParams& params) {
   Campaign c;
-  c.name = "halo";
-  c.description =
-      "2D halo-exchange stencil swept over rank counts on a generated "
-      "fabric; routing mode and congestion model are parameters";
   for (const int n : params.rankCounts) {
     Scenario s;
     s.name = "halo/r" + std::to_string(n);
@@ -507,10 +503,6 @@ Campaign haloCampaign(const HaloParams& params) {
 
 Campaign resilienceCampaign(const ResilienceParams& params) {
   Campaign c;
-  c.name = "resilience";
-  c.description =
-      "DEEP-ER-style resiliency matrix: node MTBF x SCR checkpoint-level "
-      "scheme under exponential failure injection";
   // Resolve the platform once per campaign: without this every scenario
   // re-derived the DEEP-ER preset inside its own world construction (the
   // per-world construction cost ROADMAP item 2 calls out).  The config is
@@ -565,10 +557,6 @@ chaos::ChaosSpec defaultChaosSpec() {
 
 Campaign chaosCampaign(const ChaosParams& params) {
   Campaign c;
-  c.name = "chaos";
-  c.description =
-      "fault-fuzzing sweep: invariant-checked scenario under one "
-      "seed-deterministic chaos schedule per trial";
   // One spec/world resolution shared by every trial closure; the trial
   // worlds themselves are still built fresh inside runTrial.
   const auto spec = std::make_shared<const chaos::ChaosSpec>(params.spec);
@@ -611,6 +599,109 @@ Campaign chaosCampaign(const ChaosParams& params) {
     d["fault_events_total"] = events;
     return d;
   };
+  return c;
+}
+
+// ---- Ping-pong: node pair x message size (paper Fig. 3) ---------------------
+
+namespace {
+
+struct NodePair {
+  const char* label;
+  hw::NodeKind a;  ///< rank 0's node kind
+  hw::NodeKind b;  ///< rank 1's node kind
+};
+
+constexpr std::array<NodePair, 3> kNodePairs = {{
+    {"CN-CN", hw::NodeKind::Cluster, hw::NodeKind::Cluster},
+    {"BN-BN", hw::NodeKind::Booster, hw::NodeKind::Booster},
+    {"CN-BN", hw::NodeKind::Cluster, hw::NodeKind::Booster},
+}};
+
+constexpr std::size_t kMaxPingPongBytes = std::size_t{4} << 20;
+/// Timed round trips per world.  Every simulated round trip takes the same
+/// time, so the count changes host time only.
+constexpr int kRoundTrips = 10;
+
+/// One 2-rank world: rank 0 on the first node of kind `pair.a`, rank 1 on
+/// the first other node of kind `pair.b`; a barrier, then kRoundTrips
+/// timed round trips.  Returns the one-way latency in microseconds.
+double pingPongUs(const PingPongParams& p, const NodePair& pair,
+                  std::size_t bytes, ScenarioContext& ctx) {
+  sim::Engine engine(ctx.seed);
+  engine.setTracer(&ctx.tracer);
+  hw::Machine machine(engine, p.machine);
+  extoll::Fabric fabric(machine);
+  rm::ResourceManager resources(machine);
+  pmpi::AppRegistry registry;
+  pmpi::Runtime rt(machine, fabric, resources, registry, p.protocol);
+
+  double result = 0;
+  registry.add("pp", [&](pmpi::Env& env) {
+    std::vector<std::byte> buf(bytes);
+    const auto span = pmpi::Bytes(buf);
+    const auto cspan = pmpi::ConstBytes(buf);
+    env.barrier(env.world());
+    if (env.rank() == 0) {
+      const double t0 = env.wtime();
+      for (int i = 0; i < kRoundTrips; ++i) {
+        env.send(env.world(), 1, 1, cspan);
+        env.recv(env.world(), 1, 2, span);
+      }
+      result = (env.wtime() - t0) / (2.0 * kRoundTrips) * 1e6;
+    } else {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        env.recv(env.world(), 0, 1, span);
+        env.send(env.world(), 0, 2, cspan);
+      }
+    }
+  });
+  const std::vector<int> as = machine.nodesOfKind(pair.a);
+  const std::vector<int> bs = machine.nodesOfKind(pair.b);
+  pmpi::JobSpec spec;
+  spec.appName = "pp";
+  spec.nodes = {as.front(), pair.a == pair.b ? bs[1] : bs.front()};
+  rt.launch(spec);
+  if (engine.run().deadlocked()) {
+    throw std::runtime_error("pingpong scenario deadlocked");
+  }
+  return result;
+}
+
+int countNodes(const hw::MachineConfig& m, hw::NodeKind kind) {
+  int n = 0;
+  for (const hw::NodeGroupSpec& g : m.groups) {
+    if (g.kind == kind) n += g.count;
+  }
+  return n;
+}
+
+}  // namespace
+
+Campaign pingpongCampaign(const PingPongParams& params) {
+  if (countNodes(params.machine, hw::NodeKind::Cluster) < 2 ||
+      countNodes(params.machine, hw::NodeKind::Booster) < 2) {
+    throw std::invalid_argument(
+        "pingpong: the machine needs at least 2 Cluster and 2 Booster nodes");
+  }
+  Campaign c;
+  for (const NodePair& pair : kNodePairs) {
+    for (std::size_t bytes = 1; bytes <= kMaxPingPongBytes; bytes *= 2) {
+      Scenario s;
+      s.name = std::string("pingpong/") + pair.label + "/" +
+               std::to_string(bytes) + "B";
+      // Large messages cost the most host time: their payload copies.
+      s.costHint = static_cast<double>(bytes) / 65536.0;
+      s.run = [params, pair, bytes](ScenarioContext& ctx) {
+        const double us = pingPongUs(params, pair, bytes, ctx);
+        Values v;
+        v["one_way_us"] = us;
+        v["bandwidth_mbs"] = static_cast<double>(bytes) / us;  // B/us == MB/s
+        return v;
+      };
+      c.scenarios.push_back(std::move(s));
+    }
+  }
   return c;
 }
 

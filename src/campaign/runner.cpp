@@ -205,18 +205,20 @@ int CampaignReport::traceWarningCount() const {
       [](const ScenarioResult& r) { return !r.traceWarning.empty(); }));
 }
 
-CampaignReport runCampaign(const Campaign& campaign,
-                           const RunnerOptions& opts) {
-  {
-    std::set<std::string_view> names;
-    for (const Scenario& s : campaign.scenarios) {
-      if (!names.insert(s.name).second) {
-        throw std::invalid_argument("campaign '" + campaign.name +
-                                    "': duplicate scenario name '" + s.name +
-                                    "'");
-      }
+void checkScenarioNames(const Campaign& campaign) {
+  std::set<std::string_view> names;
+  for (const Scenario& s : campaign.scenarios) {
+    if (!names.insert(s.name).second) {
+      throw std::invalid_argument("campaign '" + campaign.name +
+                                  "': duplicate scenario name '" + s.name +
+                                  "'");
     }
   }
+}
+
+CampaignReport runCampaign(const Campaign& campaign,
+                           const RunnerOptions& opts) {
+  checkScenarioNames(campaign);
 
   CampaignReport rep;
   rep.campaign = campaign.name;

@@ -74,9 +74,15 @@ struct CampaignReport {
   [[nodiscard]] int traceWarningCount() const;
 };
 
+/// Throws std::invalid_argument naming the first scenario name that occurs
+/// twice.  buildCampaign calls it, so a description is rejected before
+/// anything runs or any output file is opened.
+void checkScenarioNames(const Campaign& campaign);
+
 /// Runs every scenario (expensive ones first), merges, derives.
 /// Scenario exceptions are captured per-scenario (ScenarioResult::error);
-/// the run itself only throws on campaign-level misuse (duplicate names).
+/// the run itself only throws on campaign-level misuse (duplicate names,
+/// checked with checkScenarioNames).
 [[nodiscard]] CampaignReport runCampaign(const Campaign& campaign,
                                          const RunnerOptions& opts = {});
 

@@ -1,11 +1,15 @@
 # Runs one cbsim command line and checks what it did:
 #
 #   cmake -DEXPECT=<exit code> [-DSTDOUT_EQUALS=<file>]
+#         [-DSTDERR_CONTAINS=<text>] [-DKEEPS=<file>]
 #         [-DSTDOUT_VALIDATES=ON] [-DREPRO_EXPECT=<exit code>]
 #         -P cli_check.cmake -- <cbsim> <command> <args...>
 #
 # EXPECT           the command's exit code.
 # STDOUT_EQUALS    its standard output must equal this file byte for byte.
+# STDERR_CONTAINS  its standard error must contain this text.
+# KEEPS            this file, written before the command runs, must come
+#                  out of it byte-unchanged.
 # STDOUT_VALIDATES its standard output, saved to a file, must pass
 #                  `<cbsim> <command> --scenario-file <that file> --validate`.
 # REPRO_EXPECT     the `repro:` line it prints must run as printed and exit
@@ -33,9 +37,29 @@ function(run_checked expect)
                         "stdout:\n${out}\nstderr:\n${err}")
   endif()
   set(out "${out}" PARENT_SCOPE)
+  set(err "${err}" PARENT_SCOPE)
 endfunction()
 
+set(kept "kept by cli_check.cmake\n")
+if(DEFINED KEEPS)
+  file(WRITE "${KEEPS}" "${kept}")
+endif()
+
 run_checked(${EXPECT} ${cmd})
+
+if(DEFINED STDERR_CONTAINS)
+  string(FIND "${err}" "${STDERR_CONTAINS}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "stderr lacks '${STDERR_CONTAINS}':\n${err}")
+  endif()
+endif()
+
+if(DEFINED KEEPS)
+  file(READ "${KEEPS}" now)
+  if(NOT now STREQUAL kept)
+    message(FATAL_ERROR "${KEEPS} changed:\n${now}")
+  endif()
+endif()
 
 if(DEFINED STDOUT_EQUALS)
   file(READ "${STDOUT_EQUALS}" want)

@@ -169,15 +169,16 @@ TEST(BackendEquivalence, CampaignReportByteIdentical) {
   // The golden-figure pipeline rests on this: a scenario's report must not
   // depend on which substrate ran its processes.
   BackendGuard guard;
-  const campaign::Campaign c = campaign::builtinCampaign("fig8-tiny");
-
-  sim::setDefaultProcessBackend(ProcessBackend::Fiber);
-  const std::string fiber =
-      campaign::toJson(campaign::runCampaign(c, campaign::withJobs(2)));
-  sim::setDefaultProcessBackend(ProcessBackend::Thread);
-  const std::string thread =
-      campaign::toJson(campaign::runCampaign(c, campaign::withJobs(2)));
-  EXPECT_EQ(fiber, thread);
+  for (const char* name : {"fig8-tiny", "fig3"}) {
+    const campaign::Campaign c = campaign::builtinCampaign(name);
+    sim::setDefaultProcessBackend(ProcessBackend::Fiber);
+    const std::string fiber =
+        campaign::toJson(campaign::runCampaign(c, campaign::withJobs(2)));
+    sim::setDefaultProcessBackend(ProcessBackend::Thread);
+    const std::string thread =
+        campaign::toJson(campaign::runCampaign(c, campaign::withJobs(2)));
+    EXPECT_EQ(fiber, thread) << name;
+  }
 }
 
 TEST(BackendEquivalence, FaultyCampaignReportByteIdentical) {

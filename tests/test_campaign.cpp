@@ -137,6 +137,32 @@ TEST(Runner, MetricsSnapshotCarriesPerWorldRegistries) {
             rep.scenarios[1].metrics.at("engine.events_processed"));
 }
 
+// Parallel efficiency is relative to the first sweep point n0,
+// (n0 * T(n0)) / (n * T(n)): a sweep starting at two nodes reports 1 there.
+TEST(Runner, Fig8EfficiencyIsRelativeToTheFirstSweepPoint) {
+  campaign::Fig8Params p;
+  p.xpic = xpic::XpicConfig::tiny();
+  p.nodeCounts = {2, 4};
+  const CampaignReport rep =
+      campaign::runCampaign(fig8Campaign(p), campaign::withJobs(2));
+  ASSERT_EQ(rep.failedCount(), 0);
+  const auto wall = [&](const std::string& mode, int n) {
+    for (const auto& s : rep.scenarios) {
+      if (s.name == "fig8/" + mode + "/n" + std::to_string(n)) {
+        return s.values.at("wall_sec");
+      }
+    }
+    ADD_FAILURE() << mode << " n" << n << " missing";
+    return 0.0;
+  };
+  for (const std::string mode : {"Cluster", "Booster", "C+B"}) {
+    EXPECT_EQ(rep.derived.at("efficiency/" + mode + "/n2"), 1.0) << mode;
+    EXPECT_DOUBLE_EQ(rep.derived.at("efficiency/" + mode + "/n4"),
+                     2 * wall(mode, 2) / (4 * wall(mode, 4)))
+        << mode;
+  }
+}
+
 // The headline guarantee: running the same campaign on 1 worker and on 8
 // produces byte-identical JSON and CSV reports.  This is simultaneously
 // the engine-isolation audit — 8 workers means up to 8 fully independent
@@ -144,13 +170,15 @@ TEST(Runner, MetricsSnapshotCarriesPerWorldRegistries) {
 // concurrently; any shared mutable state would show up as a diff here (or
 // as a TSan report under CBSIM_SANITIZE=thread).
 TEST(Determinism, Fig8TinyReportIdenticalAcrossJobCounts) {
-  const Campaign c = campaign::builtinCampaign("fig8-tiny");
-  const CampaignReport r1 = campaign::runCampaign(c, campaign::withJobs(1));
-  const CampaignReport r8 = campaign::runCampaign(c, campaign::withJobs(8));
-  EXPECT_EQ(campaign::toJson(r1), campaign::toJson(r8));
-  EXPECT_EQ(campaign::toCsv(r1), campaign::toCsv(r8));
-  EXPECT_EQ(r8.jobsUsed, 8);
-  EXPECT_EQ(r1.failedCount(), 0);
+  for (const char* name : {"fig8-tiny", "fig3"}) {
+    const Campaign c = campaign::builtinCampaign(name);
+    const CampaignReport r1 = campaign::runCampaign(c, campaign::withJobs(1));
+    const CampaignReport r8 = campaign::runCampaign(c, campaign::withJobs(8));
+    EXPECT_EQ(campaign::toJson(r1), campaign::toJson(r8)) << name;
+    EXPECT_EQ(campaign::toCsv(r1), campaign::toCsv(r8)) << name;
+    EXPECT_EQ(r8.jobsUsed, 8) << name;
+    EXPECT_EQ(r1.failedCount(), 0) << name;
+  }
 }
 
 TEST(Determinism, ResilienceReportIdenticalAcrossJobCounts) {

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/builtin.hpp"
@@ -401,11 +404,39 @@ TEST(DescCampaign, UnknownKindAndKeysAreRejected) {
                desc::SchemaError);
 }
 
+// What a run would reject fails when the campaign is built, which
+// --validate does too: a grid that repeats a scenario name, or a ping-pong
+// machine without two nodes of each kind.
+TEST(DescCampaign, BuildRejectsWhatARunWould) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"campaign": "fig8", "fig8": {"xpic": "tiny", "node_counts": [1, 2, 2]}})",
+       "duplicate scenario name 'fig8/Cluster/n2'"},
+      {R"({"campaign": "resilience", "resilience": {"mtbf_sec": [1, 1.0]}})",
+       "duplicate scenario name 'resilience/L1/mtbf1s'"},
+      {R"({"campaign": "pingpong", "pingpong": {"machine": {"preset": "deep-er", "booster_nodes": 1}}})",
+       "at least 2 Cluster and 2 Booster nodes"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const campaign::CampaignSpec spec =
+        campaign::campaignSpecFromDescText(text, "t");
+    try {
+      (void)campaign::buildCampaign(spec);
+      ADD_FAILURE() << "built: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DescCampaign, ExamplesParseValidateAndBuild) {
-  const std::vector<std::string> files = {
-      "table1-fig8.json", "scaled-64x64.json", "degraded-fabric-sweep.json",
-      "fat-tree-16k.json", "scale-4k.json", "scale-16k.json", "scale-40k.json",
-      "scale-131k.json"};
+  std::vector<std::string> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(CBSIM_EXAMPLES_DESC_DIR)) {
+    if (e.path().extension() == ".json") files.push_back(e.path().filename());
+  }
+  // The paper-platform, scale, fault-sweep and ablation descriptions.
+  EXPECT_GE(files.size(), 17u);
   for (const std::string& f : files) {
     const std::string path = std::string(CBSIM_EXAMPLES_DESC_DIR) + "/" + f;
     const campaign::CampaignSpec spec =

@@ -1,7 +1,10 @@
 // Golden-reference regression suite: pins the key numbers of the paper
 // reproduction — Table I (machine peaks), Fig. 3 (fabric latency/bandwidth),
-// Fig. 7 (single-node solver ratios) and Fig. 8 (strong scaling) — against
-// snapshots in tests/golden/*.txt.
+// Fig. 7 (single-node solver ratios), Fig. 8 (strong scaling), the recovery
+// loop and ablations A1-A4 and A11 — against snapshots in tests/golden/*.txt.
+// Every number comes from a campaign report or a campaign description: a
+// builtin (fig3, fig8, resilience-tiny) or an examples/desc/ablation-*.json
+// file.  Each ablation's claim is also asserted structurally.
 //
 // Each golden file holds `key value abs_tolerance` lines.  A drift in the
 // hardware models, fabric timing, or xPic kernels beyond the recorded
@@ -10,11 +13,14 @@
 //
 //     ./build/tests/test_golden_figs --update-golden
 //
-// This binary is registered as ONE ctest entry (not per-TEST discovery) so
-// the Fig. 7 and Fig. 8 checks share a single campaign run.
+// This binary is registered as two ctest entries (not per-TEST discovery):
+// golden_figs runs the Golden suite, whose Fig. 7, Fig. 8, A1 and A11 checks
+// share one fig8 campaign run, and golden_ablations the Ablation suite
+// (A2-A4), which needs no fig8 run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -24,14 +30,13 @@
 #include <vector>
 
 #include "campaign/builtin.hpp"
+#include "campaign/desc.hpp"
 #include "campaign/runner.hpp"
-#include "extoll/fabric.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
-#include "rm/resource_manager.hpp"
+#include "desc/schema.hpp"
+#include "hw/machine.hpp"
 
-#ifndef CBSIM_GOLDEN_DIR
-#error "build must define CBSIM_GOLDEN_DIR (see tests/CMakeLists.txt)"
+#if !defined(CBSIM_GOLDEN_DIR) || !defined(CBSIM_EXAMPLES_DESC_DIR)
+#error "build must define CBSIM_GOLDEN_DIR and CBSIM_EXAMPLES_DESC_DIR"
 #endif
 
 namespace {
@@ -114,12 +119,36 @@ void checkOrUpdate(const std::string& fig, const std::vector<Entry>& entries) {
   }
 }
 
-/// The Fig. 7/8 numbers all come from one Table-II-sized fig8 campaign;
-/// run it once and share across tests (this binary is one ctest entry).
+/// Runs the description file examples/desc/<file> on `jobs` workers
+/// (0: one per hardware thread).
+campaign::CampaignReport runExample(const std::string& file, int jobs = 0) {
+  const std::string path = std::string(CBSIM_EXAMPLES_DESC_DIR) + "/" + file;
+  return campaign::runCampaign(
+      campaign::buildCampaign(
+          campaign::campaignSpecFromDescText(desc::readFile(path), path)),
+      campaign::withJobs(jobs));
+}
+
+/// The Fig. 7/8, A1 and A11 numbers all come from one Table-II-sized fig8
+/// campaign; run it once and share across tests.
 const campaign::CampaignReport& fig8Report() {
   static const campaign::CampaignReport rep =
       campaign::runCampaign(campaign::builtinCampaign("fig8"), campaign::withJobs(0));
   return rep;
+}
+
+/// Fig. 3, and the baseline of ablations A2 (8 KiB threshold) and A3 (gen 2).
+const campaign::CampaignReport& fig3Report() {
+  static const campaign::CampaignReport rep =
+      campaign::runCampaign(campaign::builtinCampaign("fig3"), campaign::withJobs(0));
+  return rep;
+}
+
+/// Table I's machine: the `fig8.machine` object of the fig8 builtin.
+hw::MachineConfig tableIMachine() {
+  return campaign::campaignSpecFromDescText(
+             campaign::builtinCampaignText("fig8"), "builtin:fig8")
+      .fig8.machine;
 }
 
 double scenarioValue(const campaign::CampaignReport& rep,
@@ -131,11 +160,20 @@ double scenarioValue(const campaign::CampaignReport& rep,
   return NAN;
 }
 
+std::string pingpongName(const char* pair, std::size_t bytes) {
+  return std::string("pingpong/") + pair + "/" + std::to_string(bytes) + "B";
+}
+
+double oneWayUs(const campaign::CampaignReport& rep, const char* pair,
+                std::size_t bytes) {
+  return scenarioValue(rep, pingpongName(pair, bytes), "one_way_us");
+}
+
 // ---- Table I: machine configuration peaks -----------------------------------
 
 TEST(Golden, TableI) {
   sim::Engine engine;
-  hw::Machine m(engine, hw::MachineConfig::deepEr());
+  hw::Machine m(engine, tableIMachine());
   const auto& net = m.config().switches.front().net;
   checkOrUpdate(
       "table1",
@@ -155,58 +193,17 @@ TEST(Golden, TableI) {
 
 // ---- Fig. 3: ping-pong latency and bandwidth --------------------------------
 
-/// One ping-pong world (same construction as bench_fig3_pingpong);
-/// returns one-way latency in microseconds.
-double pingPongUs(hw::NodeKind a, hw::NodeKind b, std::size_t bytes, int reps) {
-  sim::Engine engine;
-  hw::Machine machine(engine, hw::MachineConfig::deepEr(2, 2));
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager rm(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt(machine, fabric, rm, registry);
-
-  double result = 0;
-  registry.add("pp", [&](pmpi::Env& env) {
-    std::vector<std::byte> buf(bytes);
-    const auto span = pmpi::Bytes(buf);
-    const auto cspan = pmpi::ConstBytes(buf);
-    env.barrier(env.world());
-    if (env.rank() == 0) {
-      const double t0 = env.wtime();
-      for (int i = 0; i < reps; ++i) {
-        env.send(env.world(), 1, 1, cspan);
-        env.recv(env.world(), 1, 2, span);
-      }
-      result = (env.wtime() - t0) / (2.0 * reps) * 1e6;
-    } else {
-      for (int i = 0; i < reps; ++i) {
-        env.recv(env.world(), 0, 1, span);
-        env.send(env.world(), 0, 2, cspan);
-      }
-    }
-  });
-  const int na = machine.nodesOfKind(a).front();
-  const int nb =
-      a == b ? machine.nodesOfKind(b)[1] : machine.nodesOfKind(b).front();
-  pmpi::JobSpec spec;
-  spec.appName = "pp";
-  spec.nodes = {na, nb};
-  rt.launch(spec);
-  engine.run();
-  return result;
-}
-
 TEST(Golden, Fig3PingPong) {
-  using hw::NodeKind;
-  const double cncn = pingPongUs(NodeKind::Cluster, NodeKind::Cluster, 1, 10);
-  const double bnbn = pingPongUs(NodeKind::Booster, NodeKind::Booster, 1, 10);
-  const double cnbn = pingPongUs(NodeKind::Cluster, NodeKind::Booster, 1, 10);
+  const auto& rep = fig3Report();
+  ASSERT_EQ(rep.failedCount(), 0);
+  const double cncn = oneWayUs(rep, "CN-CN", 1);
+  const double bnbn = oneWayUs(rep, "BN-BN", 1);
+  const double cnbn = oneWayUs(rep, "CN-BN", 1);
   // The eager->rendezvous knee sits between these two points.
-  const double lat8k = pingPongUs(NodeKind::Cluster, NodeKind::Cluster, 8 << 10, 10);
-  const double lat16k =
-      pingPongUs(NodeKind::Cluster, NodeKind::Cluster, 16 << 10, 10);
+  const double lat8k = oneWayUs(rep, "CN-CN", 8 << 10);
+  const double lat16k = oneWayUs(rep, "CN-CN", 16 << 10);
   const double bwPlateau =
-      (4 << 20) / pingPongUs(NodeKind::Cluster, NodeKind::Cluster, 4 << 20, 3);
+      scenarioValue(rep, pingpongName("CN-CN", 4 << 20), "bandwidth_mbs");
 
   // Paper reference points: 1.0 / 1.8 / ~1.4 us small-message latency and a
   // ~10 GB/s plateau (Table I + Fig. 3); the sim is deterministic, so the
@@ -309,6 +306,151 @@ TEST(Golden, ResilienceRecovery) {
   entries.push_back({"total_fabric_drops", drops, 0.0});
   entries.push_back({"total_fabric_retransmits", retransmits, 0.0});
   checkOrUpdate("resilience", entries);
+}
+
+// ---- A1: non-blocking overlap in C+B mode -----------------------------------
+
+TEST(Golden, A1OverlapOff) {
+  const auto& on = fig8Report();
+  const campaign::CampaignReport off = runExample("ablation-a1-overlap-off.json");
+  ASSERT_EQ(off.failedCount(), 0);
+  std::vector<Entry> entries;
+  double prevSaving = 0;
+  for (const int n : {1, 2, 4, 8}) {
+    const std::string cell = "fig8/C+B/n" + std::to_string(n);
+    const double tOff = scenarioValue(off, cell, "wall_sec");
+    const double saving = tOff / scenarioValue(on, cell, "wall_sec") - 1;
+    // Hiding the auxiliary phase under the exchange saves more as the
+    // compute per step shrinks with scale.
+    EXPECT_GT(saving, prevSaving) << cell;
+    prevSaving = saving;
+    entries.push_back({"wall_sec_cb_overlap_off_n" + std::to_string(n), tOff});
+    entries.push_back({"overlap_saving_n" + std::to_string(n), saving});
+  }
+  checkOrUpdate("a1_overlap", entries);
+}
+
+// ---- A11: time vs energy to solution ----------------------------------------
+
+TEST(Golden, A11EnergyToSolution) {
+  const auto& rep = fig8Report();
+  sim::Engine engine;
+  const hw::Machine m(engine, tableIMachine());
+  const double wattsCn = m.nodeActiveWatts(hw::NodeKind::Cluster);
+  const double wattsBn = m.nodeActiveWatts(hw::NodeKind::Booster);
+  // Energy of one run at 4 nodes per solver; C+B holds 4 nodes of each
+  // module.
+  const auto wall = [&](const std::string& mode) {
+    return scenarioValue(rep, "fig8/" + mode + "/n4", "wall_sec");
+  };
+  const double cluster = 4 * wattsCn * wall("Cluster") / 1e3;
+  const double booster = 4 * wattsBn * wall("Booster") / 1e3;
+  const double cb = 4 * (wattsCn + wattsBn) * wall("C+B") / 1e3;
+  // C+B is the fastest run but the most energy per run; Booster-only
+  // spends the fewest Joules.
+  EXPECT_LT(wall("C+B"), std::min(wall("Cluster"), wall("Booster")));
+  EXPECT_LT(booster, cluster);
+  EXPECT_LT(cluster, cb);
+  checkOrUpdate("a11_energy", {
+                                  {"energy_kj_cluster_n4", cluster},
+                                  {"energy_kj_booster_n4", booster},
+                                  {"energy_kj_cb_n4", cb},
+                              });
+}
+
+// ---- A2: eager/rendezvous threshold -----------------------------------------
+
+TEST(Ablation, A2EagerThreshold) {
+  const auto& thr8k = fig3Report();
+  const campaign::CampaignReport thr1k = runExample("ablation-a2-eager-1k.json");
+  const campaign::CampaignReport thr64k =
+      runExample("ablation-a2-eager-64k.json");
+  ASSERT_EQ(thr1k.failedCount() + thr64k.failedCount(), 0);
+  std::vector<Entry> entries;
+  for (const std::size_t bytes : {512, 2048, 8192, 16384, 65536, 262144}) {
+    const std::string size = std::to_string(bytes);
+    entries.push_back(
+        {"cncn_" + size + "B_us_thr1k", oneWayUs(thr1k, "CN-CN", bytes)});
+    entries.push_back(
+        {"cncn_" + size + "B_us_thr64k", oneWayUs(thr64k, "CN-CN", bytes)});
+  }
+  // The rendezvous knee moves with the threshold: a 2 KiB message pays the
+  // handshake at a 1 KiB threshold only, a 16 KiB one escapes it at 64 KiB
+  // only, and below or above every threshold the runs agree.
+  const auto cncn = [](const campaign::CampaignReport& rep, std::size_t b) {
+    return oneWayUs(rep, "CN-CN", b);
+  };
+  EXPECT_GT(cncn(thr1k, 2048), 1.4 * cncn(thr8k, 2048));
+  EXPECT_LT(cncn(thr64k, 16384), 0.9 * cncn(thr8k, 16384));
+  for (const std::size_t bytes : {512, 262144}) {
+    EXPECT_DOUBLE_EQ(cncn(thr1k, bytes), cncn(thr8k, bytes)) << bytes;
+    EXPECT_DOUBLE_EQ(cncn(thr64k, bytes), cncn(thr8k, bytes)) << bytes;
+  }
+  checkOrUpdate("a2_protocol", entries);
+}
+
+// ---- A3: gen-1 (bridged KNC) vs gen-2 (uniform KNL) --------------------------
+
+TEST(Ablation, A3Gen1Bridge) {
+  const auto& gen2 = fig3Report();
+  const campaign::CampaignReport gen1 =
+      runExample("ablation-a3-gen1-pingpong.json");
+  const campaign::CampaignReport xpic1 = runExample("ablation-a3-gen1-xpic.json");
+  const campaign::CampaignReport xpic2 = runExample("ablation-a3-gen2-xpic.json");
+  ASSERT_EQ(gen1.failedCount() + xpic1.failedCount() + xpic2.failedCount(), 0);
+  const std::string mib = pingpongName("CN-BN", 1 << 20);
+  const double lat1 = oneWayUs(gen1, "CN-BN", 1);
+  const double lat2 = oneWayUs(gen2, "CN-BN", 1);
+  const double bw1 = scenarioValue(gen1, mib, "bandwidth_mbs");
+  const double bw2 = scenarioValue(gen2, mib, "bandwidth_mbs");
+  // The uniform gen-2 fabric drops the bridge's store-and-forward hop.
+  EXPECT_GT(lat1, 2 * lat2);
+  EXPECT_GT(bw2, 5 * bw1);
+  std::vector<Entry> entries = {
+      {"gen1_lat_1B_cnbn_us", lat1},
+      {"gen2_lat_1B_cnbn_us", lat2},
+      {"gen1_bw_1MiB_cnbn_MBs", bw1},
+      {"gen2_bw_1MiB_cnbn_MBs", bw2},
+  };
+  for (const char* key : {"wall_sec", "particles_sec", "sync_sec"}) {
+    entries.push_back({std::string("gen1_cb_n2_") + key,
+                       scenarioValue(xpic1, "fig8/C+B/n2", key)});
+    entries.push_back({std::string("gen2_cb_n2_") + key,
+                       scenarioValue(xpic2, "fig8/C+B/n2", key)});
+  }
+  // The stand-alone KNL runs the particle solver over twice as fast as KNC.
+  EXPECT_GT(scenarioValue(xpic1, "fig8/C+B/n2", "particles_sec"),
+            2 * scenarioValue(xpic2, "fig8/C+B/n2", "particles_sec"));
+  checkOrUpdate("a3_gen1_bridge", entries);
+}
+
+// ---- A4: checkpoint cost per SCR level ---------------------------------------
+
+TEST(Ablation, A4CheckpointLevels) {
+  std::vector<Entry> entries;
+  for (const int mib : {4, 64}) {
+    // One worker: the 64 MiB worlds hold about 1.4 GB each.
+    const campaign::CampaignReport rep = runExample(
+        "ablation-a4-checkpoint-" + std::to_string(mib) + "mib.json", 1);
+    ASSERT_EQ(rep.failedCount(), 0);
+    std::map<std::string, double> ms;
+    for (const auto& s : rep.scenarios) {
+      // With every fault off the job runs once, so its time beyond the
+      // ideal compute is its one checkpoint.
+      EXPECT_EQ(s.values.at("failures_injected"), 0.0) << s.name;
+      EXPECT_EQ(s.values.at("attempts"), 1.0) << s.name;
+      // "resilience/<level>/mtbf1e+09s" -> "<level>"
+      const std::size_t from = s.name.find('/') + 1;
+      const std::string level = s.name.substr(from, s.name.find('/', from) - from);
+      ms[level] = s.values.at("recovery_overhead_sec") * 1e3;
+      entries.push_back(
+          {std::to_string(mib) + "MiB/" + level + "/checkpoint_ms", ms[level]});
+    }
+    // Cheap node-local levels justify frequent checkpoints; the global
+    // file system is for rare, catastrophic failures.
+    EXPECT_GT(ms.at("global-fs"), 10 * ms.at("local-nvme")) << mib << " MiB";
+  }
+  checkOrUpdate("a4_checkpoint", entries);
 }
 
 }  // namespace
