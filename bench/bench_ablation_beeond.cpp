@@ -7,7 +7,7 @@
 
 #include "core/table.hpp"
 #include "io/beeond.hpp"
-#include "pmpi/runtime.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
@@ -16,19 +16,14 @@ namespace {
 enum class Path { Direct, Sync, Async };
 
 double run(Path path, int ranks, int rounds, std::size_t bytes) {
-  sim::Engine engine;
-  hw::Machine machine(engine, hw::MachineConfig::deepEr(8, 8));
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager rmm(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt(machine, fabric, rmm, registry);
-  io::BeeGfs fs(machine, fabric);
-  io::BeeondCache cache(machine, fs,
+  pmpi::World w(hw::MachineConfig::deepEr(8, 8));
+  io::BeeGfs fs(w.machine, w.fabric);
+  io::BeeondCache cache(w.machine, fs,
                         path == Path::Async ? io::BeeondCache::Mode::Async
                                             : io::BeeondCache::Mode::Sync);
 
   double out = 0;
-  registry.add("w", [&](pmpi::Env& env) {
+  w.registry.add("w", [&](pmpi::Env& env) {
     const std::vector<std::byte> data(bytes, std::byte{0x3C});
     const std::string file = "/out." + std::to_string(env.rank());
     env.barrier(env.world());
@@ -42,16 +37,16 @@ double run(Path path, int ranks, int rounds, std::size_t bytes) {
         cache.write(env, file, r * bytes, pmpi::ConstBytes(data));
       }
       // Compute between output rounds gives the async flush room to hide.
-      hw::Work w;
-      w.flops = 3e11;
-      env.compute(w);
+      hw::Work work;
+      work.flops = 3e11;
+      env.compute(work);
     }
     if (path == Path::Async) cache.drain(env);
     env.barrier(env.world());
     if (env.rank() == 0) out = env.wtime() - t0;
   });
-  rt.launch("w", hw::NodeKind::Cluster, ranks);
-  engine.run();
+  w.rt.launch("w", hw::NodeKind::Cluster, ranks);
+  w.run();
   return out;
 }
 

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/planner.hpp"
-#include "core/system.hpp"
 #include "core/table.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
@@ -38,10 +38,10 @@ hw::Work analyzeWork() {
 }
 
 double runWorkflow(bool modular) {
-  core::System sys(hw::MachineConfig::deepEst(4, 4, 2));
+  pmpi::World w(hw::MachineConfig::deepEst(4, 4, 2));
   double out = 0;
 
-  sys.apps().add("stage", [&](pmpi::Env& env) {
+  w.registry.add("stage", [&](pmpi::Env& env) {
     const pmpi::Comm up = env.parent();
     const int stage = env.recvValue<int>(up, 0, 1);
     env.compute(stage == 0 ? ingestWork()
@@ -49,7 +49,7 @@ double runWorkflow(bool modular) {
     env.sendValue(up, 0, 2, stage);
   });
 
-  sys.apps().add("pilot", [&](pmpi::Env& env) {
+  w.registry.add("pilot", [&](pmpi::Env& env) {
     const double t0 = env.wtime();
     const hw::NodeKind target[3] = {
         hw::NodeKind::Cluster,
@@ -64,8 +64,8 @@ double runWorkflow(bool modular) {
     }
     out = env.wtime() - t0;
   });
-  sys.mpi().launch("pilot", hw::NodeKind::Cluster, 1);
-  sys.run();
+  w.rt.launch("pilot", hw::NodeKind::Cluster, 1);
+  w.run();
   return out;
 }
 

@@ -7,27 +7,27 @@
 #include <cstring>
 #include <vector>
 
-#include "core/system.hpp"
 #include "core/table.hpp"
 #include "omps/task_runtime.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
 namespace {
 
 double runTasks(double flopsPerTask, bool offload, int tasks) {
-  core::System sys(hw::MachineConfig::deepEr(4, 4));
+  pmpi::World w(hw::MachineConfig::deepEr(4, 4));
   omps::KernelRegistry kernels;
-  hw::Work w;
-  w.flops = flopsPerTask;
-  w.vectorEfficiency = 0.9;  // wide, regular SIMD kernel
+  hw::Work work;
+  work.flops = flopsPerTask;
+  work.vectorEfficiency = 0.9;  // wide, regular SIMD kernel
   kernels.add("k", [](pmpi::ConstBytes in) {
     return std::vector<std::byte>(in.begin(), in.end());
-  }, w);
-  omps::TaskRuntime::registerWorker(sys.apps(), kernels);
+  }, work);
+  omps::TaskRuntime::registerWorker(w.registry, kernels);
 
   double out = 0;
-  sys.apps().add("driver", [&](pmpi::Env& env) {
+  w.registry.add("driver", [&](pmpi::Env& env) {
     omps::TaskRuntime rt(env, kernels);
     for (int i = 0; i < tasks; ++i) {
       rt.createRegion("r" + std::to_string(i), std::size_t{1 << 16});
@@ -44,8 +44,8 @@ double runTasks(double flopsPerTask, bool offload, int tasks) {
     rt.wait();
     out = env.wtime() - t0;
   });
-  sys.mpi().launch("driver", hw::NodeKind::Cluster, 1);
-  sys.run();
+  w.rt.launch("driver", hw::NodeKind::Cluster, 1);
+  w.run();
   return out;
 }
 

@@ -10,7 +10,7 @@
 #include "core/table.hpp"
 #include "io/beegfs.hpp"
 #include "io/sion.hpp"
-#include "pmpi/runtime.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
@@ -22,16 +22,11 @@ struct Result {
 };
 
 Result run(int ranks, std::size_t bytesPerRank, bool useSion) {
-  sim::Engine engine;
-  hw::Machine machine(engine, hw::MachineConfig::deepEr(16, 8));
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager rmm(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt(machine, fabric, rmm, registry);
-  io::BeeGfs fs(machine, fabric);
+  pmpi::World w(hw::MachineConfig::deepEr(16, 8));
+  io::BeeGfs fs(w.machine, w.fabric);
 
   Result out{};
-  registry.add("w", [&](pmpi::Env& env) {
+  w.registry.add("w", [&](pmpi::Env& env) {
     const std::vector<std::byte> data(bytesPerRank, std::byte{0x11});
     env.barrier(env.world());
     const double t0 = env.wtime();
@@ -48,8 +43,8 @@ Result run(int ranks, std::size_t bytesPerRank, bool useSion) {
     env.barrier(env.world());
     if (env.rank() == 0) out.wallSec = env.wtime() - t0;
   });
-  rt.launch("w", hw::NodeKind::Cluster, ranks);
-  engine.run();
+  w.rt.launch("w", hw::NodeKind::Cluster, ranks);
+  w.run();
   out.metaOps = fs.stats().metaOps;
   return out;
 }

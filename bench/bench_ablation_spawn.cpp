@@ -5,8 +5,7 @@
 #include <cstdio>
 
 #include "core/table.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
+#include "pmpi/world.hpp"
 #include "xpic/driver.hpp"
 
 using namespace cbsim;
@@ -14,16 +13,11 @@ using namespace cbsim;
 namespace {
 
 double spawnSec(int nprocs) {
-  sim::Engine engine;
-  hw::Machine machine(engine, hw::MachineConfig::deepEr(16, 8));
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager rmm(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt(machine, fabric, rmm, registry);
+  pmpi::World w(hw::MachineConfig::deepEr(16, 8));
 
   double out = 0;
-  registry.add("child", [](pmpi::Env&) {});
-  registry.add("parent", [&](pmpi::Env& env) {
+  w.registry.add("child", [](pmpi::Env&) {});
+  w.registry.add("parent", [&](pmpi::Env& env) {
     const double t0 = env.wtime();
     pmpi::SpawnOptions opts;
     opts.partition = hw::NodeKind::Booster;
@@ -31,8 +25,8 @@ double spawnSec(int nprocs) {
     out = env.wtime() - t0;
     (void)inter;
   });
-  rt.launch("parent", hw::NodeKind::Cluster, 1);
-  engine.run();
+  w.rt.launch("parent", hw::NodeKind::Cluster, 1);
+  w.run();
   return out;
 }
 

@@ -10,8 +10,8 @@
 #include <cstring>
 #include <vector>
 
-#include "core/system.hpp"
 #include "omps/task_runtime.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
@@ -34,7 +34,7 @@ int main() {
   constexpr int kCells = 512;
   constexpr int kSweeps = 8;
 
-  core::System sys(hw::MachineConfig::deepEr());
+  pmpi::World world(hw::MachineConfig::deepEr());
   omps::KernelRegistry kernels;
 
   // The stencil sweep: wide, vectorizable -> a Booster kernel.
@@ -65,9 +65,9 @@ int main() {
     return toBytes({total, peak});
   }, statCost);
 
-  omps::TaskRuntime::registerWorker(sys.apps(), kernels);
+  omps::TaskRuntime::registerWorker(world.registry, kernels);
 
-  sys.apps().add("heat", [&](pmpi::Env& env) {
+  world.registry.add("heat", [&](pmpi::Env& env) {
     omps::TaskRuntime rt(env, kernels);
 
     std::vector<double> u(kCells, 0.0);
@@ -94,7 +94,7 @@ int main() {
                 rt.tasksExecuted(), rt.tasksOffloaded(), env.wtime() * 1e3);
   });
 
-  sys.mpi().launch("heat", hw::NodeKind::Cluster, 1);
-  sys.run();
+  world.rt.launch("heat", hw::NodeKind::Cluster, 1);
+  world.run();
   return 0;
 }

@@ -9,18 +9,18 @@
 #include <numeric>
 #include <vector>
 
-#include "core/system.hpp"
+#include "pmpi/world.hpp"
 
 using namespace cbsim;
 
 int main() {
   // A machine per Table I of the paper: 16 Haswell Cluster nodes +
   // 8 KNL Booster nodes on a uniform EXTOLL fabric.
-  core::System sys(hw::MachineConfig::deepEr());
+  pmpi::World world(hw::MachineConfig::deepEr());
 
   // The "Booster binary": spawned children compute partial sums and send
   // them to their parent through the intercommunicator.
-  sys.apps().add("worker", [](pmpi::Env& env) {
+  world.registry.add("worker", [](pmpi::Env& env) {
     const pmpi::Comm up = env.parent();
     std::vector<double> chunk(1024);
     env.recv(up, 0, /*tag=*/1, std::span<double>(chunk));
@@ -39,7 +39,7 @@ int main() {
   });
 
   // The "Cluster binary": scatters work to spawned Booster ranks.
-  sys.apps().add("driver", [](pmpi::Env& env) {
+  world.registry.add("driver", [](pmpi::Env& env) {
     constexpr int kWorkers = 4;
     std::printf("[driver on %s] spawning %d workers on the Booster...\n",
                 env.node().name.c_str(), kWorkers);
@@ -59,11 +59,11 @@ int main() {
                 total, 1024.0 * (1 + 2 + 3 + 4), env.wtime() * 1e3);
   });
 
-  sys.mpi().launch("driver", hw::NodeKind::Cluster, 1);
-  sys.run();
+  world.rt.launch("driver", hw::NodeKind::Cluster, 1);
+  world.run();
 
   std::printf("fabric carried %llu messages / %.1f KiB\n",
-              static_cast<unsigned long long>(sys.fabric().stats().messages),
-              sys.fabric().stats().bytes / 1024.0);
+              static_cast<unsigned long long>(world.fabric.stats().messages),
+              world.fabric.stats().bytes / 1024.0);
   return 0;
 }

@@ -10,12 +10,13 @@
 #include <cstring>
 #include <vector>
 
-#include "core/system.hpp"
 #include "io/beegfs.hpp"
 #include "io/local_store.hpp"
 #include "io/nam_store.hpp"
+#include "pmpi/world.hpp"
 #include "scr/failure.hpp"
 #include "scr/scr.hpp"
+#include "scr/supervisor.hpp"
 
 using namespace cbsim;
 
@@ -23,19 +24,19 @@ int main() {
   constexpr int kTotalSteps = 40;
   constexpr int kRanks = 4;
 
-  core::System sys(hw::MachineConfig::deepEr());
-  io::BeeGfs fs(sys.machine(), sys.fabric());
-  io::LocalStore local(sys.machine(), sys.fabric());
-  io::NamStore nam(sys.machine(), sys.fabric());
+  pmpi::World world(hw::MachineConfig::deepEr());
+  io::BeeGfs fs(world.machine, world.fabric);
+  io::LocalStore local(world.machine, world.fabric);
+  io::NamStore nam(world.machine, world.fabric);
 
   scr::ScrConfig scrCfg;
   scrCfg.localEvery = 1;   // cheap, every step
   scrCfg.buddyEvery = 2;   // survives a node loss
   scrCfg.globalEvery = 8;  // survives anything
-  scr::Scr ckpt(sys.machine(), fs, local, nam, scrCfg);
+  scr::Scr ckpt(world.machine, fs, local, nam, scrCfg);
 
   bool finished = false;
-  sys.apps().add("sim", [&](pmpi::Env& env) {
+  world.registry.add("sim", [&](pmpi::Env& env) {
     // State: step counter + 256 KiB of per-rank field data.
     std::vector<std::byte> state(256 << 10, std::byte{0});
     int start = 0;
@@ -57,28 +58,31 @@ int main() {
     if (env.rank() == 0) finished = true;
   });
 
-  scr::FailureInjector chaos(sys.mpi(), local);
+  scr::FailureInjector chaos(world.rt, local);
 
-  // Supervisor loop: launch, let failures happen, relaunch until done.
+  // Supervisor: launch, let failures happen, relaunch on every drain until
+  // the run completes (at most 10 attempts).
   sim::Rng rng(2024);
-  int attempt = 0;
-  while (!finished && attempt < 10) {
-    ++attempt;
-    const auto& job = sys.mpi().launch("sim", hw::NodeKind::Cluster, kRanks);
-    if (attempt <= 2) {
-      // Two induced node failures; later attempts run clean.
-      const auto at = sys.engine().now() +
-                      sim::SimTime::ms(150 + 200 * attempt) ;
-      const int victim = static_cast<int>(rng.below(kRanks));
-      chaos.scheduleNodeFailure(job.id, at, victim);
-    }
-    std::printf("[supervisor] attempt %d starting at t=%.3f s\n", attempt,
-                sys.engine().now().toSeconds());
-    sys.run();
-  }
+  scr::Supervisor supervisor(
+      world, {"sim", kRanks, 10, sim::SimTime::zero(), false},
+      [&] { return finished; },
+      [&](const pmpi::Job& job, int attempt) {
+        std::printf("[supervisor] attempt %d starting at t=%.3f s\n", attempt,
+                    world.engine.now().toSeconds());
+        if (attempt <= 2) {
+          // Two induced node failures; later attempts run clean.
+          const auto at =
+              world.engine.now() + sim::SimTime::ms(150 + 200 * attempt);
+          const int victim = static_cast<int>(rng.below(kRanks));
+          chaos.scheduleNodeFailure(job.id, at, victim);
+        }
+      });
+  supervisor.start();
+  world.run();
 
   std::printf("\nrun %s after %d attempt(s), %d failure(s) injected\n",
-              finished ? "COMPLETED" : "FAILED", attempt, chaos.injected());
+              finished ? "COMPLETED" : "FAILED", supervisor.attempts(),
+              chaos.injected());
   std::printf("checkpoints written: %llu (%.1f MiB), restarts: %llu\n",
               static_cast<unsigned long long>(ckpt.stats().checkpoints),
               ckpt.stats().bytesWritten / (1 << 20),

@@ -110,8 +110,10 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   if (p.ranks < 1) r.fail("ranks must be >= 1");
   if (p.steps < 1) r.fail("steps must be >= 1");
   if (p.stepSec <= 0) r.fail("step_sec must be > 0");
+  if (p.stateBytes < 1) r.fail("state_bytes must be >= 1");
   if (p.maxAttempts < 1) r.fail("max_attempts must be >= 1");
   if (p.spareNodes < 0) r.fail("spare_nodes must be >= 0");
+  if (p.restartDelaySec < 0) r.fail("restart_delay_sec must be >= 0");
   if (p.dropProb < 0 || p.dropProb > 1) r.fail("drop_prob must be in [0, 1]");
   if (p.corruptProb < 0 || p.corruptProb > 1) {
     r.fail("corrupt_prob must be in [0, 1]");

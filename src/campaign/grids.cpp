@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "campaign/builtin.hpp"
-#include "extoll/fabric.hpp"
 #include "fault/plan.hpp"
 #include "hw/desc.hpp"
 #include "hw/topology.hpp"
@@ -26,11 +25,10 @@
 #include "mc/choice.hpp"
 #include "mc/scenarios.hpp"
 #include "obs/metrics.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
-#include "rm/resource_manager.hpp"
+#include "pmpi/world.hpp"
 #include "scr/failure.hpp"
 #include "scr/scr.hpp"
+#include "scr/supervisor.hpp"
 #include "sim/rng.hpp"
 #include "xpic/driver.hpp"
 
@@ -61,11 +59,9 @@ std::string fig8Name(xpic::Mode m, int n) {
 /// pooled-stack counts, which differ between process backends — so reports
 /// stay byte-identical across backends and worker counts
 /// (BackendEquivalence.CampaignReportByteIdentical).
-void recordMemoryMetrics(ScenarioContext& ctx, const sim::Engine& engine,
-                         const pmpi::Runtime& rt,
-                         const extoll::Fabric& fabric) {
+void recordMemoryMetrics(ScenarioContext& ctx, const pmpi::World& w) {
   obs::Metrics& m = ctx.tracer.metrics();
-  const pmpi::Runtime::MemoryStats mem = rt.memoryStats();
+  const pmpi::Runtime::MemoryStats mem = w.rt.memoryStats();
   m.add("mem.proc_slab_bytes", static_cast<double>(mem.procSlabBytes));
   m.add("mem.request_slots", static_cast<double>(mem.requestSlots));
   m.add("mem.request_pool_bytes", static_cast<double>(mem.requestPoolBytes));
@@ -76,15 +72,16 @@ void recordMemoryMetrics(ScenarioContext& ctx, const sim::Engine& engine,
   m.add("mem.match_queue_peak_entries",
         static_cast<double>(mem.matchQueuePeakEntries));
   m.add("mem.channel_bytes", static_cast<double>(mem.channelBytes));
-  m.add("mem.route_cache_bytes", static_cast<double>(fabric.routeCacheBytes()));
+  m.add("mem.route_cache_bytes",
+        static_cast<double>(w.fabric.routeCacheBytes()));
   // Nominal fiber-stack reservation: spawn count x configured stack size
   // (256 KiB when the engine is left at its default).  Reported instead of
   // live stack-pool statistics so the thread backend yields the same number.
-  const std::size_t stackBytes = engine.fiberStackBytes() != 0
-                                     ? engine.fiberStackBytes()
+  const std::size_t stackBytes = w.engine.fiberStackBytes() != 0
+                                     ? w.engine.fiberStackBytes()
                                      : std::size_t{256} * 1024;
   m.add("mem.stack_reserve_bytes",
-        static_cast<double>(engine.spawnedProcessCount()) *
+        static_cast<double>(w.engine.spawnedProcessCount()) *
             static_cast<double>(stackBytes));
 }
 
@@ -217,12 +214,12 @@ namespace {
 Values runResilienceScenario(const ResilienceParams& p,
                              const CheckpointScheme& scheme, double mtbfSec,
                              ScenarioContext& ctx) {
-  sim::Engine engine(ctx.seed);
-  engine.setTracer(&ctx.tracer);
-  hw::Machine machine(
-      engine, p.machine ? *p.machine
-                        : hw::MachineConfig::deepEr(p.ranks + p.spareNodes, 2));
-  extoll::Fabric fabric(machine);
+  // The production stack runs with the default chooser attached — the
+  // campaign goldens thereby lock in that routing match/retransmit
+  // nondeterminism through mc choice points left this path byte-identical.
+  mc::DeterministicChooser defaultChooser;
+  pmpi::World w(*p.machine, p.protocol, ctx.seed, &ctx.tracer);
+  w.rt.setChooser(&defaultChooser);
 
   // The fabric runs degraded for the whole scenario: random per-message
   // loss and corruption everywhere, a bandwidth slump plus a brief full
@@ -235,36 +232,28 @@ Values runResilienceScenario(const ResilienceParams& p,
     plan.dropProb = p.dropProb;
     plan.corruptProb = p.corruptProb;
     if (p.degradeUntilSec > p.degradeFromSec && p.degradeFactor < 1.0) {
-      plan.degradeEndpoint(machine.endpointOfNode(1),
+      plan.degradeEndpoint(w.machine.endpointOfNode(1),
                            sim::SimTime::seconds(p.degradeFromSec),
                            sim::SimTime::seconds(p.degradeUntilSec),
                            p.degradeFactor);
     }
     if (p.flapUntilSec > p.flapFromSec) {
-      plan.flapEndpoint(machine.endpointOfNode(1),
+      plan.flapEndpoint(w.machine.endpointOfNode(1),
                         sim::SimTime::seconds(p.flapFromSec),
                         sim::SimTime::seconds(p.flapUntilSec));
     }
   }
-  if (plan.active()) fabric.setFaultPlan(&plan);
+  w.setFaultPlan(std::move(plan));
 
-  rm::ResourceManager resources(machine);
-  pmpi::AppRegistry registry;
-  // The production stack runs with the default chooser attached — the
-  // campaign goldens thereby lock in that routing match/retransmit
-  // nondeterminism through mc choice points left this path byte-identical.
-  mc::DeterministicChooser defaultChooser;
-  pmpi::Runtime rt(machine, fabric, resources, registry, p.protocol);
-  rt.setChooser(&defaultChooser);
-  io::BeeGfs fs(machine, fabric);
-  io::LocalStore local(machine, fabric);
-  io::NamStore nam(machine, fabric);
-  scr::Scr ckpt(machine, fs, local, nam, scheme.scr);
+  io::BeeGfs fs(w.machine, w.fabric);
+  io::LocalStore local(w.machine, w.fabric);
+  io::NamStore nam(w.machine, w.fabric);
+  scr::Scr ckpt(w.machine, fs, local, nam, scheme.scr);
 
   bool finished = false;
   double doneAtSec = 0;
   int restartsSeen = 0;
-  registry.add("sim", [&](pmpi::Env& env) {
+  w.registry.add("sim", [&](pmpi::Env& env) {
     std::vector<std::byte> state(p.stateBytes, std::byte{0});
     int start = 0;
     if (const auto resumed = ckpt.restart(env, env.world(), state)) {
@@ -282,70 +271,46 @@ Values runResilienceScenario(const ResilienceParams& p,
     doneAtSec = std::max(doneAtSec, env.wtime());
   });
 
-  // Event-driven supervisor: failures mark the victim node out of service
-  // (repaired after the MTTR) and the job's drain triggers a relaunch onto
-  // whatever spare/surviving nodes the resource manager still has.  All of
-  // it runs inside a single engine.run() so repairs, relaunches and the
-  // fault plan interleave on the one simulated clock.
-  scr::FailureInjector chaos(rt, local, &resources,
+  // Failures mark the victim node out of service (repaired after the MTTR)
+  // and the supervisor relaunches onto whatever spare/surviving nodes the
+  // resource manager still has.
+  scr::FailureInjector chaos(w.rt, local, &w.rm,
                              sim::SimTime::seconds(p.repairSec));
   sim::Rng rng(ctx.seed + 1);  // decorrelated from the fabric's fault draws
   const sim::SimTime mtbf = sim::SimTime::seconds(mtbfSec);
-  int attempts = 0;
-  int relaunchStalls = 0;
-  bool relaunchQueued = false;
-  std::function<void()> launchAttempt;
-  const auto queueRelaunch = [&] {
-    if (relaunchQueued || finished) return;
-    relaunchQueued = true;
-    engine.schedule(sim::SimTime::seconds(p.restartDelaySec), [&] {
-      relaunchQueued = false;
-      launchAttempt();
-    });
-  };
-  launchAttempt = [&] {
-    if (finished || attempts >= p.maxAttempts) return;
-    if (resources.freeCount(hw::NodeKind::Cluster) < p.ranks) {
-      // Pool short: failed nodes outnumber the spares.  With repair
-      // enabled the supervisor retries until a node returns; without it
-      // the run is permanently stuck — give up instead of spinning.
-      if (p.repairSec > 0) {
-        ++relaunchStalls;
-        queueRelaunch();
-      }
-      return;
-    }
-    ++attempts;
-    const auto& job = rt.launch("sim", hw::NodeKind::Cluster, p.ranks);
-    // One pending node failure per attempt; a no-op if the attempt
-    // completes first (FailureInjector contract).  The first one is pinned
-    // to a deterministic mid-run time so every scenario exercises the
-    // recovery loop; later ones are exponentially distributed.
-    const sim::SimTime at =
-        attempts == 1 && p.firstFailureAtSec > 0
-            ? sim::SimTime::seconds(p.firstFailureAtSec)
-            : engine.now() + scr::FailureInjector::sampleFailureTime(rng, mtbf);
-    const int victim =
-        static_cast<int>(rng.below(static_cast<std::uint64_t>(p.ranks)));
-    const int victimNode =
-        rt.proc(job.procIdx[static_cast<std::size_t>(victim)]).nodeId;
-    chaos.scheduleNodeFailure(job.id, at, victimNode);
-  };
-  rt.setJobDrainHook([&](int) { queueRelaunch(); });
-  launchAttempt();
-  const sim::RunStats st = engine.run();
-  rt.setJobDrainHook({});
-  if (!st.blockedProcesses.empty()) {
-    throw std::runtime_error("resilience scenario deadlocked");
-  }
-  recordMemoryMetrics(ctx, engine, rt, fabric);
+  scr::Supervisor supervisor(
+      w,
+      {"sim", p.ranks, p.maxAttempts, sim::SimTime::seconds(p.restartDelaySec),
+       p.repairSec > 0},
+      [&] { return finished; },
+      [&](const pmpi::Job& job, int attempt) {
+        // One pending node failure per attempt; a no-op if the attempt
+        // completes first (FailureInjector contract).  The first one is
+        // pinned to a deterministic mid-run time so every scenario
+        // exercises the recovery loop; later ones are exponentially
+        // distributed.
+        const sim::SimTime at =
+            attempt == 1 && p.firstFailureAtSec > 0
+                ? sim::SimTime::seconds(p.firstFailureAtSec)
+                : w.engine.now() +
+                      scr::FailureInjector::sampleFailureTime(rng, mtbf);
+        const int victim =
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(p.ranks)));
+        const int victimNode =
+            w.rt.proc(job.procIdx[static_cast<std::size_t>(victim)]).nodeId;
+        chaos.scheduleNodeFailure(job.id, at, victimNode);
+      });
+  supervisor.start();
+  w.run();
+  recordMemoryMetrics(ctx, w);
 
   const double idealSec = p.steps * p.stepSec;
-  const double completionSec = finished ? doneAtSec : engine.now().toSeconds();
-  const extoll::Fabric::Stats& fab = fabric.stats();
+  const double completionSec =
+      finished ? doneAtSec : w.engine.now().toSeconds();
+  const extoll::Fabric::Stats& fab = w.fabric.stats();
   Values v;
   v["done"] = finished ? 1.0 : 0.0;
-  v["attempts"] = attempts;
+  v["attempts"] = supervisor.attempts();
   v["failures_injected"] = chaos.injected();
   v["completion_sec"] = completionSec;
   v["ideal_sec"] = idealSec;
@@ -363,7 +328,7 @@ Values runResilienceScenario(const ResilienceParams& p,
           ? completionSec - chaos.lastFailureAt().toSeconds()
           : 0.0;
   v["recovery_overhead_sec"] = finished ? completionSec - idealSec : -1.0;
-  v["relaunch_stalls"] = relaunchStalls;
+  v["relaunch_stalls"] = supervisor.stalls();
   // Fabric-level fault/recovery totals (satellite: Fabric::Stats counters
   // surfaced through the campaign report).
   v["fabric_messages"] = static_cast<double>(fab.messages);
@@ -371,28 +336,19 @@ Values runResilienceScenario(const ResilienceParams& p,
   v["fabric_corrupts"] = static_cast<double>(fab.corrupts);
   v["fabric_retransmits"] = static_cast<double>(fab.retransmits);
   v["fabric_reroutes"] = static_cast<double>(fab.reroutes);
-  v["unreachable_peers"] = rt.unreachablePeers();
+  v["unreachable_peers"] = w.rt.unreachablePeers();
   return v;
 }
 
 // ---- Halo: rank-count sweep on a generated fabric ---------------------------
 
 Values runHaloScenario(const HaloParams& p, int ranks, ScenarioContext& ctx) {
-  sim::Engine engine(ctx.seed);
-  engine.setTracer(&ctx.tracer);
-  if (p.fiberStackKb > 0) {
-    engine.setFiberStackBytes(static_cast<std::size_t>(p.fiberStackKb) * 1024);
-  }
-  hw::Machine machine(engine, p.machine);
-  extoll::Fabric fabric(machine, p.fabric);
-  rm::ResourceManager resources(machine);
-  pmpi::AppRegistry registry;
   mc::DeterministicChooser defaultChooser;
-  pmpi::Runtime rt(machine, fabric, resources, registry, p.protocol);
-  rt.setChooser(&defaultChooser);
+  pmpi::World w(p.machine, p.protocol, ctx.seed, &ctx.tracer, p.fabric);
+  w.rt.setChooser(&defaultChooser);
 
   const int avail =
-      static_cast<int>(machine.nodesOfKind(hw::NodeKind::Cluster).size());
+      static_cast<int>(w.machine.nodesOfKind(hw::NodeKind::Cluster).size());
   if (ranks > avail) {
     throw std::runtime_error("halo: " + std::to_string(ranks) +
                              " ranks need as many Cluster nodes, machine has " +
@@ -409,7 +365,7 @@ Values runHaloScenario(const HaloParams& p, int ranks, ScenarioContext& ctx) {
 
   double wallSec = 0.0;
   double commSec = 0.0;
-  registry.add("halo", [&](pmpi::Env& env) {
+  w.registry.add("halo", [&](pmpi::Env& env) {
     const int r = env.rank();
     const int x = r % px;
     const int y = r / px;
@@ -447,20 +403,23 @@ Values runHaloScenario(const HaloParams& p, int ranks, ScenarioContext& ctx) {
     commSec += env.commSec();
   });
 
-  rt.launch("halo", hw::NodeKind::Cluster, ranks);
-  const sim::RunStats st = engine.run();
-  if (st.deadlocked()) throw std::runtime_error("halo scenario deadlocked");
-  recordMemoryMetrics(ctx, engine, rt, fabric);
+  if (p.fiberStackKb > 0) {
+    w.engine.setFiberStackBytes(static_cast<std::size_t>(p.fiberStackKb) *
+                                1024);
+  }
+  w.rt.launch("halo", hw::NodeKind::Cluster, ranks);
+  const sim::RunStats st = w.run();
+  recordMemoryMetrics(ctx, w);
 
-  const extoll::Fabric::Stats& fab = fabric.stats();
+  const extoll::Fabric::Stats& fab = w.fabric.stats();
   Values v;
   v["wall_sec"] = wallSec;
   v["comm_sec"] = commSec;
   v["events"] = static_cast<double>(st.eventsProcessed);
   v["fabric_messages"] = static_cast<double>(fab.messages);
   v["fabric_bytes"] = fab.bytes;
-  v["route_cache_entries"] = static_cast<double>(fabric.routeCacheSize());
-  v["route_cache_hits"] = static_cast<double>(fabric.routeCacheHits());
+  v["route_cache_entries"] = static_cast<double>(w.fabric.routeCacheSize());
+  v["route_cache_hits"] = static_cast<double>(w.fabric.routeCacheHits());
   return v;
 }
 
@@ -628,16 +587,10 @@ constexpr int kRoundTrips = 10;
 /// timed round trips.  Returns the one-way latency in microseconds.
 double pingPongUs(const PingPongParams& p, const NodePair& pair,
                   std::size_t bytes, ScenarioContext& ctx) {
-  sim::Engine engine(ctx.seed);
-  engine.setTracer(&ctx.tracer);
-  hw::Machine machine(engine, p.machine);
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager resources(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt(machine, fabric, resources, registry, p.protocol);
+  pmpi::World w(p.machine, p.protocol, ctx.seed, &ctx.tracer);
 
   double result = 0;
-  registry.add("pp", [&](pmpi::Env& env) {
+  w.registry.add("pp", [&](pmpi::Env& env) {
     std::vector<std::byte> buf(bytes);
     const auto span = pmpi::Bytes(buf);
     const auto cspan = pmpi::ConstBytes(buf);
@@ -656,15 +609,13 @@ double pingPongUs(const PingPongParams& p, const NodePair& pair,
       }
     }
   });
-  const std::vector<int> as = machine.nodesOfKind(pair.a);
-  const std::vector<int> bs = machine.nodesOfKind(pair.b);
+  const std::vector<int> as = w.machine.nodesOfKind(pair.a);
+  const std::vector<int> bs = w.machine.nodesOfKind(pair.b);
   pmpi::JobSpec spec;
   spec.appName = "pp";
   spec.nodes = {as.front(), pair.a == pair.b ? bs[1] : bs.front()};
-  rt.launch(spec);
-  if (engine.run().deadlocked()) {
-    throw std::runtime_error("pingpong scenario deadlocked");
-  }
+  w.rt.launch(spec);
+  w.run();
   return result;
 }
 

@@ -6,7 +6,7 @@
 // resiliency matrix).
 //
 // Each Scenario runs in a fully isolated simulated world: its closure
-// constructs its own sim::Engine / pmpi::Runtime stack and receives a
+// constructs its own pmpi::World (engine to runtime) and receives a
 // ScenarioContext carrying a deterministic per-scenario seed and a private
 // obs::Tracer (hence a private metrics registry).  Nothing in src/ holds
 // mutable global state (audited; regression-tested in test_campaign), so

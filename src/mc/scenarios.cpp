@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "extoll/fabric.hpp"
 #include "hw/machine.hpp"
 #include "io/beegfs.hpp"
 #include "io/local_store.hpp"
 #include "io/nam_store.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
-#include "rm/resource_manager.hpp"
+#include "pmpi/world.hpp"
 #include "scr/failure.hpp"
+#include "scr/supervisor.hpp"
 #include "sim/engine.hpp"
 
 namespace cbsim::mc {
@@ -70,17 +67,17 @@ std::string drainViolation(sim::Engine& engine, const sim::RunStats& st,
 /// burst in these tiny worlds, small enough to stop a livelock quickly.
 constexpr std::uint64_t kMaxEventsPerInstant = 1'000'000;
 
-hw::MachineConfig worldConfig(const McScenario& s, int clusterNodes) {
-  if (s.machine) return *s.machine;
-  return hw::MachineConfig::deepEr(clusterNodes, 2);
-}
-
-/// Machine-aware plan check shared by both families; construction-time
-/// errors (bad target references) must throw, not count as violations.
-void checkPlan(const fault::FaultPlan& plan, const hw::MachineConfig& config) {
-  if (std::string err = plan.validateFor(config); !err.empty()) {
-    throw std::invalid_argument("mc: fault plan: " + err);
+/// scenarioWorld(), resolved once for every schedule a run function
+/// explores and checked against the fault plan: bad target references are
+/// description errors that `--validate` must catch, not violations.
+hw::MachineConfig checkedWorld(const McScenario& s) {
+  hw::MachineConfig config = scenarioWorld(s);
+  if (s.fault) {
+    if (std::string err = s.fault->validateFor(config); !err.empty()) {
+      throw std::invalid_argument("mc: fault plan: " + err);
+    }
   }
+  return config;
 }
 
 pmpi::ProtocolParams effectiveProtocol(const McScenario& s) {
@@ -99,26 +96,17 @@ RunFn makeMessageRaceRun(const McScenario& s) {
   if (s.senders + 1 > 8) {
     throw std::invalid_argument("mc: exploration worlds are capped at 8 ranks");
   }
-  return [s](Chooser& chooser) -> std::string {
-    sim::Engine engine(s.seed);
-    hw::Machine machine(engine, worldConfig(s, s.senders + 1));
-    extoll::Fabric fabric(machine);
-    fault::FaultPlan plan;
-    if (s.fault) plan = *s.fault;
-    checkPlan(plan, machine.config());
-    if (plan.active()) fabric.setFaultPlan(&plan);
-    rm::ResourceManager resources(machine);
-    pmpi::AppRegistry registry;
-    pmpi::Runtime rt(machine, fabric, resources, registry,
-                     effectiveProtocol(s));
-    rt.setChooser(&chooser);
+  return [s, config = checkedWorld(s)](Chooser& chooser) -> std::string {
+    pmpi::World w(config, effectiveProtocol(s), s.seed);
+    if (s.fault) w.setFaultPlan(*s.fault);
+    w.rt.setChooser(&chooser);
     // Node crashes in the plan need an injector (and a store to drop);
     // a killed job ends the trial cleanly — the invariants are conditional
     // on delivery, not on the job surviving the crash.
-    io::LocalStore local(machine, fabric);
-    scr::FailureInjector injector(rt, local, &resources);
+    io::LocalStore local(w.machine, w.fabric);
+    scr::FailureInjector injector(w.rt, local, &w.rm);
     injector.setChooser(&chooser, SimTime::seconds(s.faultQuantumSec));
-    injector.applyPlan(plan);
+    injector.applyPlan(w.faultPlan());
 
     std::string violation;
     const auto fail = [&](std::string msg) {
@@ -126,7 +114,7 @@ RunFn makeMessageRaceRun(const McScenario& s) {
     };
 
     const int total = s.senders * s.messages;
-    registry.add("race", [&](pmpi::Env& env) {
+    w.registry.add("race", [&](pmpi::Env& env) {
       if (env.rank() == 0) {
         // Wildcard fan-in.  Payloads carry (sender rank, per-sender index)
         // so delivery defects are directly attributable: a repeated index
@@ -184,11 +172,11 @@ RunFn makeMessageRaceRun(const McScenario& s) {
         }
       }
     });
-    rt.launch("race", hw::NodeKind::Cluster, s.senders + 1);
-    engine.setWatchdog(SimTime::seconds(s.drainSec), kMaxEventsPerInstant);
-    const sim::RunStats st = engine.run();
-    if (violation.empty()) violation = drainViolation(engine, st, s.drainSec);
-    rt.setChooser(nullptr);
+    w.rt.launch("race", hw::NodeKind::Cluster, s.senders + 1);
+    w.engine.setWatchdog(SimTime::seconds(s.drainSec), kMaxEventsPerInstant);
+    const sim::RunStats st = w.engine.run();
+    if (violation.empty()) violation = drainViolation(w.engine, st, s.drainSec);
+    w.rt.setChooser(nullptr);
     return violation;
   };
 }
@@ -201,23 +189,28 @@ RunFn makeCheckpointRestartRun(const McScenario& s) {
   if (s.ranks > 8) {
     throw std::invalid_argument("mc: exploration worlds are capped at 8 ranks");
   }
-  return [s](Chooser& chooser) -> std::string {
-    sim::Engine engine(s.seed);
-    hw::Machine machine(engine, worldConfig(s, s.ranks + s.spareNodes));
-    extoll::Fabric fabric(machine);
-    fault::FaultPlan plan;
-    if (s.fault) plan = *s.fault;
-    checkPlan(plan, machine.config());
-    if (plan.active()) fabric.setFaultPlan(&plan);
-    rm::ResourceManager resources(machine);
-    pmpi::AppRegistry registry;
-    pmpi::Runtime rt(machine, fabric, resources, registry,
-                     effectiveProtocol(s));
-    rt.setChooser(&chooser);
-    io::BeeGfs fs(machine, fabric);
-    io::LocalStore local(machine, fabric);
-    io::NamStore nam(machine, fabric);
-    scr::Scr ckpt(machine, fs, local, nam, s.scr);
+  // The supervisor's inputs: a bad value here is a description error, not
+  // a recovery hang for the oracle to report.
+  if (s.maxAttempts < 1) {
+    throw std::invalid_argument(
+        "mc: checkpoint-restart needs max_attempts >= 1");
+  }
+  if (s.spareNodes < 0) {
+    throw std::invalid_argument(
+        "mc: checkpoint-restart needs spare_nodes >= 0");
+  }
+  if (s.restartDelaySec < 0) {
+    throw std::invalid_argument(
+        "mc: checkpoint-restart needs restart_delay_sec >= 0");
+  }
+  return [s, config = checkedWorld(s)](Chooser& chooser) -> std::string {
+    pmpi::World w(config, effectiveProtocol(s), s.seed);
+    if (s.fault) w.setFaultPlan(*s.fault);
+    w.rt.setChooser(&chooser);
+    io::BeeGfs fs(w.machine, w.fabric);
+    io::LocalStore local(w.machine, w.fabric);
+    io::NamStore nam(w.machine, w.fabric);
+    scr::Scr ckpt(w.machine, fs, local, nam, s.scr);
 
     std::string violation;
     const auto fail = [&](std::string msg) {
@@ -239,7 +232,7 @@ RunFn makeCheckpointRestartRun(const McScenario& s) {
     std::map<std::pair<int, int>, std::vector<std::byte>> written;
 
     bool finished = false;
-    registry.add("ck", [&](pmpi::Env& env) {
+    w.registry.add("ck", [&](pmpi::Env& env) {
       std::vector<std::byte> state(s.stateBytes);
       int start = 0;
       if (const auto resumed = ckpt.restart(env, env.world(), state)) {
@@ -271,52 +264,36 @@ RunFn makeCheckpointRestartRun(const McScenario& s) {
       if (env.rank() == 0) finished = true;
     });
 
-    // Event-driven supervisor (same shape as the resilience campaign): one
-    // node failure on the first attempt — at an instant the chooser picks —
-    // then relaunch-on-drain until the run completes.
-    scr::FailureInjector chaos(rt, local, &resources,
+    // One node failure on the first attempt — at an instant the chooser
+    // picks — then relaunch-on-drain until the run completes.
+    scr::FailureInjector chaos(w.rt, local, &w.rm,
                                SimTime::seconds(s.repairSec));
     chaos.setChooser(&chooser, SimTime::seconds(s.faultQuantumSec));
-    chaos.applyPlan(plan);
-    int attempts = 0;
-    bool relaunchQueued = false;
-    std::function<void()> launchAttempt;
-    const auto queueRelaunch = [&] {
-      if (relaunchQueued || finished) return;
-      relaunchQueued = true;
-      engine.schedule(SimTime::seconds(s.restartDelaySec), [&] {
-        relaunchQueued = false;
-        launchAttempt();
-      });
-    };
-    launchAttempt = [&] {
-      if (finished || attempts >= s.maxAttempts) return;
-      if (resources.freeCount(hw::NodeKind::Cluster) < s.ranks) {
-        if (s.repairSec > 0) queueRelaunch();
-        return;
-      }
-      ++attempts;
-      const pmpi::Job& job = rt.launch("ck", hw::NodeKind::Cluster, s.ranks);
-      if (attempts == 1 && s.failAtSec > 0) {
-        const int victimRank = s.ranks - 1;
-        const int victimNode =
-            rt.proc(job.procIdx[static_cast<std::size_t>(victimRank)]).nodeId;
-        chaos.scheduleNodeFailure(job.id, SimTime::seconds(s.failAtSec),
-                                  victimNode);
-      }
-    };
-    rt.setJobDrainHook([&](int) { queueRelaunch(); });
-    launchAttempt();
-    engine.setWatchdog(SimTime::seconds(s.drainSec), kMaxEventsPerInstant);
-    const sim::RunStats st = engine.run();
-    rt.setJobDrainHook({});
-    if (violation.empty()) violation = drainViolation(engine, st, s.drainSec);
+    chaos.applyPlan(w.faultPlan());
+    scr::Supervisor supervisor(
+        w,
+        {"ck", s.ranks, s.maxAttempts, SimTime::seconds(s.restartDelaySec),
+         s.repairSec > 0},
+        [&] { return finished; },
+        [&](const pmpi::Job& job, int attempt) {
+          if (attempt != 1 || s.failAtSec <= 0) return;
+          const int victimRank = s.ranks - 1;
+          const int victimNode =
+              w.rt.proc(job.procIdx[static_cast<std::size_t>(victimRank)])
+                  .nodeId;
+          chaos.scheduleNodeFailure(job.id, SimTime::seconds(s.failAtSec),
+                                    victimNode);
+        });
+    supervisor.start();
+    w.engine.setWatchdog(SimTime::seconds(s.drainSec), kMaxEventsPerInstant);
+    const sim::RunStats st = w.engine.run();
+    if (violation.empty()) violation = drainViolation(w.engine, st, s.drainSec);
     if (violation.empty() && !finished) {
       violation = "recovery hang: run did not complete within " +
                   num(s.drainSec) + "s (attempts=" +
-                  std::to_string(attempts) + ")";
+                  std::to_string(supervisor.attempts()) + ")";
     }
-    rt.setChooser(nullptr);
+    w.rt.setChooser(nullptr);
     return violation;
   };
 }
@@ -331,10 +308,11 @@ RunFn makeRun(const McScenario& s) {
 }
 
 hw::MachineConfig scenarioWorld(const McScenario& s) {
-  if (s.family == "checkpoint-restart") {
-    return worldConfig(s, s.ranks + s.spareNodes);
-  }
-  return worldConfig(s, s.senders + 1);
+  if (s.machine) return *s.machine;
+  return hw::MachineConfig::deepEr(s.family == "checkpoint-restart"
+                                       ? s.ranks + s.spareNodes
+                                       : s.senders + 1,
+                                   2);
 }
 
 ExploreResult exploreScenario(const McScenario& s) {

@@ -15,7 +15,7 @@ constexpr std::uint64_t kFaultStreamSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kTransportStreamSalt = 0xd1b54a32d192ed03ull;
 }  // namespace
 
-Engine::Engine() : Engine(0xcb51742a5ce1ull) {}
+Engine::Engine() : Engine(kDefaultSeed) {}
 Engine::Engine(std::uint64_t rngSeed) : Engine(rngSeed, defaultProcessBackend()) {}
 Engine::Engine(std::uint64_t rngSeed, ProcessBackend backend)
     : backend_(effectiveProcessBackend(backend)),

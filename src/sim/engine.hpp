@@ -57,6 +57,9 @@ struct RunStats {
 
 class Engine {
  public:
+  /// Seed of a default-constructed engine.
+  static constexpr std::uint64_t kDefaultSeed = 0xcb51742a5ce1ull;
+
   Engine();
   explicit Engine(std::uint64_t rngSeed);
   /// Selects the process execution substrate for this engine; the request

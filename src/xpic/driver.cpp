@@ -6,10 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "extoll/fabric.hpp"
 #include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
-#include "rm/resource_manager.hpp"
+#include "pmpi/world.hpp"
 #include "xpic/field_solver.hpp"
 #include "xpic/particle_solver.hpp"
 #include "xpic/workmodel.hpp"
@@ -348,36 +346,26 @@ void registerXpicApps(pmpi::AppRegistry& registry, const XpicConfig& cfg,
 
 Report runXpic(Mode mode, int nodesPerSolver, const XpicConfig& cfg,
                hw::MachineConfig machineCfg, obs::Tracer* tracer) {
-  sim::Engine engine;
-  engine.setTracer(tracer);
-  hw::Machine machine(engine, std::move(machineCfg));
-  extoll::Fabric fabric(machine);
-  rm::ResourceManager resources(machine);
-  pmpi::AppRegistry registry;
-  pmpi::Runtime runtime(machine, fabric, resources, registry, {});
+  pmpi::World w(std::move(machineCfg), {}, sim::Engine::kDefaultSeed, tracer);
 
   Report report;
   report.mode = mode;
   report.nodesPerSolver = nodesPerSolver;
-  registerXpicApps(registry, cfg, nodesPerSolver, &report);
+  registerXpicApps(w.registry, cfg, nodesPerSolver, &report);
 
   switch (mode) {
     case Mode::ClusterOnly:
-      runtime.launch(kMonolithicApp, hw::NodeKind::Cluster, nodesPerSolver);
+      w.rt.launch(kMonolithicApp, hw::NodeKind::Cluster, nodesPerSolver);
       break;
     case Mode::BoosterOnly:
-      runtime.launch(kMonolithicApp, hw::NodeKind::Booster, nodesPerSolver);
+      w.rt.launch(kMonolithicApp, hw::NodeKind::Booster, nodesPerSolver);
       break;
     case Mode::ClusterBooster:
-      runtime.launch(kBoosterApp, hw::NodeKind::Booster, nodesPerSolver);
+      w.rt.launch(kBoosterApp, hw::NodeKind::Booster, nodesPerSolver);
       break;
   }
-  const sim::RunStats st = engine.run();
-  if (st.deadlocked()) {
-    throw std::runtime_error("xpic run deadlocked; first blocked process: " +
-                             st.blockedProcesses.front());
-  }
-  report.wallSec = engine.now().toSeconds();
+  w.run();
+  report.wallSec = w.engine.now().toSeconds();
   return report;
 }
 

@@ -1,12 +1,11 @@
-// Tests for the core module (System facade, partition planner, table
-// printer) and the batch scheduler (FIFO vs EASY backfill, malleability).
+// Tests for the core module (partition planner, table printer) and the
+// batch scheduler (FIFO vs EASY backfill, malleability).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/planner.hpp"
-#include "core/system.hpp"
 #include "core/table.hpp"
 #include "rm/batch.hpp"
 
@@ -15,27 +14,6 @@ namespace {
 using namespace cbsim;
 using namespace cbsim::sim::literals;
 using sim::SimTime;
-
-// ------------------------------------------------------------------- System
-
-TEST(System, FacadeRunsApps) {
-  core::System sys(hw::MachineConfig::deepEr(2, 2));
-  int ranks = 0;
-  sys.apps().add("hello", [&](pmpi::Env& env) { ranks += 1 + 0 * env.rank(); });
-  sys.mpi().launch("hello", hw::NodeKind::Cluster, 2);
-  sys.run();
-  EXPECT_EQ(ranks, 2);
-}
-
-TEST(System, RunThrowsOnDeadlock) {
-  core::System sys(hw::MachineConfig::deepEr(2, 2));
-  sys.apps().add("stuck", [&](pmpi::Env& env) {
-    std::byte b{};
-    env.recv(env.world(), 1, 1, pmpi::Bytes(&b, 1));  // nobody sends
-  });
-  sys.mpi().launch("stuck", hw::NodeKind::Cluster, 2);
-  EXPECT_THROW(sys.run(), std::runtime_error);
-}
 
 // ------------------------------------------------------------------ Planner
 

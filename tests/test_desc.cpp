@@ -404,6 +404,30 @@ TEST(DescCampaign, UnknownKindAndKeysAreRejected) {
                desc::SchemaError);
 }
 
+// The resilience app evolves state[0] every step, and the supervisor
+// schedules each relaunch restart_delay_sec ahead: both must be rejected
+// at parse time, by key, instead of crashing or failing every scenario.
+TEST(DescCampaign, ResilienceRejectsEmptyState) {
+  const std::string msg = errorOf([] {
+    (void)campaign::campaignSpecFromDescText(
+        R"({"campaign": "resilience", "resilience": {"state_bytes": 0}})", "t");
+  });
+  EXPECT_NE(msg.find("resilience: state_bytes must be >= 1"), std::string::npos)
+      << msg;
+}
+
+TEST(DescCampaign, ResilienceRejectsNegativeRestartDelay) {
+  const std::string msg = errorOf([] {
+    (void)campaign::campaignSpecFromDescText(
+        R"({"campaign": "resilience",
+            "resilience": {"restart_delay_sec": -1}})",
+        "t");
+  });
+  EXPECT_NE(msg.find("resilience: restart_delay_sec must be >= 0"),
+            std::string::npos)
+      << msg;
+}
+
 // What a run would reject fails when the campaign is built, which
 // --validate does too: a grid that repeats a scenario name, or a ping-pong
 // machine without two nodes of each kind.

@@ -10,13 +10,16 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/builtin.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "desc/json.hpp"
+#include "fault/plan.hpp"
 #include "mc/choice.hpp"
 #include "mc/desc.hpp"
 #include "mc/explorer.hpp"
@@ -340,6 +343,40 @@ TEST(McDesc, BrokenDedupIsNotExpressibleInDescriptions) {
   EXPECT_EQ(mc::dumpScenario(loadExample("msg-race-tiny.json"))
                 .find("break_dedup"),
             std::string::npos);
+}
+
+// ---- Description errors --------------------------------------------------------------
+
+// A bad supervisor input or a fault plan aimed at a target the world lacks
+// is a description error: makeRun (which `cbsim mc --validate` calls)
+// throws naming it, instead of the explorer reporting a violation.
+TEST(McScenarios, CheckpointRestartRejectsBadSupervisorInputs) {
+  const std::pair<void (*)(mc::McScenario&), const char*> cases[] = {
+      {[](mc::McScenario& s) { s.maxAttempts = 0; }, "max_attempts >= 1"},
+      {[](mc::McScenario& s) { s.spareNodes = -1; }, "spare_nodes >= 0"},
+      {[](mc::McScenario& s) { s.restartDelaySec = -0.001; },
+       "restart_delay_sec >= 0"},
+  };
+  for (const auto& [mutate, expected] : cases) {
+    mc::McScenario s = loadExample("checkpoint-during-flap.json");
+    mutate(s);
+    try {
+      (void)mc::makeRun(s);
+      ADD_FAILURE() << "accepted a scenario that needs " << expected;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(McScenarios, MakeRunRejectsAFaultPlanAimedAtAMissingTarget) {
+  mc::McScenario s = loadExample("checkpoint-during-flap.json");
+  fault::FaultPlan plan;
+  plan.flapEndpoint(99, sim::SimTime::seconds(0.004),
+                    sim::SimTime::seconds(0.006));
+  s.fault = plan;
+  EXPECT_THROW((void)mc::makeRun(s), std::invalid_argument);
 }
 
 // ---- DeterministicChooser byte-identity regression -----------------------------------

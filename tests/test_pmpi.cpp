@@ -1,53 +1,56 @@
-// Tests for the pmpi library: point-to-point semantics and Fig. 3 latency
-// calibration, protocol switching, collectives, communicator management,
-// and the Cluster-Booster offload mechanism (MPI_Comm_spawn +
-// inter-communicators).
+// Tests for the pmpi library: the World construction path, point-to-point
+// semantics and Fig. 3 latency calibration, protocol switching,
+// collectives, communicator management, and the Cluster-Booster offload
+// mechanism (MPI_Comm_spawn + inter-communicators).
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
+#include "world_fixture.hpp"
 
 namespace {
 
 using namespace cbsim;
 using namespace cbsim::sim::literals;
+using cbsim::testing::World;
 using pmpi::AnySource;
 using pmpi::AnyTag;
 using pmpi::Comm;
 using pmpi::Env;
 using sim::SimTime;
 
-/// Builds a DEEP-ER style world and runs registered apps to completion.
-struct World {
-  sim::Engine engine;
-  hw::Machine machine;
-  extoll::Fabric fabric;
-  rm::ResourceManager rm;
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt;
+// ---- World ------------------------------------------------------------------
 
-  explicit World(hw::MachineConfig cfg = hw::MachineConfig::deepEr(4, 4),
-                 pmpi::ProtocolParams params = {})
-      : machine(engine, std::move(cfg)),
-        fabric(machine),
-        rm(machine),
-        rt(machine, fabric, rm, registry, params) {}
+TEST(PmpiWorld, RunsApps) {
+  pmpi::World w(hw::MachineConfig::deepEr(2, 2));
+  int ranks = 0;
+  w.registry.add("hello", [&](Env& env) { ranks += 1 + 0 * env.rank(); });
+  w.rt.launch("hello", hw::NodeKind::Cluster, 2);
+  w.run();
+  EXPECT_EQ(ranks, 2);
+}
 
-  sim::RunStats run() {
-    sim::RunStats st = engine.run();
-    EXPECT_FALSE(st.deadlocked())
-        << "blocked: " << (st.blockedProcesses.empty()
-                               ? ""
-                               : st.blockedProcesses.front());
-    return st;
+TEST(PmpiWorld, RunThrowsOnDeadlock) {
+  pmpi::World w(hw::MachineConfig::deepEr(2, 2));
+  w.registry.add("stuck", [&](Env& env) {
+    std::byte b{};
+    env.recv(env.world(), 1, 1, pmpi::Bytes(&b, 1));  // nobody sends
+  });
+  w.rt.launch("stuck", hw::NodeKind::Cluster, 2);
+  try {
+    w.run();
+    FAIL() << "a deadlocked run must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("first blocked process: stuck:j0:r"),
+              std::string::npos)
+        << e.what();
   }
-};
+}
 
 // ---- Point-to-point ---------------------------------------------------------
 

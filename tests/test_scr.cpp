@@ -10,6 +10,7 @@
 
 #include "scr/failure.hpp"
 #include "scr/scr.hpp"
+#include "scr/supervisor.hpp"
 #include "world_fixture.hpp"
 
 namespace {
@@ -458,6 +459,50 @@ TEST(Failure, SampleFailureTimeIsExponentialWithMtbfMean) {
   EXPECT_NEAR(sum / kSamples, mtbf.toSeconds(), 0.03 * mtbf.toSeconds());
   // P(T < mtbf) = 1 - 1/e ~ 0.632 for an exponential.
   EXPECT_NEAR(belowMtbf / double(kSamples), 1.0 - 1.0 / std::exp(1.0), 0.02);
+}
+
+// ---- Supervisor ------------------------------------------------------------
+
+// A 2-rank, 20 ms job on a 3-node Cluster whose first two attempts each lose
+// a node 10 ms in: attempt 2 runs on the spare, then too few nodes are left.
+// With repairs the supervisor stalls until a node returns and completes;
+// without, it gives up.
+TEST(Supervisor, RelaunchesThenWaitsForARepairOrGivesUp) {
+  for (const sim::SimTime repair :
+       {sim::SimTime::ms(50), sim::SimTime::zero()}) {
+    const bool repaired = repair > sim::SimTime::zero();
+    SCOPED_TRACE(repaired ? "with repairs" : "without repairs");
+    ScrStack s(hw::MachineConfig::deepEr(3, 2));
+    scr::FailureInjector inj(s.w.rt, s.local, &s.w.rm, repair);
+    bool finished = false;
+    s.w.registry.add("app", [&](Env& env) {
+      env.ctx().delay(sim::SimTime::ms(20));
+      if (env.rank() == 0) finished = true;
+    });
+    const auto failSoon = [&](const pmpi::Job& job) {
+      inj.scheduleNodeFailure(job.id, s.w.engine.now() + sim::SimTime::ms(10),
+                              s.w.rt.proc(job.procIdx[0]).nodeId);
+    };
+    {
+      scr::Supervisor sup(s.w, {"app", 2, 5, sim::SimTime::ms(1), repaired},
+                          [&] { return finished; },
+                          [&](const pmpi::Job& job, int attempt) {
+                            if (attempt <= 2) failSoon(job);
+                          });
+      sup.start();
+      s.w.run();
+      EXPECT_EQ(finished, repaired);
+      EXPECT_EQ(sup.attempts(), repaired ? 3 : 2);
+      EXPECT_EQ(sup.stalls() > 0, repaired);
+    }
+    // The destroyed supervisor detached its hook: this drain relaunches
+    // nothing (and touches no freed supervisor).
+    finished = false;
+    const int jobs = s.w.rt.jobCount();
+    failSoon(s.w.rt.launch("app", hw::NodeKind::Cluster, 1));
+    s.w.run();
+    EXPECT_EQ(s.w.rt.jobCount(), jobs + 1);
+  }
 }
 
 }  // namespace

@@ -1,46 +1,25 @@
 #pragma once
 
-// Shared test harness: a simulated DEEP-ER machine with the full software
-// stack, plus a helper to run a closure on N ranks of a partition.
+// Shared test harness: a pmpi::World on a small DEEP-ER machine, plus a
+// helper to run a closure on N ranks of a partition.
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <utility>
 
-#include "extoll/fabric.hpp"
-#include "pmpi/env.hpp"
-#include "pmpi/runtime.hpp"
-#include "rm/resource_manager.hpp"
+#include "pmpi/world.hpp"
 
 namespace cbsim::testing {
 
-struct World {
-  sim::Engine engine;
-  hw::Machine machine;
-  extoll::Fabric fabric;
-  rm::ResourceManager rm;
-  pmpi::AppRegistry registry;
-  pmpi::Runtime rt;
-
+struct World : pmpi::World {
   explicit World(hw::MachineConfig cfg = hw::MachineConfig::deepEr(4, 4),
                  pmpi::ProtocolParams params = {})
-      : machine(engine, std::move(cfg)),
-        fabric(machine),
-        rm(machine),
-        rt(machine, fabric, rm, registry, params) {}
-
-  /// Runs the simulation to completion, asserting no deadlock.
-  sim::RunStats run() {
-    sim::RunStats st = engine.run();
-    EXPECT_FALSE(st.deadlocked())
-        << "first blocked process: "
-        << (st.blockedProcesses.empty() ? "" : st.blockedProcesses.front());
-    return st;
-  }
+      : pmpi::World(std::move(cfg), params) {}
 
   /// Registers `fn` as an app, launches it on `nodes` nodes of `kind`,
-  /// and runs the simulation to completion, asserting no deadlock.
+  /// and runs the simulation to completion (throws on deadlock).
   sim::RunStats runRanks(int nodes, std::function<void(pmpi::Env&)> fn,
                          hw::NodeKind kind = hw::NodeKind::Cluster,
                          int procsPerNode = 1) {
@@ -48,11 +27,7 @@ struct World {
     const std::string name = "test-app-" + std::to_string(counter++);
     registry.add(name, std::move(fn));
     rt.launch(name, kind, nodes, procsPerNode);
-    sim::RunStats st = engine.run();
-    EXPECT_FALSE(st.deadlocked())
-        << "first blocked process: "
-        << (st.blockedProcesses.empty() ? "" : st.blockedProcesses.front());
-    return st;
+    return run();
   }
 };
 
