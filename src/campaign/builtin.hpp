@@ -61,6 +61,8 @@ struct Fig8Params {
   std::vector<int> nodeCounts = {1, 2, 4, 8};
 };
 
+/// Throws std::invalid_argument when a node count exceeds the machine's
+/// Cluster or Booster count.
 [[nodiscard]] Campaign fig8Campaign(const Fig8Params& params = {});
 
 /// One SCR cadence under test, e.g. {"L1L2", local every step + buddy
@@ -121,6 +123,8 @@ struct ResilienceParams {
   double restartDelaySec = 0.005;   ///< supervisor relaunch latency
 };
 
+/// Throws std::invalid_argument when `ranks` exceeds the machine's Cluster
+/// count.
 [[nodiscard]] Campaign resilienceCampaign(const ResilienceParams& params = {});
 
 /// Default halo platform: a generated 64-node fat-tree (8 leaves x 4
@@ -148,6 +152,8 @@ struct HaloParams {
   pmpi::ProtocolParams protocol;
 };
 
+/// Throws std::invalid_argument when a rank count exceeds the machine's
+/// Cluster count.
 [[nodiscard]] Campaign haloCampaign(const HaloParams& params = {});
 
 /// Default fuzzing spec: the reliable transport (message-race family)

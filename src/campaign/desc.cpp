@@ -1,12 +1,10 @@
 #include "campaign/desc.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "campaign/runner.hpp"
-#include "desc/cache.hpp"
 #include "extoll/desc.hpp"
 #include "fault/desc.hpp"
 #include "hw/desc.hpp"
@@ -330,11 +328,8 @@ desc::Value toDesc(const CampaignSpec& spec) {
 
 CampaignSpec campaignSpecFromDescText(const std::string& text,
                                       const std::string& origin) {
-  // Cached parse: builtins and repeatedly-run scenario files are parsed
-  // once per process; the schema bind below re-runs per call (it is cheap
-  // next to the parse and keeps error reporting per-origin).
-  const std::shared_ptr<const desc::Value> v = desc::parseCached(text, origin);
-  desc::Reader r(*v, "");
+  const desc::Value v = desc::parse(text, origin);
+  desc::Reader r(v, origin);
   return campaignSpecFromDesc(r);
 }
 

@@ -99,11 +99,34 @@ std::optional<double> valueOf(const std::vector<ScenarioResult>& rs,
   return std::nullopt;
 }
 
+/// Throws unless `machine` has a Cluster node for each of `ranks` ranks.
+void requireClusterNodes(const char* kind, const hw::MachineConfig& machine,
+                         int ranks) {
+  const int clusters = machine.countOf(hw::NodeKind::Cluster);
+  if (ranks > clusters) {
+    throw std::invalid_argument(
+        std::string(kind) + ": " + std::to_string(ranks) +
+        " ranks need as many Cluster nodes, the machine has " +
+        std::to_string(clusters));
+  }
+}
+
 }  // namespace
 
 Campaign fig8Campaign(const Fig8Params& params) {
+  const int clusters = params.machine.countOf(hw::NodeKind::Cluster);
+  const int boosters = params.machine.countOf(hw::NodeKind::Booster);
   Campaign c;
   for (const int n : params.nodeCounts) {
+    // Every count runs once per mode: on n Cluster nodes, on n Booster
+    // nodes and on n of each (C+B).
+    if (n > clusters || n > boosters) {
+      throw std::invalid_argument(
+          "fig8: node count " + std::to_string(n) + " needs " +
+          std::to_string(n) + " Cluster and " + std::to_string(n) +
+          " Booster nodes, the machine has " + std::to_string(clusters) +
+          " and " + std::to_string(boosters));
+    }
     for (const xpic::Mode m : kModes) {
       Scenario s;
       s.name = fig8Name(m, n);
@@ -347,14 +370,6 @@ Values runHaloScenario(const HaloParams& p, int ranks, ScenarioContext& ctx) {
   pmpi::World w(p.machine, p.protocol, ctx.seed, &ctx.tracer, p.fabric);
   w.rt.setChooser(&defaultChooser);
 
-  const int avail =
-      static_cast<int>(w.machine.nodesOfKind(hw::NodeKind::Cluster).size());
-  if (ranks > avail) {
-    throw std::runtime_error("halo: " + std::to_string(ranks) +
-                             " ranks need as many Cluster nodes, machine has " +
-                             std::to_string(avail));
-  }
-
   // 2D periodic decomposition, px x py with px the largest divisor <=
   // sqrt(ranks) (prime counts degrade to a 1 x n ring, which still works).
   int px = 1;
@@ -434,6 +449,7 @@ hw::MachineConfig defaultHaloMachine() {
 Campaign haloCampaign(const HaloParams& params) {
   Campaign c;
   for (const int n : params.rankCounts) {
+    requireClusterNodes("halo", params.machine, n);
     Scenario s;
     s.name = "halo/r" + std::to_string(n);
     s.costHint = static_cast<double>(n);
@@ -471,6 +487,8 @@ Campaign resilienceCampaign(const ResilienceParams& params) {
     resolved.machine =
         hw::MachineConfig::deepEr(resolved.ranks + resolved.spareNodes, 2);
   }
+  // The supervisor would wait forever for a repair that frees enough nodes.
+  requireClusterNodes("resilience", *resolved.machine, resolved.ranks);
   for (const CheckpointScheme& scheme : resolved.schemes) {
     for (const double mtbf : resolved.mtbfSec) {
       Scenario s;
@@ -619,19 +637,11 @@ double pingPongUs(const PingPongParams& p, const NodePair& pair,
   return result;
 }
 
-int countNodes(const hw::MachineConfig& m, hw::NodeKind kind) {
-  int n = 0;
-  for (const hw::NodeGroupSpec& g : m.groups) {
-    if (g.kind == kind) n += g.count;
-  }
-  return n;
-}
-
 }  // namespace
 
 Campaign pingpongCampaign(const PingPongParams& params) {
-  if (countNodes(params.machine, hw::NodeKind::Cluster) < 2 ||
-      countNodes(params.machine, hw::NodeKind::Booster) < 2) {
+  if (params.machine.countOf(hw::NodeKind::Cluster) < 2 ||
+      params.machine.countOf(hw::NodeKind::Booster) < 2) {
     throw std::invalid_argument(
         "pingpong: the machine needs at least 2 Cluster and 2 Booster nodes");
   }

@@ -20,8 +20,7 @@
 //     monotonic (steady_clock) readings, never wall-clock time — and is
 //     excluded from the report writers (report.hpp).
 // Under this contract `--jobs 1` and `--jobs N` produce byte-identical
-// reports (regression-tested, including under TSan and with the desc
-// construction cache on or off).
+// reports (regression-tested on both process backends, and under TSan).
 
 #include <cstdint>
 #include <vector>

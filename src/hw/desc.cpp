@@ -1,9 +1,8 @@
 #include "hw/desc.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
-
-#include "desc/cache.hpp"
 
 namespace cbsim::hw {
 
@@ -250,11 +249,12 @@ std::vector<std::string> presetNames(const PresetEntry (&table)[N]) {
   return out;
 }
 
+/// Index of preset `name` in `table`; throws naming the known presets.
 template <std::size_t N>
-const char* presetText(const PresetEntry (&table)[N], const std::string& name,
-                       const char* what) {
-  for (const PresetEntry& e : table) {
-    if (name == e.name) return e.text;
+std::size_t presetIndex(const PresetEntry (&table)[N], const std::string& name,
+                        const char* what) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (name == table[i].name) return i;
   }
   std::string known;
   for (const PresetEntry& e : table) {
@@ -265,34 +265,23 @@ const char* presetText(const PresetEntry (&table)[N], const std::string& name,
                           name + "\" (known: " + known + ")");
 }
 
-// ---- Construction caches ---------------------------------------------------
-// Keys are "preset/<name>" (each preset name resolves to fixed embedded
-// text) or "desc/" + the canonical dump() of the description value; dump()
-// is canonical, so byte-equal keys mean semantically identical
-// descriptions.  Cached objects are immutable and every accessor copies
-// them out, so callers mutate their copy and concurrently running worlds
-// stay isolated.  A hit skips parse, schema bind AND validate() — safe
-// because the identical description passed all three when the entry was
-// built (failing constructions cache nothing).
-
-desc::MemoCache<CpuSpec>& cpuCache() {
-  static auto& c = *new desc::MemoCache<CpuSpec>("hw.cpu");
-  return c;
+/// Every preset text of `table`, parsed and bound through `read` (the
+/// readers below, the same ones description files go through), in table
+/// order.  The accessors keep the result in a function-local constant, so
+/// each text is parsed once per process and callers get copies.
+template <typename T, std::size_t N>
+std::vector<T> parsePresets(const PresetEntry (&table)[N], const char* what,
+                            T (*read)(desc::Reader&)) {
+  std::vector<T> out;
+  out.reserve(N);
+  for (const PresetEntry& e : table) {
+    const std::string origin = std::string("builtin:") + what + "/" + e.name;
+    const desc::Value v = desc::parse(e.text, origin);
+    desc::Reader r(v, origin);
+    out.push_back(read(r));
+  }
+  return out;
 }
-
-desc::MemoCache<NetClassSpec>& netCache() {
-  static auto& c = *new desc::MemoCache<NetClassSpec>("hw.net");
-  return c;
-}
-
-desc::MemoCache<MachineConfig>& machineCache() {
-  static auto& c = *new desc::MemoCache<MachineConfig>("hw.machine");
-  return c;
-}
-
-CpuSpec cpuSpecFromDescUncached(desc::Reader& r);
-NetClassSpec netClassSpecFromDescUncached(desc::Reader& r);
-MachineConfig machineConfigFromDescUncached(desc::Reader& r);
 
 }  // namespace
 
@@ -334,13 +323,6 @@ NodeKind nodeKindFromKey(desc::Reader& r) {
 
 CpuSpec cpuSpecFromDesc(desc::Reader& r) {
   if (r.value().isString()) return cpuPreset(r.asString());
-  return *cpuCache().get("desc/" + desc::dump(r.value()),
-                         [&] { return cpuSpecFromDescUncached(r); });
-}
-
-namespace {
-
-CpuSpec cpuSpecFromDescUncached(desc::Reader& r) {
   CpuSpec s;
   if (r.has("preset")) s = cpuPreset(r.stringAt("preset"));
   s.model = r.stringAt("model", s.model);
@@ -364,17 +346,8 @@ CpuSpec cpuSpecFromDescUncached(desc::Reader& r) {
   return s;
 }
 
-}  // namespace
-
 NetClassSpec netClassSpecFromDesc(desc::Reader& r) {
   if (r.value().isString()) return netPreset(r.asString());
-  return *netCache().get("desc/" + desc::dump(r.value()),
-                         [&] { return netClassSpecFromDescUncached(r); });
-}
-
-namespace {
-
-NetClassSpec netClassSpecFromDescUncached(desc::Reader& r) {
   NetClassSpec s;
   if (r.has("preset")) s = netPreset(r.stringAt("preset"));
   s.name = r.stringAt("name", s.name);
@@ -388,8 +361,6 @@ NetClassSpec netClassSpecFromDescUncached(desc::Reader& r) {
   r.finish();
   return s;
 }
-
-}  // namespace
 
 NvmeSpec nvmeSpecFromDesc(desc::Reader& r) {
   NvmeSpec s;
@@ -541,31 +512,23 @@ void setGroupCount(MachineConfig& cfg, NodeKind kind, int count) {
 
 MachineConfig machineConfigFromDesc(desc::Reader& r) {
   if (r.value().isString()) return machinePreset(r.asString());
-  return *machineCache().get("desc/" + desc::dump(r.value()),
-                             [&] { return machineConfigFromDescUncached(r); });
-}
-
-namespace {
-
-MachineConfig machineConfigFromDescUncached(desc::Reader& r) {
   if (r.has("preset")) {
     MachineConfig cfg = machinePreset(r.stringAt("preset"));
     cfg.name = r.stringAt("name", cfg.name);
-    if (r.has("cluster_nodes")) {
-      setGroupCount(cfg, NodeKind::Cluster, static_cast<int>(r.intAt("cluster_nodes")));
-    }
-    if (r.has("booster_nodes")) {
-      setGroupCount(cfg, NodeKind::Booster, static_cast<int>(r.intAt("booster_nodes")));
-    }
-    if (r.has("storage_nodes")) {
-      setGroupCount(cfg, NodeKind::Storage, static_cast<int>(r.intAt("storage_nodes")));
-    }
-    if (r.has("bridge_nodes")) {
-      setGroupCount(cfg, NodeKind::Bridge, static_cast<int>(r.intAt("bridge_nodes")));
-    }
-    if (r.has("analytics_nodes")) {
-      setGroupCount(cfg, NodeKind::Analytics,
-                    static_cast<int>(r.intAt("analytics_nodes")));
+    constexpr std::pair<const char*, NodeKind> kCountKeys[] = {
+        {"cluster_nodes", NodeKind::Cluster},
+        {"booster_nodes", NodeKind::Booster},
+        {"storage_nodes", NodeKind::Storage},
+        {"bridge_nodes", NodeKind::Bridge},
+        {"analytics_nodes", NodeKind::Analytics},
+    };
+    for (const auto& [key, kind] : kCountKeys) {
+      if (!r.has(key)) continue;
+      const std::int64_t count = r.intAt(key);
+      // setGroupCount reads any count <= 0 as "remove the group"; only 0
+      // says that on purpose.
+      if (count < 0) r.fail(std::string(key) + " must be >= 0");
+      setGroupCount(cfg, kind, static_cast<int>(count));
     }
     r.finish();
     cfg.validate();
@@ -606,13 +569,7 @@ MachineConfig machineConfigFromDescUncached(desc::Reader& r) {
       NamAttachment na;
       na.switchId = static_cast<int>(el.intAt("switch_id", na.switchId));
       // Remaining keys describe the NAM device itself.
-      NamSpec s;
-      s.model = el.stringAt("model", s.model);
-      s.capacityGB = el.numberAt("capacity_gb", s.capacityGB);
-      s.bandwidthGBs = el.numberAt("bandwidth_gbs", s.bandwidthGBs);
-      s.accessLatency = timeFromNs(
-          el.numberAt("access_latency_ns", nsFromTime(s.accessLatency)));
-      na.spec = s;
+      na.spec = namSpecFromDesc(el);
       cfg.nams.push_back(na);
     });
   }
@@ -620,8 +577,6 @@ MachineConfig machineConfigFromDescUncached(desc::Reader& r) {
   cfg.validate();
   return cfg;
 }
-
-}  // namespace
 
 // ---- Writers ---------------------------------------------------------------
 
@@ -776,23 +731,19 @@ desc::Value toDesc(const MachineConfig& c) {
 std::vector<std::string> cpuPresetNames() { return presetNames(kCpuPresets); }
 
 CpuSpec cpuPreset(const std::string& name) {
-  const char* text = presetText(kCpuPresets, name, "cpu");
-  return *cpuCache().get("preset/" + name, [&] {
-    desc::Value v = desc::parse(text, "builtin:cpu/" + name);
-    desc::Reader r(v, "");
-    return cpuSpecFromDescUncached(r);
-  });
+  const std::size_t i = presetIndex(kCpuPresets, name, "cpu");
+  static const std::vector<CpuSpec> presets =
+      parsePresets(kCpuPresets, "cpu", cpuSpecFromDesc);
+  return presets[i];
 }
 
 std::vector<std::string> netPresetNames() { return presetNames(kNetPresets); }
 
 NetClassSpec netPreset(const std::string& name) {
-  const char* text = presetText(kNetPresets, name, "net");
-  return *netCache().get("preset/" + name, [&] {
-    desc::Value v = desc::parse(text, "builtin:net/" + name);
-    desc::Reader r(v, "");
-    return netClassSpecFromDescUncached(r);
-  });
+  const std::size_t i = presetIndex(kNetPresets, name, "net");
+  static const std::vector<NetClassSpec> presets =
+      parsePresets(kNetPresets, "net", netClassSpecFromDesc);
+  return presets[i];
 }
 
 std::vector<std::string> machinePresetNames() {
@@ -800,12 +751,10 @@ std::vector<std::string> machinePresetNames() {
 }
 
 MachineConfig machinePreset(const std::string& name) {
-  const char* text = presetText(kMachinePresets, name, "machine");
-  return *machineCache().get("preset/" + name, [&] {
-    desc::Value v = desc::parse(text, "builtin:machine/" + name);
-    desc::Reader r(v, "");
-    return machineConfigFromDescUncached(r);
-  });
+  const std::size_t i = presetIndex(kMachinePresets, name, "machine");
+  static const std::vector<MachineConfig> presets =
+      parsePresets(kMachinePresets, "machine", machineConfigFromDesc);
+  return presets[i];
 }
 
 // ---- MachineConfig presets (embedded text + count overrides) ---------------

@@ -17,14 +17,10 @@
 //     references), so parse(dump(x)) reconstructs x exactly and dumps
 //     are canonical byte-for-byte.
 //
-// Construction caching: the readers and preset accessors memoize their
-// results in thread-safe caches (desc/cache.hpp) keyed on the preset name
-// or the canonical dump() of the description — canonical dumps make byte
-// equality of keys equal semantic equality of descriptions.  Every call
-// still returns a fresh copy, so two scenarios reading "the same" machine
-// can never alias mutable state.  desc::setConstructionCacheEnabled(false)
-// restores the parse-every-time behavior (used by the cache-equivalence
-// tests).
+// Presets are parsed once: each accessor binds its embedded texts through
+// the readers on first use, keeps them in a function-local constant table
+// and returns a copy, so two scenarios reading "the same" machine never
+// share mutable state.  Every other description binds afresh on each call.
 
 #include <string>
 #include <vector>

@@ -53,6 +53,14 @@ int MachineConfig::totalNodes() const {
   return n;
 }
 
+int MachineConfig::countOf(NodeKind kind) const {
+  int n = 0;
+  for (const auto& g : groups) {
+    if (g.kind == kind) n += g.count;
+  }
+  return n;
+}
+
 // ---- Validation -------------------------------------------------------------
 
 namespace {

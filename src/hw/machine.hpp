@@ -79,6 +79,8 @@ struct MachineConfig {
   std::shared_ptr<const TopologySpec> topology;
 
   [[nodiscard]] int totalNodes() const;
+  /// Nodes of `kind` over all groups.
+  [[nodiscard]] int countOf(NodeKind kind) const;
 
   /// Structural validation: every trunk/group/NAM must reference an
   /// existing switch, node groups must be non-empty, bandwidths and

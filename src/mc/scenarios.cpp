@@ -203,7 +203,15 @@ RunFn makeCheckpointRestartRun(const McScenario& s) {
     throw std::invalid_argument(
         "mc: checkpoint-restart needs restart_delay_sec >= 0");
   }
-  return [s, config = checkedWorld(s)](Chooser& chooser) -> std::string {
+  hw::MachineConfig config = checkedWorld(s);
+  const int clusters = config.countOf(hw::NodeKind::Cluster);
+  if (s.ranks > clusters) {
+    throw std::invalid_argument(
+        "mc: checkpoint-restart: " + std::to_string(s.ranks) +
+        " ranks need as many Cluster nodes, the machine has " +
+        std::to_string(clusters));
+  }
+  return [s, config = std::move(config)](Chooser& chooser) -> std::string {
     pmpi::World w(config, effectiveProtocol(s), s.seed);
     if (s.fault) w.setFaultPlan(*s.fault);
     w.rt.setChooser(&chooser);

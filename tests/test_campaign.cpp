@@ -17,10 +17,8 @@
 #include "campaign/desc.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "desc/cache.hpp"
 #include "desc/json.hpp"
 #include "hw/desc.hpp"
-#include "sim/process.hpp"
 #include "xpic/config.hpp"
 
 namespace {
@@ -278,85 +276,12 @@ TEST(Runner, TraceWriteFailureKeepsScenarioResults) {
   fs::remove_all(dir);
 }
 
-// ---- Construction cache ----------------------------------------------------
+// ---- Presets ---------------------------------------------------------------
 
-/// Restores cache enablement on scope exit.
-struct CacheGuard {
-  bool saved = desc::constructionCacheEnabled();
-  ~CacheGuard() { cbsim::desc::setConstructionCacheEnabled(saved); }
-};
-
-/// Restores the process-wide default backend on scope exit.
-struct BackendGuard {
-  sim::ProcessBackend saved = sim::defaultProcessBackend();
-  ~BackendGuard() { sim::setDefaultProcessBackend(saved); }
-};
-
-desc::CacheStats statsOf(const std::string& name) {
-  for (const desc::CacheInfo& i : desc::constructionCacheInfo()) {
-    if (i.name == name) return i.stats;
-  }
-  return {};
-}
-
-// The cache must be invisible in the output: byte-identical campaign
-// reports with construction caching on and off, across worker counts and
-// process backends.  Campaign *construction* runs under each setting too
-// (builtinCampaign re-parses the builtin text and machine presets).
-TEST(CampaignCache, Fig8ReportIdenticalCacheOnOffJobsBackends) {
-  CacheGuard cacheGuard;
-  BackendGuard backendGuard;
-  std::string ref;
-  for (const sim::ProcessBackend backend :
-       {sim::ProcessBackend::Fiber, sim::ProcessBackend::Thread}) {
-    sim::setDefaultProcessBackend(backend);
-    for (const bool cached : {true, false}) {
-      desc::setConstructionCacheEnabled(cached);
-      if (cached) desc::clearConstructionCaches();  // exercise cold misses
-      for (const int jobs : {1, 2, 8}) {
-        const Campaign c = campaign::builtinCampaign("fig8-tiny");
-        const std::string json =
-            campaign::toJson(campaign::runCampaign(c, campaign::withJobs(jobs)));
-        if (ref.empty()) {
-          ref = json;
-        } else {
-          EXPECT_EQ(json, ref)
-              << "backend=" << sim::toString(backend) << " cached=" << cached
-              << " jobs=" << jobs;
-        }
-      }
-    }
-  }
-}
-
-// Same for the resilience family, whose scenarios construct the machine
-// inside the sweep (the path that used to re-parse the preset per world).
-TEST(CampaignCache, ResilienceReportIdenticalCacheOnOff) {
-  CacheGuard cacheGuard;
-  campaign::ResilienceParams p;
-  p.mtbfSec = {0.3};
-  p.steps = 8;
-  std::string ref;
-  for (const bool cached : {true, false}) {
-    desc::setConstructionCacheEnabled(cached);
-    if (cached) desc::clearConstructionCaches();
-    const std::string json = campaign::toJson(
-        campaign::runCampaign(resilienceCampaign(p), campaign::withJobs(4)));
-    if (ref.empty()) {
-      ref = json;
-    } else {
-      EXPECT_EQ(json, ref) << "cached=" << cached;
-    }
-  }
-}
-
-// Concurrent first miss: many threads racing to construct the same preset
-// must agree on the result, and afterwards the cache must serve pure hits.
-// Run under CBSIM_SANITIZE=thread to let TSan audit the cache locking.
-TEST(CampaignCache, ConcurrentFirstMissConverges) {
-  CacheGuard cacheGuard;
-  desc::setConstructionCacheEnabled(true);
-  desc::clearConstructionCaches();
+// Concurrent first use: many threads racing to read the same presets must
+// agree on the result.  Run under CBSIM_SANITIZE=thread to let TSan audit
+// the one-time parse of the preset tables.
+TEST(CampaignPresets, ConcurrentFirstUseAgrees) {
   constexpr int kThreads = 8;
   std::vector<std::string> dumps(kThreads);
   std::vector<std::thread> threads;
@@ -370,27 +295,6 @@ TEST(CampaignCache, ConcurrentFirstMissConverges) {
   }
   for (std::thread& t : threads) t.join();
   for (int i = 1; i < kThreads; ++i) EXPECT_EQ(dumps[size_t(i)], dumps[0]);
-
-  const desc::CacheStats warm = statsOf("hw.machine");
-  EXPECT_GE(warm.misses, 1u);  // losers of the race may build extra copies
-  (void)hw::machinePreset("deep-er");
-  const desc::CacheStats after = statsOf("hw.machine");
-  EXPECT_EQ(after.misses, warm.misses);  // warm lookup builds nothing
-  EXPECT_EQ(after.hits, warm.hits + 1);
-}
-
-// Disabling the cache must bypass lookups entirely (fresh construction).
-TEST(CampaignCache, DisabledCacheConstructsFresh) {
-  CacheGuard cacheGuard;
-  desc::setConstructionCacheEnabled(true);
-  desc::clearConstructionCaches();
-  (void)hw::machinePreset("deep-er");
-  const desc::CacheStats warm = statsOf("hw.machine");
-  desc::setConstructionCacheEnabled(false);
-  (void)hw::machinePreset("deep-er");
-  const desc::CacheStats off = statsOf("hw.machine");
-  EXPECT_EQ(off.hits, warm.hits);
-  EXPECT_EQ(off.misses, warm.misses);
 }
 
 TEST(Report, JsonEscapesAndStructure) {

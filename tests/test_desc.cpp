@@ -252,25 +252,33 @@ TEST(DescHw, ValidationNamesTheOffendingField) {
 }
 
 TEST(DescHw, FromDescRunsValidation) {
-  // A structurally well-formed description whose group points at a
-  // nonexistent switch must be rejected at construction, not at use.
-  const desc::Value v = desc::parse(R"({
-    "name": "bad",
-    "switches": [{"name": "s0", "net": "extoll-tourmalet"}],
-    "groups": [
-      {"kind": "cluster", "count": 2, "name_prefix": "cn",
-       "cpu": "xeon-haswell", "switch_id": 5}
-    ]
-  })");
-  desc::Reader r(v, "machine");
-  std::string msg;
-  try {
-    (void)hw::machineConfigFromDesc(r);
-    ADD_FAILURE() << "expected validation to reject the config";
-  } catch (const std::invalid_argument& e) {
-    msg = e.what();
+  // Structurally well-formed descriptions of an invalid machine must be
+  // rejected at construction, not at use: a group on a nonexistent switch,
+  // and a negative count override (setGroupCount would delete the group).
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({
+        "name": "bad",
+        "switches": [{"name": "s0", "net": "extoll-tourmalet"}],
+        "groups": [
+          {"kind": "cluster", "count": 2, "name_prefix": "cn",
+           "cpu": "xeon-haswell", "switch_id": 5}
+        ]
+      })",
+       "switch_id 5"},
+      {R"({"preset": "deep-er", "cluster_nodes": -5})",
+       "desc: machine: cluster_nodes must be >= 0"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const desc::Value v = desc::parse(text);
+    desc::Reader r(v, "machine");
+    try {
+      (void)hw::machineConfigFromDesc(r);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
-  EXPECT_NE(msg.find("switch_id 5"), std::string::npos) << msg;
 }
 
 // ---- xpic / fault bindings -------------------------------------------------
@@ -393,11 +401,14 @@ TEST(DescCampaign, UnknownKindAndKeysAreRejected) {
   EXPECT_THROW((void)campaign::campaignSpecFromDescText(
                    R"({"campaign": "fig9"})", "t"),
                desc::SchemaError);
+  // The message names the file the key is in, and the path inside it.
   const std::string msg = errorOf([] {
     (void)campaign::campaignSpecFromDescText(
-        R"({"campaign": "fig8", "fig8": {"node_count": [1]}})", "t");
+        R"({"campaign": "fig8", "fig8": {"node_cuont": [1]}})", "bad.json");
   });
-  EXPECT_NE(msg.find("node_count"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("desc: bad.json.fig8: unknown key \"node_cuont\""),
+            std::string::npos)
+      << msg;
   // Params for the wrong family are unknown keys, not silently ignored.
   EXPECT_THROW((void)campaign::campaignSpecFromDescText(
                    R"({"campaign": "fig8", "resilience": {}})", "t"),
@@ -429,8 +440,8 @@ TEST(DescCampaign, ResilienceRejectsNegativeRestartDelay) {
 }
 
 // What a run would reject fails when the campaign is built, which
-// --validate does too: a grid that repeats a scenario name, or a ping-pong
-// machine without two nodes of each kind.
+// --validate does too: a grid that repeats a scenario name, or a machine
+// without the nodes the grid places ranks on.
 TEST(DescCampaign, BuildRejectsWhatARunWould) {
   const std::pair<const char*, const char*> cases[] = {
       {R"({"campaign": "fig8", "fig8": {"xpic": "tiny", "node_counts": [1, 2, 2]}})",
@@ -439,6 +450,13 @@ TEST(DescCampaign, BuildRejectsWhatARunWould) {
        "duplicate scenario name 'resilience/L1/mtbf1s'"},
       {R"({"campaign": "pingpong", "pingpong": {"machine": {"preset": "deep-er", "booster_nodes": 1}}})",
        "at least 2 Cluster and 2 Booster nodes"},
+      {R"({"campaign": "fig8", "fig8": {"xpic": "tiny", "node_counts": [16]}})",
+       "fig8: node count 16 needs 16 Cluster and 16 Booster nodes, the "
+       "machine has 16 and 8"},
+      {R"({"campaign": "resilience", "resilience": {"machine": "deep-er", "ranks": 20}})",
+       "resilience: 20 ranks need as many Cluster nodes, the machine has 16"},
+      {R"({"campaign": "halo", "halo": {"rank_counts": [16, 65]}})",
+       "halo: 65 ranks need as many Cluster nodes, the machine has 64"},
   };
   for (const auto& [text, expected] : cases) {
     const campaign::CampaignSpec spec =

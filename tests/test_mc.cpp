@@ -356,6 +356,11 @@ TEST(McScenarios, CheckpointRestartRejectsBadSupervisorInputs) {
       {[](mc::McScenario& s) { s.spareNodes = -1; }, "spare_nodes >= 0"},
       {[](mc::McScenario& s) { s.restartDelaySec = -0.001; },
        "restart_delay_sec >= 0"},
+      {[](mc::McScenario& s) {
+         s.machine = hw::MachineConfig::deepEr(3, 2);
+         s.ranks = 4;
+       },
+       "4 ranks need as many Cluster nodes, the machine has 3"},
   };
   for (const auto& [mutate, expected] : cases) {
     mc::McScenario s = loadExample("checkpoint-during-flap.json");
