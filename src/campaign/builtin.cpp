@@ -69,41 +69,6 @@ constexpr const char* kHaloText = R"json({
   "campaign": "halo"
 })json";
 
-constexpr const char* kChaosText = R"json({
-  "campaign": "chaos"
-})json";
-
-constexpr const char* kChaosTinyText = R"json({
-  "campaign": "chaos",
-  "name": "chaos-tiny",
-  "description": "fault-fuzzing sweep: reliable transport under seed-deterministic chaos schedules, one trial per scenario (tiny trial budget)",
-  "chaos": {
-    "name": "chaos-tiny",
-    "seed": 7,
-    "trials": 8,
-    "scenario": {
-      "name": "transport-under-chaos",
-      "family": "message-race",
-      "seed": 11,
-      "drain_sec": 2.0,
-      "senders": 2,
-      "messages": 3,
-      "recv_work_us": 5
-    },
-    "profile": {
-      "horizon_sec": 0.01,
-      "endpoint_rate_hz": 120,
-      "switch_rate_hz": 40,
-      "storm_rate_hz": 40,
-      "window_min_sec": 0.0005,
-      "window_max_sec": 0.003,
-      "down_weight": 0.6,
-      "storm_span_sec": 0.002,
-      "drop_prob_max": 0.05
-    }
-  }
-})json";
-
 constexpr const char* kHaloTinyText = R"json({
   "campaign": "halo",
   "name": "halo-tiny",
@@ -133,8 +98,6 @@ constexpr BuiltinEntry kBuiltins[] = {
     {"resilience-tiny", kResilienceTinyText},
     {"halo", kHaloText},
     {"halo-tiny", kHaloTinyText},
-    {"chaos", kChaosText},
-    {"chaos-tiny", kChaosTinyText},
 };
 
 }  // namespace

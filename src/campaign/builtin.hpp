@@ -22,12 +22,6 @@
 //     scenario parameters, which is what the structural-vs-enumerated
 //     equivalence tests and the 10k+-rank benches drive.
 //
-// chaosCampaign — fault-fuzzing sweep: one scenario per chaos trial, each
-//     running an invariant-checked mc scenario under a seed-deterministic
-//     fault schedule (chaos/generate.hpp).  Trial seeds match
-//     chaos::fuzz(), so any violating cell is reproducible — and
-//     shrinkable — with `cbsim chaos --trials 1 --seed <trial seed>`.
-//
 // pingpongCampaign — the paper's Fig. 3: one 2-rank MPI ping-pong world
 //     per node pair (CN-CN, BN-BN, CN-BN) and message size (powers of two
 //     from 1 B to 4 MiB), reporting one-way latency and bandwidth.  The
@@ -45,7 +39,6 @@
 #include <vector>
 
 #include "campaign/scenario.hpp"
-#include "chaos/fuzz.hpp"
 #include "extoll/fabric.hpp"
 #include "fault/plan.hpp"
 #include "hw/machine.hpp"
@@ -102,7 +95,8 @@ struct ResilienceParams {
 
   /// Fault-plan override.  When unset the plan is built from the scalar
   /// knobs below (loss/corruption everywhere, a bandwidth slump plus a
-  /// brief flap on node 1's endpoint).
+  /// brief flap on node 1's endpoint).  Its node crashes are injected
+  /// besides the MTBF-driven failures.
   std::optional<fault::FaultPlan> faultPlan;
 
   // Degraded-fabric fault injection knobs (used when `faultPlan` is unset).
@@ -144,10 +138,10 @@ struct HaloParams {
   std::size_t haloBytes = 4 << 10;  ///< per-neighbour halo payload per step
   double computeSec = 200e-6;       ///< per-step interior compute
   int allreduceEvery = 5;           ///< residual allreduce cadence; 0 = never
-  /// Per-rank fiber stack size in KiB; 0 keeps the engine default
-  /// (CBSIM_FIBER_STACK_KB or 256).  Large sweeps shrink this so stack
-  /// reservation, not the application state, stays off the critical RSS
-  /// path.  Clamped to >= 16 KiB by the engine.
+  /// Per-rank fiber stack size in KiB; 0 keeps the engine's 256 KiB
+  /// default.  Large sweeps shrink this so stack reservation, not the
+  /// application state, stays off the critical RSS path.  Clamped to
+  /// >= 16 KiB by the engine.
   int fiberStackKb = 0;
   pmpi::ProtocolParams protocol;
 };
@@ -155,17 +149,6 @@ struct HaloParams {
 /// Throws std::invalid_argument when a rank count exceeds the machine's
 /// Cluster count.
 [[nodiscard]] Campaign haloCampaign(const HaloParams& params = {});
-
-/// Default fuzzing spec: the reliable transport (message-race family)
-/// under a mixed endpoint/switch/storm profile with moderate packet loss,
-/// 100 trials.
-[[nodiscard]] chaos::ChaosSpec defaultChaosSpec();
-
-struct ChaosParams {
-  chaos::ChaosSpec spec = defaultChaosSpec();
-};
-
-[[nodiscard]] Campaign chaosCampaign(const ChaosParams& params = {});
 
 struct PingPongParams {
   hw::MachineConfig machine = hw::MachineConfig::deepEr();
@@ -177,8 +160,8 @@ struct PingPongParams {
 [[nodiscard]] Campaign pingpongCampaign(const PingPongParams& params = {});
 
 /// Built-in campaign by name ("fig3", "fig8", "fig8-tiny", "resilience",
-/// "resilience-tiny", "halo", "halo-tiny", "chaos", "chaos-tiny"); throws
-/// std::invalid_argument for unknown names.
+/// "resilience-tiny", "halo", "halo-tiny"); throws std::invalid_argument
+/// for unknown names.
 /// Resolved by parsing the builtin's embedded description string.
 [[nodiscard]] Campaign builtinCampaign(const std::string& name);
 [[nodiscard]] std::vector<std::string> builtinCampaignNames();

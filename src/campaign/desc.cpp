@@ -205,14 +205,6 @@ desc::Value toDesc(const HaloParams& p) {
   return v;
 }
 
-ChaosParams chaosParamsFromDesc(desc::Reader& r) {
-  ChaosParams p;
-  p.spec = chaos::chaosSpecFromDesc(r);
-  return p;
-}
-
-desc::Value toDesc(const ChaosParams& p) { return chaos::toDesc(p.spec); }
-
 PingPongParams pingpongParamsFromDesc(desc::Reader& r) {
   PingPongParams p;
   if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
@@ -263,12 +255,6 @@ constexpr Kind kKinds[] = {
      [](desc::Reader& r, CampaignSpec& s) { s.halo = haloParamsFromDesc(r); },
      [](const CampaignSpec& s) { return toDesc(s.halo); },
      [](const CampaignSpec& s) { return haloCampaign(s.halo); }},
-    {"chaos",
-     "fault-fuzzing sweep: invariant-checked scenario under one "
-     "seed-deterministic chaos schedule per trial",
-     [](desc::Reader& r, CampaignSpec& s) { s.chaos = chaosParamsFromDesc(r); },
-     [](const CampaignSpec& s) { return toDesc(s.chaos); },
-     [](const CampaignSpec& s) { return chaosCampaign(s.chaos); }},
     {"pingpong",
      "MPI ping-pong (paper Fig. 3): node pair x message size, one 2-rank "
      "world per cell",

@@ -2,7 +2,7 @@
 
 // Description bindings for whole campaigns.  A CampaignSpec is the fully
 // resolved, declarative form of one experiment: which grid family to
-// build (fig8, resilience, halo, chaos or pingpong), the campaign's
+// build (fig8, resilience, halo or pingpong), the campaign's
 // name/description/seed, and every parameter of the chosen family —
 // platform, workload, fault plan, protocol and checkpoint schemes included.
 //
@@ -12,12 +12,12 @@
 //
 // Top-level schema:
 //   {
-//     "campaign": "fig8" | "resilience" | "halo" | "chaos" | "pingpong",
+//     "campaign": "fig8" | "resilience" | "halo" | "pingpong",
 //     "name": "fig8",                // optional; defaults per family
 //     "description": "...",         // optional; defaults per family
 //     "base_seed": 11400714819323198485,   // optional
 //     "fig8": { ... }               // params object matching "campaign"
-//     // or "resilience", "halo", "chaos" or "pingpong": { ... }
+//     // or "resilience", "halo" or "pingpong": { ... }
 //   }
 //
 // toDesc(spec) emits everything fully expanded (presets resolved, all
@@ -34,14 +34,13 @@
 namespace cbsim::campaign {
 
 struct CampaignSpec {
-  std::string kind;  ///< "fig8", "resilience", "halo", "chaos" or "pingpong"
+  std::string kind;  ///< "fig8", "resilience", "halo" or "pingpong"
   std::string name;         ///< resolved campaign name
   std::string description;  ///< resolved one-line description
   std::uint64_t baseSeed = 0x9e3779b97f4a7c15ULL;
   Fig8Params fig8;               ///< used when kind == "fig8"
   ResilienceParams resilience;   ///< used when kind == "resilience"
   HaloParams halo;               ///< used when kind == "halo"
-  ChaosParams chaos;             ///< used when kind == "chaos"
   PingPongParams pingpong;       ///< used when kind == "pingpong"
 };
 
@@ -66,8 +65,6 @@ struct CampaignSpec {
 [[nodiscard]] desc::Value toDesc(const ResilienceParams& p);
 [[nodiscard]] HaloParams haloParamsFromDesc(desc::Reader& r);
 [[nodiscard]] desc::Value toDesc(const HaloParams& p);
-[[nodiscard]] ChaosParams chaosParamsFromDesc(desc::Reader& r);
-[[nodiscard]] desc::Value toDesc(const ChaosParams& p);
 [[nodiscard]] PingPongParams pingpongParamsFromDesc(desc::Reader& r);
 [[nodiscard]] desc::Value toDesc(const PingPongParams& p);
 

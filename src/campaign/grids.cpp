@@ -1,15 +1,13 @@
 // Grid builders for the campaign kinds (Fig. 8 strong-scaling matrix,
-// DEEP-ER resiliency matrix, halo scale sweep, chaos trials, Fig. 3
-// ping-pong).  Everything here is driven by the parameter structs in
-// builtin.hpp; the values of the shipped campaigns live as description
-// text in builtin.cpp, and each kind's name and default description in
-// desc.cpp.
+// DEEP-ER resiliency matrix, halo scale sweep, Fig. 3 ping-pong).
+// Everything here is driven by the parameter structs in builtin.hpp; the
+// values of the shipped campaigns live as description text in builtin.cpp,
+// and each kind's name and default description in desc.cpp.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -23,7 +21,6 @@
 #include "io/local_store.hpp"
 #include "io/nam_store.hpp"
 #include "mc/choice.hpp"
-#include "mc/scenarios.hpp"
 #include "obs/metrics.hpp"
 #include "pmpi/world.hpp"
 #include "scr/failure.hpp"
@@ -74,15 +71,12 @@ void recordMemoryMetrics(ScenarioContext& ctx, const pmpi::World& w) {
   m.add("mem.channel_bytes", static_cast<double>(mem.channelBytes));
   m.add("mem.route_cache_bytes",
         static_cast<double>(w.fabric.routeCacheBytes()));
-  // Nominal fiber-stack reservation: spawn count x configured stack size
-  // (256 KiB when the engine is left at its default).  Reported instead of
-  // live stack-pool statistics so the thread backend yields the same number.
-  const std::size_t stackBytes = w.engine.fiberStackBytes() != 0
-                                     ? w.engine.fiberStackBytes()
-                                     : std::size_t{256} * 1024;
+  // Nominal fiber-stack reservation: spawn count x the engine's stack
+  // size.  Reported instead of live stack-pool statistics so the thread
+  // backend yields the same number.
   m.add("mem.stack_reserve_bytes",
         static_cast<double>(w.engine.spawnedProcessCount()) *
-            static_cast<double>(stackBytes));
+            static_cast<double>(w.engine.fiberStackBytes()));
 }
 
 /// Pulls `key` out of the named scenario; nullopt when the scenario failed
@@ -294,11 +288,13 @@ Values runResilienceScenario(const ResilienceParams& p,
     doneAtSec = std::max(doneAtSec, env.wtime());
   });
 
-  // Failures mark the victim node out of service (repaired after the MTTR)
-  // and the supervisor relaunches onto whatever spare/surviving nodes the
-  // resource manager still has.
+  // Failures — the plan's node crashes and the MTBF-driven ones below —
+  // mark the victim node out of service (repaired after the MTTR) and the
+  // supervisor relaunches onto whatever spare/surviving nodes the resource
+  // manager still has.
   scr::FailureInjector chaos(w.rt, local, &w.rm,
                              sim::SimTime::seconds(p.repairSec));
+  chaos.applyPlan(w.faultPlan());
   sim::Rng rng(ctx.seed + 1);  // decorrelated from the fabric's fault draws
   const sim::SimTime mtbf = sim::SimTime::seconds(mtbfSec);
   scr::Supervisor supervisor(
@@ -418,10 +414,7 @@ Values runHaloScenario(const HaloParams& p, int ranks, ScenarioContext& ctx) {
     commSec += env.commSec();
   });
 
-  if (p.fiberStackKb > 0) {
-    w.engine.setFiberStackBytes(static_cast<std::size_t>(p.fiberStackKb) *
-                                1024);
-  }
+  w.engine.setFiberStackBytes(static_cast<std::size_t>(p.fiberStackKb) * 1024);
   w.rt.launch("halo", hw::NodeKind::Cluster, ranks);
   const sim::RunStats st = w.run();
   recordMemoryMetrics(ctx, w);
@@ -489,6 +482,13 @@ Campaign resilienceCampaign(const ResilienceParams& params) {
   }
   // The supervisor would wait forever for a repair that frees enough nodes.
   requireClusterNodes("resilience", *resolved.machine, resolved.ranks);
+  // A plan aimed at a target the machine lacks is a description error.
+  if (resolved.faultPlan) {
+    if (std::string err = resolved.faultPlan->validateFor(*resolved.machine);
+        !err.empty()) {
+      throw std::invalid_argument("resilience: fault_plan: " + err);
+    }
+  }
   for (const CheckpointScheme& scheme : resolved.schemes) {
     for (const double mtbf : resolved.mtbfSec) {
       Scenario s;
@@ -504,78 +504,6 @@ Campaign resilienceCampaign(const ResilienceParams& params) {
       c.scenarios.push_back(std::move(s));
     }
   }
-  return c;
-}
-
-chaos::ChaosSpec defaultChaosSpec() {
-  chaos::ChaosSpec spec;
-  spec.name = "chaos";
-  spec.seed = 7;
-  spec.trials = 100;
-  spec.scenario.name = "transport-under-chaos";
-  spec.scenario.family = "message-race";
-  spec.scenario.drainSec = 2.0;
-  spec.scenario.senders = 3;
-  spec.scenario.messages = 4;
-  spec.scenario.recvWorkUs = 5;
-  spec.profile.horizonSec = 0.01;
-  spec.profile.endpointRateHz = 150;
-  spec.profile.trunkRateHz = 50;
-  spec.profile.switchRateHz = 30;
-  spec.profile.stormRateHz = 30;
-  spec.profile.windowMinSec = 0.0005;
-  spec.profile.windowMaxSec = 0.003;
-  spec.profile.downWeight = 0.6;
-  spec.profile.stormSpanSec = 0.002;
-  spec.profile.dropProbMax = 0.05;
-  spec.profile.corruptProbMax = 0.02;
-  return spec;
-}
-
-Campaign chaosCampaign(const ChaosParams& params) {
-  Campaign c;
-  // One spec/world resolution shared by every trial closure; the trial
-  // worlds themselves are still built fresh inside runTrial.
-  const auto spec = std::make_shared<const chaos::ChaosSpec>(params.spec);
-  const auto world = std::make_shared<const hw::MachineConfig>(
-      mc::scenarioWorld(spec->scenario));
-  for (int i = 0; i < spec->trials; ++i) {
-    Scenario s;
-    char name[32];
-    std::snprintf(name, sizeof(name), "chaos/trial-%03d", i);
-    s.name = name;
-    s.run = [spec, world, i](ScenarioContext&) {
-      // The trial seed comes from the spec, not ctx.seed: the contract is
-      // that `cbsim chaos --trials 1 --seed <trial_seed>` (or fuzz())
-      // rebuilds exactly this schedule and shrinks it.
-      const std::uint64_t seed = chaos::trialSeed(*spec, i);
-      const chaos::Schedule sched =
-          chaos::generateSchedule(spec->profile, *world, seed);
-      const std::string violation = chaos::runTrial(spec->scenario, sched);
-      Values v;
-      v["violation"] = violation.empty() ? 0.0 : 1.0;
-      v["fault_events"] = static_cast<double>(sched.events.size());
-      v["drop_prob"] = sched.dropProb;
-      v["corrupt_prob"] = sched.corruptProb;
-      v["trial_seed"] = static_cast<double>(seed);
-      return v;
-    };
-    c.scenarios.push_back(std::move(s));
-  }
-  c.derive = [](const std::vector<ScenarioResult>& rs) {
-    Values d;
-    double violations = 0;
-    double events = 0;
-    for (const ScenarioResult& r : rs) {
-      const auto v = r.values.find("violation");
-      if (v != r.values.end() && v->second > 0) ++violations;
-      const auto e = r.values.find("fault_events");
-      if (e != r.values.end()) events += e->second;
-    }
-    d["violations"] = violations;
-    d["fault_events_total"] = events;
-    return d;
-  };
   return c;
 }
 

@@ -329,12 +329,11 @@ int chaosCommand(const Args& a) {
     return 0;
   }
   if (a.has("--validate")) {
-    // makeRun checks the family parameters, generateSchedule the profile's
+    // makeRun checks the family parameters, generatePlan the profile's
     // target filters against the scenario's machine.
     (void)mc::makeRun(spec.scenario);
-    (void)chaos::generateSchedule(spec.profile,
-                                  mc::scenarioWorld(spec.scenario),
-                                  chaos::trialSeed(spec, 0));
+    (void)chaos::generatePlan(spec.profile, mc::scenarioWorld(spec.scenario),
+                              chaos::trialSeed(spec, 0));
     std::printf("%s: ok (%s, %d trial(s), scenario %s)\n", file.c_str(),
                 spec.name.c_str(), spec.trials, spec.scenario.name.c_str());
     return 0;
@@ -351,7 +350,7 @@ int chaosCommand(const Args& a) {
               static_cast<unsigned long long>(res.badSeed),
               res.message.c_str());
   std::printf("shrunk to %zu event(s) in %d run(s)%s: %s\n",
-              res.shrunk.events.size(), res.shrinkRuns,
+              res.shrunk.faults().size(), res.shrinkRuns,
               res.shrinkBudgetExhausted ? " (budget exhausted)" : "",
               res.shrunkMessage.c_str());
   const std::string out = a.has("--artifact-out")
@@ -399,8 +398,8 @@ const Command kCommands[] = {
      mcCommand},
     {"chaos",
      "(--scenario-file FILE | --replay FILE) [options]",
-     "Fuzzes seed-deterministic fault schedules against a scenario's\n"
-     "invariants and shrinks the first violation to a replayable artifact.",
+     "Fuzzes seed-deterministic fault plans against a scenario's invariants\n"
+     "and shrinks the first violation to a replayable artifact.",
      {
          {"--trials", "N", "override the trial budget"},
          {"--seed", "S", "override the base seed"},

@@ -7,6 +7,8 @@
 
 namespace cbsim::chaos {
 
+namespace {
+
 ChaosSpec chaosSpecFromDesc(desc::Reader& r) {
   ChaosSpec spec;
   spec.name = r.stringAt("name", spec.name);
@@ -14,12 +16,29 @@ ChaosSpec chaosSpecFromDesc(desc::Reader& r) {
   spec.trials = static_cast<int>(r.intAt("trials", spec.trials));
   if (spec.trials < 1) r.fail("trials must be >= 1");
   desc::Reader sc = r.child("scenario");
+  if (sc.has("fault")) {
+    sc.child("fault").fail(
+        "a chaos scenario carries no fault plan: every trial installs the "
+        "plan it generates");
+  }
   spec.scenario = mc::scenarioFromDesc(sc);
   desc::Reader pr = r.child("profile");
   spec.profile = profileFromDesc(pr);
   r.finish();
   return spec;
 }
+
+desc::Value toDesc(const ChaosSpec& spec) {
+  desc::Value v = desc::Value::object();
+  v.set("name", desc::Value::string(spec.name));
+  v.set("seed", desc::Value::unsignedInt(spec.seed));
+  v.set("trials", desc::Value::integer(spec.trials));
+  v.set("scenario", mc::toDesc(spec.scenario));
+  v.set("profile", toDesc(spec.profile));
+  return v;
+}
+
+}  // namespace
 
 ChaosSpec chaosSpecFromDoc(const desc::Value& doc, const std::string& origin) {
   desc::Reader root(doc, origin);
@@ -32,16 +51,6 @@ ChaosSpec chaosSpecFromDoc(const desc::Value& doc, const std::string& origin) {
 ChaosSpec chaosSpecFromDescText(const std::string& text,
                                 const std::string& origin) {
   return chaosSpecFromDoc(desc::parse(text, origin), origin);
-}
-
-desc::Value toDesc(const ChaosSpec& spec) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(spec.name));
-  v.set("seed", desc::Value::unsignedInt(spec.seed));
-  v.set("trials", desc::Value::integer(spec.trials));
-  v.set("scenario", mc::toDesc(spec.scenario));
-  v.set("profile", toDesc(spec.profile));
-  return v;
 }
 
 std::string dumpSpec(const ChaosSpec& spec) {
@@ -61,23 +70,21 @@ FuzzResult fuzz(const ChaosSpec& spec, const FuzzOptions& opt) {
   FuzzResult r;
   for (int i = 0; i < spec.trials; ++i) {
     const std::uint64_t seed = trialSeed(spec, i);
-    Schedule s = generateSchedule(spec.profile, world, seed);
-    if (opt.onTrial) opt.onTrial(i, s);
+    fault::FaultPlan plan = generatePlan(spec.profile, world, seed);
     ++r.trialsRun;
-    std::string v = runTrial(spec.scenario, s);
+    std::string v = runTrial(spec.scenario, plan);
     if (v.empty()) continue;
     r.violation = true;
     r.badTrial = i;
     r.badSeed = seed;
     r.message = std::move(v);
-    r.badSchedule = std::move(s);
-    r.shrunk = r.badSchedule;
+    r.shrunk = std::move(plan);
     r.shrunkMessage = r.message;
     if (opt.shrink) {
       ShrinkOptions so;
       so.maxRuns = opt.maxShrinkRuns;
-      ShrinkResult sr = shrinkSchedule(spec.scenario, r.badSchedule, so);
-      r.shrunk = std::move(sr.schedule);
+      ShrinkResult sr = shrinkPlan(spec.scenario, r.shrunk, so);
+      r.shrunk = std::move(sr.plan);
       r.shrunkMessage = std::move(sr.violation);
       r.shrinkRuns = sr.runs;
       r.shrinkBudgetExhausted = sr.budgetExhausted;
@@ -96,7 +103,7 @@ Artifact makeArtifact(const ChaosSpec& spec, const FuzzResult& r) {
   a.trialSeed = r.badSeed;
   a.violation = r.shrunkMessage;
   a.scenario = spec.scenario;
-  a.schedule = r.shrunk;
+  a.scenario.fault = r.shrunk;
   return a;
 }
 
@@ -106,7 +113,6 @@ std::string dumpArtifact(const Artifact& a) {
   v.set("trial_seed", desc::Value::unsignedInt(a.trialSeed));
   v.set("violation", desc::Value::string(a.violation));
   v.set("scenario", mc::toDesc(a.scenario));
-  v.set("schedule", toDesc(a.schedule));
   desc::Value doc = desc::Value::object();
   doc.set("chaos_artifact", std::move(v));
   return desc::dump(doc);
@@ -121,8 +127,6 @@ Artifact artifactFromDoc(const desc::Value& doc, const std::string& origin) {
   a.violation = r.stringAt("violation", "");
   desc::Reader sc = r.child("scenario");
   a.scenario = mc::scenarioFromDesc(sc);
-  desc::Reader sch = r.child("schedule");
-  a.schedule = scheduleFromDesc(sch);
   r.finish();
   root.finish();
   return a;
@@ -133,7 +137,7 @@ Artifact artifactFromFile(const std::string& path) {
 }
 
 std::string replayArtifact(const Artifact& a) {
-  return runTrial(a.scenario, a.schedule);
+  return runTrial(a.scenario, a.scenario.fault.value_or(fault::FaultPlan{}));
 }
 
 }  // namespace cbsim::chaos

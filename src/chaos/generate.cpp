@@ -1,7 +1,9 @@
 #include "chaos/generate.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -47,9 +49,9 @@ int pick(sim::Rng& rng, const std::vector<int>& from) {
 
 }  // namespace
 
-Schedule generateSchedule(const ChaosProfile& p,
-                          const hw::MachineConfig& machine,
-                          std::uint64_t trialSeed) {
+fault::FaultPlan generatePlan(const ChaosProfile& p,
+                              const hw::MachineConfig& machine,
+                              std::uint64_t trialSeed) {
   if (std::string err = p.validate(); !err.empty()) {
     throw std::invalid_argument("chaos: profile: " + err);
   }
@@ -66,9 +68,33 @@ Schedule generateSchedule(const ChaosProfile& p,
   const std::vector<int> epSwitch = endpointSwitches(machine);
 
   sim::Rng rng(trialSeed);
-  Schedule s;
-  if (p.dropProbMax > 0) s.dropProb = rng.uniform(0.0, p.dropProbMax);
-  if (p.corruptProbMax > 0) s.corruptProb = rng.uniform(0.0, p.corruptProbMax);
+  fault::FaultPlan plan;
+  if (p.dropProbMax > 0) plan.dropProb = rng.uniform(0.0, p.dropProbMax);
+  if (p.corruptProbMax > 0) {
+    plan.corruptProb = rng.uniform(0.0, p.corruptProbMax);
+  }
+  std::vector<fault::Fault> faults;
+  // Draws happen in statement order (never inside one argument list, whose
+  // evaluation order C++ leaves open).  A window starts out down.
+  const auto window = [&](fault::Kind kind, int target, double from,
+                          int storm) -> fault::Fault& {
+    const double until = from + rng.uniform(p.windowMinSec, p.windowMaxSec);
+    return faults.emplace_back(
+        fault::Fault{.kind = kind,
+                     .target = target,
+                     .from = sim::SimTime::seconds(from),
+                     .until = sim::SimTime::seconds(until),
+                     .storm = storm});
+  };
+  const auto crash = [&](int node, double at, int storm) {
+    const double restart =
+        rng.uniform(p.crashRestartMinSec, p.crashRestartMaxSec);
+    faults.push_back({.kind = fault::Kind::Crash,
+                      .target = node,
+                      .from = sim::SimTime::seconds(at),
+                      .restartAfter = sim::SimTime::seconds(restart),
+                      .storm = storm});
+  };
 
   const auto arrivals = [&](double rateHz, bool eligible) {
     std::vector<double> at;
@@ -80,35 +106,24 @@ Schedule generateSchedule(const ChaosProfile& p,
     }
     return at;
   };
-  const auto windowFactor = [&]() {
-    if (rng.uniform() < p.downWeight) return 0.0;
-    return rng.uniform(p.degradeMinFactor, p.degradeMaxFactor);
-  };
-  const auto windowEvents = [&](FaultKind kind, double rateHz,
-                                const std::vector<int>& targets) {
+  const auto windows = [&](fault::Kind kind, double rateHz,
+                           const std::vector<int>& targets) {
     for (double at : arrivals(rateHz, !targets.empty())) {
-      FaultEvent e;
-      e.kind = kind;
-      e.target = pick(rng, targets);
-      e.fromSec = at;
-      e.untilSec = at + rng.uniform(p.windowMinSec, p.windowMaxSec);
-      e.factor = windowFactor();
-      s.events.push_back(e);
+      const int target = pick(rng, targets);
+      fault::Fault& w = window(kind, target, at, -1);
+      if (rng.uniform() >= p.downWeight) {
+        w.bwFactor = rng.uniform(p.degradeMinFactor, p.degradeMaxFactor);
+      }
     }
   };
 
-  windowEvents(FaultKind::EndpointWindow, p.endpointRateHz, endpoints);
-  windowEvents(FaultKind::TrunkWindow, p.trunkRateHz, trunks);
-  windowEvents(FaultKind::SwitchWindow, p.switchRateHz, switches);
-  windowEvents(FaultKind::NamWindow, p.namRateHz, namPool);
+  windows(fault::Kind::Endpoint, p.endpointRateHz, endpoints);
+  windows(fault::Kind::Trunk, p.trunkRateHz, trunks);
+  windows(fault::Kind::Switch, p.switchRateHz, switches);
+  windows(fault::Kind::Nam, p.namRateHz, namPool);
 
   for (double at : arrivals(p.crashRateHz, !crashNodes.empty())) {
-    FaultEvent e;
-    e.kind = FaultKind::NodeCrash;
-    e.target = pick(rng, crashNodes);
-    e.fromSec = at;
-    e.restartSec = rng.uniform(p.crashRestartMinSec, p.crashRestartMaxSec);
-    s.events.push_back(e);
+    crash(pick(rng, crashNodes), at, -1);
   }
 
   // Storms: one arrival expands into a correlated burst.  A switch storm
@@ -129,28 +144,15 @@ Schedule generateSchedule(const ChaosProfile& p,
         canSwitchStorm && (!canCrashStorm || rng.uniform() < 0.5);
     if (switchStorm) {
       const int sw = pick(rng, switches);
-      FaultEvent outage;
-      outage.kind = FaultKind::SwitchWindow;
-      outage.target = sw;
-      outage.fromSec = at;
-      outage.untilSec = at + rng.uniform(p.windowMinSec, p.windowMaxSec);
-      outage.factor = 0.0;
-      outage.storm = stormId;
-      s.events.push_back(outage);
+      window(fault::Kind::Switch, sw, at, stormId);
       std::vector<int> behind;
       for (int ep : endpoints) {
         if (epSwitch[static_cast<std::size_t>(ep)] == sw) behind.push_back(ep);
       }
       for (int i = 1; i < size && !behind.empty(); ++i) {
-        FaultEvent flap;
-        flap.kind = FaultKind::EndpointWindow;
-        flap.target = pick(rng, behind);
-        flap.fromSec = at + rng.uniform(0.0, p.stormSpanSec);
-        flap.untilSec =
-            flap.fromSec + rng.uniform(p.windowMinSec, p.windowMaxSec);
-        flap.factor = 0.0;
-        flap.storm = stormId;
-        s.events.push_back(flap);
+        const int ep = pick(rng, behind);
+        window(fault::Kind::Endpoint, ep,
+               at + rng.uniform(0.0, p.stormSpanSec), stormId);
       }
     } else {
       // Distinct victims: a correlated multi-node failure takes down
@@ -159,22 +161,34 @@ Schedule generateSchedule(const ChaosProfile& p,
       std::vector<int> victims = crashNodes;
       for (int i = 0; i < size && !victims.empty(); ++i) {
         const std::size_t vi = rng.below(victims.size());
-        FaultEvent crash;
-        crash.kind = FaultKind::NodeCrash;
-        crash.target = victims[vi];
+        const int node = victims[vi];
         victims.erase(victims.begin() + static_cast<std::ptrdiff_t>(vi));
-        crash.fromSec = at + rng.uniform(0.0, p.stormSpanSec);
-        crash.restartSec =
-            rng.uniform(p.crashRestartMinSec, p.crashRestartMaxSec);
-        crash.storm = stormId;
-        s.events.push_back(crash);
+        crash(node, at + rng.uniform(0.0, p.stormSpanSec), stormId);
       }
     }
     ++stormId;
   }
 
-  normalize(s);
-  return s;
+  return normalized(plan, std::move(faults));
+}
+
+fault::FaultPlan normalized(const fault::FaultPlan& p,
+                            std::vector<fault::Fault> faults) {
+  const auto key = [](const fault::Fault& f) {
+    return std::make_tuple(f.from, static_cast<int>(f.kind), f.target, f.until,
+                           f.bwFactor, f.restartAfter, f.storm);
+  };
+  std::sort(faults.begin(), faults.end(),
+            [&](const fault::Fault& a, const fault::Fault& b) {
+              return key(a) < key(b);
+            });
+  fault::FaultPlan out;
+  out.dropProb = p.dropProb;
+  out.corruptProb = p.corruptProb;
+  for (const fault::Fault& f : faults) {
+    if (fault::buriedBy(f, faults) == nullptr) out.add(f);
+  }
+  return out;
 }
 
 }  // namespace cbsim::chaos

@@ -4,14 +4,14 @@
 //
 // A profile does not name concrete faults — it gives per-class Poisson
 // rates, window-shape bounds and optional target filters, and the
-// generator (chaos/generate.hpp) samples a complete FaultPlan-shaped
-// schedule from it under one 64-bit trial seed.  Rates are in events per
+// generator (chaos/generate.hpp) samples a complete fault::FaultPlan from
+// it under one 64-bit trial seed.  Rates are in events per
 // simulated second over [0, horizon_sec); a class with rate 0 (or with no
 // eligible targets on the scenario's machine) contributes nothing.
 //
 // Storms are correlated bursts: one arrival expands into several related
 // events (a switch outage plus flaps of the endpoints behind it, or a
-// multi-node crash cluster) that share a storm id in the schedule, all
+// multi-node crash cluster) that share a storm tag in the plan, all
 // drawn from the same RNG stream so the whole burst is seed-determined.
 
 #include <string>

@@ -4,21 +4,12 @@
 
 namespace cbsim::chaos {
 
-mc::McScenario withSchedule(const mc::McScenario& base, const Schedule& s) {
-  mc::McScenario out = base;
-  fault::FaultPlan plan = s.toPlan();
-  if (plan.active()) {
-    out.fault = std::move(plan);
-  } else {
-    out.fault.reset();
-  }
-  return out;
-}
-
-std::string runTrial(const mc::McScenario& base, const Schedule& s) {
-  const mc::RunFn run = mc::makeRun(withSchedule(base, s));
+std::string runTrial(const mc::McScenario& scenario,
+                     const fault::FaultPlan& plan) {
+  mc::McScenario s = scenario;
+  s.fault = plan;
   mc::DeterministicChooser chooser;
-  return run(chooser);
+  return mc::makeRun(s)(chooser);
 }
 
 }  // namespace cbsim::chaos

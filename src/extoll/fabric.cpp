@@ -546,24 +546,25 @@ double Fabric::linkFaultFactor(int link, sim::SimTime t) const {
     // Endpoint links inherit the attached switch's windows (a switch outage
     // cuts every port) and, for NAM endpoints, the NAM device's own windows.
     const int ep = link / 2;
-    double f = faultPlan_->endpointFactor(ep, t);
+    double f = faultPlan_->factor(fault::Kind::Endpoint, ep, t);
     if (f == 0.0) return 0.0;
-    f *= faultPlan_->switchFactor(machine_.endpointSwitch(ep), t);
+    f *= faultPlan_->factor(fault::Kind::Switch,
+                            machine_.endpointSwitch(ep), t);
     if (f == 0.0) return 0.0;
     if (ep >= machine_.nodeCount()) {
-      f *= faultPlan_->namFactor(ep - machine_.nodeCount(), t);
+      f *= faultPlan_->factor(fault::Kind::Nam, ep - machine_.nodeCount(), t);
     }
     return f;
   }
   // A trunk terminates at two switches; either one being degraded/down
   // degrades/cuts the trunk.
   const int trunk = (link - epLinks) / 2;
-  double f = faultPlan_->trunkFactor(trunk, t);
+  double f = faultPlan_->factor(fault::Kind::Trunk, trunk, t);
   if (f == 0.0) return 0.0;
   const auto& spec = machine_.config().trunks[static_cast<std::size_t>(trunk)];
-  f *= faultPlan_->switchFactor(spec.switchA, t);
+  f *= faultPlan_->factor(fault::Kind::Switch, spec.switchA, t);
   if (f == 0.0) return 0.0;
-  f *= faultPlan_->switchFactor(spec.switchB, t);
+  f *= faultPlan_->factor(fault::Kind::Switch, spec.switchB, t);
   return f;
 }
 

@@ -1,6 +1,8 @@
 #include "fault/desc.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "hw/machine.hpp"
 
@@ -48,40 +50,49 @@ int resolveSwitch(const hw::MachineConfig& m, const std::string& name) {
   return hw::findSwitchByName(m, name);
 }
 
-void readWindows(desc::Reader& r, std::string_view key,
-                 const hw::MachineConfig* machine, std::string_view targetKey,
-                 int (*resolve)(const hw::MachineConfig&, const std::string&),
-                 const std::function<void(int, sim::SimTime, sim::SimTime,
-                                          double)>& add) {
-  if (!r.has(key)) return;
-  r.eachIn(key, [&](desc::Reader& w) {
-    const int target = targetAt(w, targetKey, machine, resolve);
-    const double from = w.numberAt("from_sec");
-    const double until = w.numberAt("until_sec");
-    const double factor = w.numberAt("bw_factor", 0.0);
-    if (until <= from) w.fail("until_sec must be greater than from_sec");
-    if (factor < 0.0 || factor > 1.0) w.fail("bw_factor must be in [0, 1]");
-    add(target, timeFromSec(from), timeFromSec(until), factor);
-    w.finish();
-  });
+/// One window kind's description keys.  The endpoint and trunk arrays are
+/// always emitted (the pre-extension canonical form); the newer kinds
+/// appear only when used, keeping every committed dump byte-identical.
+struct WindowKeys {
+  Kind kind;
+  const char* array;
+  const char* target;
+  int (*resolve)(const hw::MachineConfig&, const std::string&);
+  bool alwaysEmit;
+};
+
+constexpr WindowKeys kWindows[] = {
+    {Kind::Endpoint, "endpoint_windows", "endpoint", resolveNode, true},
+    {Kind::Trunk, "trunk_windows", "trunk", nullptr, true},
+    {Kind::Switch, "switch_windows", "switch", resolveSwitch, false},
+    {Kind::Nam, "nam_windows", "nam", nullptr, false},
+};
+
+/// Reads the optional storm tag and checks out the fault's object.
+void finishFault(desc::Reader& r, Fault& f, FaultPlan& p) {
+  const auto storm = r.intAt("storm", -1);
+  if (storm < -1 || storm > std::numeric_limits<int>::max()) {
+    r.fail("storm must be a non-negative id");
+  }
+  f.storm = static_cast<int>(storm);
+  r.finish();
+  p.add(f);
 }
 
-void windowsToDesc(desc::Value& v, const char* key, const char* targetKey,
-                   const std::map<int, std::vector<LinkWindow>>& table,
-                   bool alwaysEmit) {
-  if (table.empty() && !alwaysEmit) return;
-  desc::Value arr = desc::Value::array();
-  for (const auto& [target, windows] : table) {
-    for (const LinkWindow& w : windows) {
-      desc::Value o = desc::Value::object();
-      o.set(targetKey, desc::Value::integer(target));
-      o.set("from_sec", desc::Value::number(secFromTime(w.from)));
-      o.set("until_sec", desc::Value::number(secFromTime(w.until)));
-      o.set("bw_factor", desc::Value::number(w.bwFactor));
-      arr.push(std::move(o));
-    }
+desc::Value faultToDesc(const Fault& f, const char* targetKey) {
+  desc::Value o = desc::Value::object();
+  o.set(targetKey, desc::Value::integer(f.target));
+  if (f.isWindow()) {
+    o.set("from_sec", desc::Value::number(secFromTime(f.from)));
+    o.set("until_sec", desc::Value::number(secFromTime(f.until)));
+    o.set("bw_factor", desc::Value::number(f.bwFactor));
+  } else {
+    o.set("at_sec", desc::Value::number(secFromTime(f.from)));
+    o.set("restart_after_sec",
+          desc::Value::number(secFromTime(f.restartAfter)));
   }
-  v.set(key, std::move(arr));
+  if (f.storm >= 0) o.set("storm", desc::Value::integer(f.storm));
+  return o;
 }
 
 }  // namespace
@@ -100,30 +111,32 @@ FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
   if (p.corruptProb < 0.0 || p.corruptProb > 1.0) {
     r.fail("corrupt_prob must be in [0, 1]");
   }
-  readWindows(r, "endpoint_windows", machine, "endpoint", resolveNode,
-              [&](int ep, sim::SimTime from, sim::SimTime until, double f) {
-                p.degradeEndpoint(ep, from, until, f);
-              });
-  readWindows(r, "trunk_windows", machine, "trunk", nullptr,
-              [&](int t, sim::SimTime from, sim::SimTime until, double f) {
-                p.degradeTrunk(t, from, until, f);
-              });
-  readWindows(r, "switch_windows", machine, "switch", resolveSwitch,
-              [&](int sw, sim::SimTime from, sim::SimTime until, double f) {
-                p.degradeSwitch(sw, from, until, f);
-              });
-  readWindows(r, "nam_windows", machine, "nam", nullptr,
-              [&](int nam, sim::SimTime from, sim::SimTime until, double f) {
-                p.degradeNam(nam, from, until, f);
-              });
+  for (const WindowKeys& k : kWindows) {
+    if (!r.has(k.array)) continue;
+    r.eachIn(k.array, [&](desc::Reader& w) {
+      Fault f{.kind = k.kind,
+              .target = targetAt(w, k.target, machine, k.resolve)};
+      const double from = w.numberAt("from_sec");
+      const double until = w.numberAt("until_sec");
+      f.bwFactor = w.numberAt("bw_factor", 0.0);
+      if (until <= from) w.fail("until_sec must be greater than from_sec");
+      if (f.bwFactor < 0.0 || f.bwFactor > 1.0) {
+        w.fail("bw_factor must be in [0, 1]");
+      }
+      f.from = timeFromSec(from);
+      f.until = timeFromSec(until);
+      finishFault(w, f, p);
+    });
+  }
   if (r.has("node_crashes")) {
     r.eachIn("node_crashes", [&](desc::Reader& c) {
-      const int node = targetAt(c, "node", machine, resolveNode);
-      const double at = c.numberAt("at_sec");
+      Fault f{.kind = Kind::Crash,
+              .target = targetAt(c, "node", machine, resolveNode)};
+      f.from = timeFromSec(c.numberAt("at_sec"));
       const double restart = c.numberAt("restart_after_sec");
       if (restart <= 0.0) c.fail("restart_after_sec must be positive");
-      p.crashNode(node, timeFromSec(at), timeFromSec(restart));
-      c.finish();
+      f.restartAfter = timeFromSec(restart);
+      finishFault(c, f, p);
     });
   }
   r.finish();
@@ -137,22 +150,26 @@ desc::Value toDesc(const FaultPlan& p) {
   desc::Value v = desc::Value::object();
   v.set("drop_prob", desc::Value::number(p.dropProb));
   v.set("corrupt_prob", desc::Value::number(p.corruptProb));
-  // endpoint/trunk arrays are always emitted (the pre-extension canonical
-  // form); the newer fault classes appear only when used, keeping every
-  // existing committed dump byte-identical.
-  windowsToDesc(v, "endpoint_windows", "endpoint", p.endpointWindows(), true);
-  windowsToDesc(v, "trunk_windows", "trunk", p.trunkWindows(), true);
-  windowsToDesc(v, "switch_windows", "switch", p.switchWindows(), false);
-  windowsToDesc(v, "nam_windows", "nam", p.namWindows(), false);
-  if (!p.nodeCrashes().empty()) {
-    desc::Value arr = desc::Value::array();
-    for (const NodeCrash& c : p.nodeCrashes()) {
-      desc::Value o = desc::Value::object();
-      o.set("node", desc::Value::integer(c.node));
-      o.set("at_sec", desc::Value::number(secFromTime(c.at)));
-      o.set("restart_after_sec", desc::Value::number(secFromTime(c.restartAfter)));
-      arr.push(std::move(o));
+  // One array per kind, ordered by target and, within a target, by
+  // insertion (the order its window factors multiply in).
+  for (const WindowKeys& k : kWindows) {
+    std::vector<Fault> windows;
+    for (const Fault& f : p.faults()) {
+      if (f.kind == k.kind) windows.push_back(f);
     }
+    if (windows.empty() && !k.alwaysEmit) continue;
+    std::stable_sort(windows.begin(), windows.end(),
+                     [](const Fault& a, const Fault& b) {
+                       return a.target < b.target;
+                     });
+    desc::Value arr = desc::Value::array();
+    for (const Fault& f : windows) arr.push(faultToDesc(f, k.target));
+    v.set(k.array, std::move(arr));
+  }
+  const std::vector<Fault> crashes = p.crashes();
+  if (!crashes.empty()) {
+    desc::Value arr = desc::Value::array();
+    for (const Fault& f : crashes) arr.push(faultToDesc(f, "node"));
     v.set("node_crashes", std::move(arr));
   }
   return v;

@@ -22,7 +22,9 @@
 //       { "node": 3, "at_sec": 0.2, "restart_after_sec": 1.0 }
 //     ]
 //   }
-// A bw_factor of 0 is an outage (link flap / switch or NAM down).
+// A bw_factor of 0 is an outage (link flap / switch or NAM down).  Any
+// window or crash may also carry "storm": <id>, the chaos generator's
+// correlated-burst tag (written only when set).
 //
 // With a machine context (the two-argument overload), "endpoint" and
 // "node" also accept node names ("cn03"), "switch" accepts switch names

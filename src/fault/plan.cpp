@@ -7,62 +7,36 @@
 
 namespace cbsim::fault {
 
-namespace {
-
-void validate(int idx, sim::SimTime from, sim::SimTime until, double factor) {
-  if (idx < 0) throw std::invalid_argument("fault: negative link index");
-  if (until <= from) {
-    throw std::invalid_argument("fault: window must end after it starts");
+const Fault* buriedBy(const Fault& f, const std::vector<Fault>& faults) {
+  if (!f.isWindow() || f.bwFactor == 0.0) return nullptr;
+  for (const Fault& down : faults) {
+    if (down.kind == f.kind && down.target == f.target &&
+        down.bwFactor == 0.0 && down.from <= f.from && f.until <= down.until) {
+      return &down;
+    }
   }
-  if (factor < 0.0 || factor > 1.0) {
+  return nullptr;
+}
+
+void FaultPlan::add(const Fault& f) {
+  if (f.target < 0) throw std::invalid_argument("fault: negative target index");
+  if (!f.isWindow()) {
+    if (f.restartAfter <= sim::SimTime::zero()) {
+      throw std::invalid_argument(
+          "fault: crash restart delay must be positive");
+    }
+  } else if (f.until <= f.from) {
+    throw std::invalid_argument("fault: window must end after it starts");
+  } else if (f.bwFactor < 0.0 || f.bwFactor > 1.0) {
     throw std::invalid_argument("fault: bandwidth factor outside [0, 1]");
   }
+  faults_.push_back(f);
 }
 
-}  // namespace
-
-void FaultPlan::degradeEndpoint(int ep, sim::SimTime from, sim::SimTime until,
-                                double bwFactor) {
-  validate(ep, from, until, bwFactor);
-  endpointWindows_[ep].push_back({from, until, bwFactor});
-}
-
-void FaultPlan::degradeTrunk(int trunkIdx, sim::SimTime from,
-                             sim::SimTime until, double bwFactor) {
-  validate(trunkIdx, from, until, bwFactor);
-  trunkWindows_[trunkIdx].push_back({from, until, bwFactor});
-}
-
-void FaultPlan::degradeSwitch(int sw, sim::SimTime from, sim::SimTime until,
-                              double bwFactor) {
-  validate(sw, from, until, bwFactor);
-  switchWindows_[sw].push_back({from, until, bwFactor});
-}
-
-void FaultPlan::degradeNam(int namIdx, sim::SimTime from, sim::SimTime until,
-                           double bwFactor) {
-  validate(namIdx, from, until, bwFactor);
-  namWindows_[namIdx].push_back({from, until, bwFactor});
-}
-
-void FaultPlan::crashNode(int node, sim::SimTime at, sim::SimTime restartAfter) {
-  if (node < 0) throw std::invalid_argument("fault: negative node index");
-  if (restartAfter <= sim::SimTime::zero()) {
-    throw std::invalid_argument("fault: crash restart delay must be positive");
-  }
-  nodeCrashes_.push_back({node, at, restartAfter});
-  std::sort(nodeCrashes_.begin(), nodeCrashes_.end(),
-            [](const NodeCrash& a, const NodeCrash& b) {
-              if (a.at != b.at) return a.at < b.at;
-              return a.node < b.node;
-            });
-}
-
-double FaultPlan::factorAt(const std::vector<LinkWindow>& windows,
-                           sim::SimTime t) {
+double FaultPlan::factor(Kind kind, int target, sim::SimTime t) const {
   double f = 1.0;
-  for (const LinkWindow& w : windows) {
-    if (w.covers(t)) {
+  for (const Fault& w : faults_) {
+    if (w.kind == kind && w.target == target && w.covers(t)) {
       if (w.bwFactor == 0.0) return 0.0;
       f *= w.bwFactor;
     }
@@ -70,48 +44,29 @@ double FaultPlan::factorAt(const std::vector<LinkWindow>& windows,
   return f;
 }
 
-double FaultPlan::endpointFactor(int ep, sim::SimTime t) const {
-  const auto it = endpointWindows_.find(ep);
-  return it == endpointWindows_.end() ? 1.0 : factorAt(it->second, t);
-}
-
-double FaultPlan::trunkFactor(int trunkIdx, sim::SimTime t) const {
-  const auto it = trunkWindows_.find(trunkIdx);
-  return it == trunkWindows_.end() ? 1.0 : factorAt(it->second, t);
-}
-
-double FaultPlan::switchFactor(int sw, sim::SimTime t) const {
-  const auto it = switchWindows_.find(sw);
-  return it == switchWindows_.end() ? 1.0 : factorAt(it->second, t);
-}
-
-double FaultPlan::namFactor(int namIdx, sim::SimTime t) const {
-  const auto it = namWindows_.find(namIdx);
-  return it == namWindows_.end() ? 1.0 : factorAt(it->second, t);
+std::vector<Fault> FaultPlan::crashes() const {
+  std::vector<Fault> out;
+  for (const Fault& f : faults_) {
+    if (!f.isWindow()) out.push_back(f);
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Fault& a, const Fault& b) {
+    if (a.from != b.from) return a.from < b.from;
+    return a.target < b.target;
+  });
+  return out;
 }
 
 namespace {
 
-/// A non-zero-factor window entirely inside a down window on the same
-/// target can never be observed: the link carries nothing throughout.
-std::string contradictionIn(const std::vector<LinkWindow>& windows,
-                            const std::string& what) {
-  for (const LinkWindow& w : windows) {
-    if (w.bwFactor == 0.0) continue;
-    for (const LinkWindow& down : windows) {
-      if (down.bwFactor != 0.0) continue;
-      if (down.from <= w.from && w.until <= down.until) {
-        return what + ": degradation window [" +
-               std::to_string(w.from.toSeconds()) + "s, " +
-               std::to_string(w.until.toSeconds()) +
-               "s) lies entirely inside a down window [" +
-               std::to_string(down.from.toSeconds()) + "s, " +
-               std::to_string(down.until.toSeconds()) +
-               "s) — it can never take effect";
-      }
-    }
-  }
-  return "";
+const char* kindName(Kind k) {
+  static constexpr const char* kNames[] = {"endpoint", "trunk", "switch",
+                                           "nam", "node"};
+  return kNames[static_cast<int>(k)];
+}
+
+std::string window(const Fault& w) {
+  return "[" + std::to_string(w.from.toSeconds()) + "s, " +
+         std::to_string(w.until.toSeconds()) + "s)";
 }
 
 }  // namespace
@@ -119,55 +74,42 @@ std::string contradictionIn(const std::vector<LinkWindow>& windows,
 std::string FaultPlan::validateFor(const hw::MachineConfig& config) const {
   const int nodes = config.totalNodes();
   const int nams = static_cast<int>(config.nams.size());
-  const int endpoints = nodes + nams;
-  const int switches = static_cast<int>(config.switches.size());
-  const int trunks = static_cast<int>(config.trunks.size());
-  for (const auto& [ep, windows] : endpointWindows_) {
-    if (ep >= endpoints) {
-      return "endpoint " + std::to_string(ep) + " does not exist (machine '" +
-             config.name + "' has " + std::to_string(endpoints) +
-             " endpoints: " + std::to_string(nodes) + " nodes + " +
-             std::to_string(nams) + " NAMs)";
+  const std::string machine = " does not exist (machine '" + config.name +
+                              "' has ";
+  for (const Fault& f : faults_) {
+    const std::string what =
+        std::string(kindName(f.kind)) + " " + std::to_string(f.target);
+    std::string has;
+    switch (f.kind) {
+      case Kind::Endpoint:
+        if (f.target >= nodes + nams) {
+          has = std::to_string(nodes + nams) + " endpoints: " +
+                std::to_string(nodes) + " nodes + " + std::to_string(nams) +
+                " NAMs";
+        }
+        break;
+      case Kind::Trunk:
+        if (f.target >= static_cast<int>(config.trunks.size())) {
+          has = std::to_string(config.trunks.size()) + " trunks";
+        }
+        break;
+      case Kind::Switch:
+        if (f.target >= static_cast<int>(config.switches.size())) {
+          has = std::to_string(config.switches.size()) + " switches";
+        }
+        break;
+      case Kind::Nam:
+        if (f.target >= nams) has = std::to_string(nams) + " NAMs";
+        break;
+      case Kind::Crash:
+        if (f.target >= nodes) has = std::to_string(nodes) + " nodes";
+        break;
     }
-    if (auto err = contradictionIn(windows, "endpoint " + std::to_string(ep));
-        !err.empty()) {
-      return err;
-    }
-  }
-  for (const auto& [t, windows] : trunkWindows_) {
-    if (t >= trunks) {
-      return "trunk " + std::to_string(t) + " does not exist (machine '" +
-             config.name + "' has " + std::to_string(trunks) + " trunks)";
-    }
-    if (auto err = contradictionIn(windows, "trunk " + std::to_string(t));
-        !err.empty()) {
-      return err;
-    }
-  }
-  for (const auto& [sw, windows] : switchWindows_) {
-    if (sw >= switches) {
-      return "switch " + std::to_string(sw) + " does not exist (machine '" +
-             config.name + "' has " + std::to_string(switches) + " switches)";
-    }
-    if (auto err = contradictionIn(windows, "switch " + std::to_string(sw));
-        !err.empty()) {
-      return err;
-    }
-  }
-  for (const auto& [nam, windows] : namWindows_) {
-    if (nam >= nams) {
-      return "nam " + std::to_string(nam) + " does not exist (machine '" +
-             config.name + "' has " + std::to_string(nams) + " NAMs)";
-    }
-    if (auto err = contradictionIn(windows, "nam " + std::to_string(nam));
-        !err.empty()) {
-      return err;
-    }
-  }
-  for (const NodeCrash& c : nodeCrashes_) {
-    if (c.node >= nodes) {
-      return "node " + std::to_string(c.node) + " does not exist (machine '" +
-             config.name + "' has " + std::to_string(nodes) + " nodes)";
+    if (!has.empty()) return what + machine + has + ")";
+    if (const Fault* down = buriedBy(f, faults_)) {
+      return what + ": degradation window " + window(f) +
+             " lies entirely inside a down window " + window(*down) +
+             " — it can never take effect";
     }
   }
   return "";

@@ -1,28 +1,36 @@
 #pragma once
 
-// Deterministic link-fault schedules for the extoll fabric.
+// Deterministic fault schedules for the extoll fabric and the failure
+// injector.
 //
 // Real Cluster-Booster fabrics do not fail like the textbook whole-node
 // crash: links flap, SerDes retrain at reduced width, and individual
 // packets are lost or arrive corrupted (DEEP-ER resiliency motivation,
-// Kreuzer et al., arXiv:1904.07725).  A FaultPlan captures those modes as
-// data so a scenario can schedule them up front and stay bit-reproducible:
+// Kreuzer et al., arXiv:1904.07725).  A FaultPlan captures those modes,
+// and node crashes beside them, as data so a scenario can schedule them up
+// front and stay bit-reproducible:
 //
-//   * bandwidth-degradation windows on an endpoint's links or on a trunk
-//     (factor in (0,1]; overlapping windows compound multiplicatively),
+//   * bandwidth-degradation windows on an endpoint's links, a trunk, every
+//     link of a switch, or a NAM's links (factor in (0,1]; overlapping
+//     windows compound multiplicatively),
 //   * link down/up flaps (a window with factor 0: injected messages are
 //     dropped, or detoured over a gen-1 bridge where one exists),
-//   * per-message drop/corrupt probabilities, drawn from the engine RNG at
-//     injection time so the stream of decisions is identical across
+//   * whole-node crashes with a repair delay,
+//   * per-message drop/corrupt probabilities, drawn from the engine's fault
+//     RNG at injection time so the stream of decisions is identical across
 //     process backends and --jobs values.
+//
+// The plan is one ordered list of faults.  It is the unit the description
+// layer reads and writes, the chaos fuzzer generates and shrinks, and the
+// mc explorer takes apart; nothing translates it into a second form.
 //
 // The plan itself is passive: extoll::Fabric consults it inside
 // send()/occupy(), which is what makes faults interact naturally with
 // contention (a degraded link stays busy longer, queueing everyone else)
-// and with rerouting.  The plan must outlive the Fabric's use of it; the
-// owner (test or campaign scenario) keeps it alive alongside the world.
+// and with rerouting, and scr::FailureInjector::applyPlan schedules its
+// crashes.  The plan must outlive the Fabric's use of it; pmpi::World owns
+// the plan of the world it builds.
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,127 +42,105 @@ struct MachineConfig;
 
 namespace cbsim::fault {
 
-/// One bandwidth window: while `[from, until)` covers the current time the
-/// affected links run at `bwFactor` of their configured rate.  Factor 0
-/// means the link is down (a flap is a zero-factor window).
-struct LinkWindow {
-  sim::SimTime from;
-  sim::SimTime until;
-  double bwFactor = 1.0;
+/// What a fault hits: the links of an endpoint, a trunk (both directions),
+/// a switch (every link attached to it) or a NAM device, or a whole node.
+enum class Kind { Endpoint, Trunk, Switch, Nam, Crash };
 
+/// One scheduled fault.
+///
+/// A window (every kind but Crash) runs the target's links at `bwFactor`
+/// of their configured rate while [from, until) covers the current time;
+/// factor 0 means down.  A crash kills the job running on node `target` at
+/// `from`, loses the node's NVMe contents and takes the node out of the RM
+/// pool until `restartAfter` later (the repair/reboot delay).
+struct Fault {
+  Kind kind = Kind::Endpoint;
+  int target = 0;
+  sim::SimTime from{};
+  sim::SimTime until{};
+  double bwFactor = 0.0;
+  sim::SimTime restartAfter{};
+  /// Correlated-burst tag: the faults one chaos storm produced share it;
+  /// -1 when the fault arrived alone.  Diagnostic only.
+  int storm = -1;
+
+  [[nodiscard]] bool isWindow() const { return kind != Kind::Crash; }
   [[nodiscard]] bool covers(sim::SimTime t) const {
     return from <= t && t < until;
   }
 };
 
-/// A whole-node crash: at `at` the node's running job is killed, its NVMe
-/// contents are lost, and the node leaves the RM pool; it rejoins
-/// `restartAfter` later (the repair/reboot delay).  Consumed by
-/// scr::FailureInjector::applyPlan — the fabric never sees it directly.
-struct NodeCrash {
-  int node = -1;
-  sim::SimTime at;
-  sim::SimTime restartAfter;
-};
+/// The down window (factor 0) in `faults` of the same kind and target that
+/// wholly contains `f`, when `f` is a degradation window (factor > 0);
+/// nullptr otherwise.  Such a window can never take effect — "degraded
+/// while down" is contradictory and unobservable, the classic symptom of a
+/// typo'd index — so validateFor rejects it and the chaos normalizer drops
+/// it.  (A flap *inside* a degradation window stays legal; the resilience
+/// builtin uses exactly that shape.)
+[[nodiscard]] const Fault* buriedBy(const Fault& f,
+                                    const std::vector<Fault>& faults);
 
 class FaultPlan {
  public:
   /// Probability that an injected (non-loopback) message is silently lost
-  /// end-to-end.  One engine-RNG draw per message.
+  /// end-to-end.  One fault-RNG draw per message.
   double dropProb = 0.0;
   /// Probability that a message arrives but fails its CRC at the receiving
   /// NIC and is discarded there (it still occupies the path's links).
   double corruptProb = 0.0;
 
-  /// Degrades both links of endpoint `ep` to `bwFactor` during the window.
+  /// Appends `f` after checking it: the target index must be non-negative,
+  /// a window must end after it starts and have a factor in [0, 1], and a
+  /// crash needs a positive restart delay (a node that never comes back is
+  /// a machine shrink, not a fault the recovery loop can be expected to
+  /// survive).  Throws std::invalid_argument.
+  void add(const Fault& f);
+  /// Runs endpoint `ep`'s links at `bwFactor` during [from, until).
   void degradeEndpoint(int ep, sim::SimTime from, sim::SimTime until,
-                       double bwFactor);
-  /// Degrades both directions of trunk `trunkIdx` during the window.
-  void degradeTrunk(int trunkIdx, sim::SimTime from, sim::SimTime until,
-                    double bwFactor);
+                       double bwFactor) {
+    add({.kind = Kind::Endpoint,
+         .target = ep,
+         .from = from,
+         .until = until,
+         .bwFactor = bwFactor});
+  }
   /// Down/up flap: the endpoint's links carry nothing during the window.
   void flapEndpoint(int ep, sim::SimTime from, sim::SimTime until) {
     degradeEndpoint(ep, from, until, 0.0);
   }
-  void flapTrunk(int trunkIdx, sim::SimTime from, sim::SimTime until) {
-    degradeTrunk(trunkIdx, from, until, 0.0);
-  }
-  /// Degrades every link attached to switch `sw` (node NICs, NAMs and
-  /// trunks terminating there) during the window.  Factor 0 is a switch
-  /// outage: traffic through the switch is cut, which partitions the
-  /// machine unless a gen-1 bridge offers a detour.
-  void degradeSwitch(int sw, sim::SimTime from, sim::SimTime until,
-                     double bwFactor);
-  void flapSwitch(int sw, sim::SimTime from, sim::SimTime until) {
-    degradeSwitch(sw, from, until, 0.0);
-  }
-  /// Degrades the NAM device's fabric links (NAM outage/degradation).
-  void degradeNam(int namIdx, sim::SimTime from, sim::SimTime until,
-                  double bwFactor);
-  void flapNam(int namIdx, sim::SimTime from, sim::SimTime until) {
-    degradeNam(namIdx, from, until, 0.0);
-  }
-  /// Schedules a whole-node crash (see NodeCrash).  `restartAfter` must be
-  /// positive: a node that never comes back is a machine-shrink, not a
-  /// fault the recovery loop can be expected to survive.
-  void crashNode(int node, sim::SimTime at, sim::SimTime restartAfter);
-
-  /// Combined bandwidth factor of the endpoint's links at time `t`
-  /// (product over covering windows; 0 when any covering window is down).
-  [[nodiscard]] double endpointFactor(int ep, sim::SimTime t) const;
-  [[nodiscard]] double trunkFactor(int trunkIdx, sim::SimTime t) const;
-  [[nodiscard]] double switchFactor(int sw, sim::SimTime t) const;
-  [[nodiscard]] double namFactor(int namIdx, sim::SimTime t) const;
-
-  [[nodiscard]] bool hasWindows() const {
-    return !endpointWindows_.empty() || !trunkWindows_.empty() ||
-           !switchWindows_.empty() || !namWindows_.empty();
+  void crashNode(int node, sim::SimTime at, sim::SimTime restartAfter) {
+    add({.kind = Kind::Crash,
+         .target = node,
+         .from = at,
+         .restartAfter = restartAfter});
   }
 
-  /// Read-only window tables, keyed by endpoint / trunk index; used by the
-  /// description layer to render a plan back to text.
-  [[nodiscard]] const std::map<int, std::vector<LinkWindow>>& endpointWindows() const {
-    return endpointWindows_;
-  }
-  [[nodiscard]] const std::map<int, std::vector<LinkWindow>>& trunkWindows() const {
-    return trunkWindows_;
-  }
-  [[nodiscard]] const std::map<int, std::vector<LinkWindow>>& switchWindows() const {
-    return switchWindows_;
-  }
-  [[nodiscard]] const std::map<int, std::vector<LinkWindow>>& namWindows() const {
-    return namWindows_;
-  }
-  /// Crash schedule, sorted by (at, node).
-  [[nodiscard]] const std::vector<NodeCrash>& nodeCrashes() const {
-    return nodeCrashes_;
-  }
-  /// True when the plan can affect traffic at all; a default-constructed
+  /// Combined bandwidth factor of `target`'s `kind` links at time `t`: the
+  /// product, in insertion order, of the factors of the covering windows;
+  /// 0 as soon as one of them is down.
+  [[nodiscard]] double factor(Kind kind, int target, sim::SimTime t) const;
+
+  /// Every fault, in insertion order.
+  [[nodiscard]] const std::vector<Fault>& faults() const { return faults_; }
+  /// The crashes, in (at, node) order: the order the failure injector
+  /// schedules them in.
+  [[nodiscard]] std::vector<Fault> crashes() const;
+
+  /// True when the plan can affect a run at all; a default-constructed
   /// plan is inert and costs the fabric one pointer test per message.
   [[nodiscard]] bool active() const {
-    return dropProb > 0.0 || corruptProb > 0.0 || hasWindows() ||
-           !nodeCrashes_.empty();
+    return dropProb > 0.0 || corruptProb > 0.0 || !faults_.empty();
   }
 
-  /// Validates every target reference against a concrete machine: endpoint,
-  /// trunk, switch, NAM and node indices must exist, and no non-zero-factor
-  /// window may lie entirely inside a down (factor-0) window on the same
-  /// target — "degraded while down" is contradictory and unobservable, the
-  /// classic symptom of a typo'd index.  (A flap *inside* a degradation
-  /// window stays legal; the resilience builtin uses exactly that shape.)
-  /// Returns "" when valid, else a message naming the offending reference;
-  /// the description layer wraps it with origin:line:column context.
+  /// Validates every target against a concrete machine: endpoint, trunk,
+  /// switch, NAM and node indices must exist, and no window may be buried
+  /// in an outage (buriedBy).  Returns "" when valid, else a message naming
+  /// the first offending fault; the description layer wraps it with
+  /// origin:line:column context.
   [[nodiscard]] std::string validateFor(const hw::MachineConfig& config) const;
 
  private:
-  static double factorAt(const std::vector<LinkWindow>& windows,
-                         sim::SimTime t);
-
-  std::map<int, std::vector<LinkWindow>> endpointWindows_;
-  std::map<int, std::vector<LinkWindow>> trunkWindows_;
-  std::map<int, std::vector<LinkWindow>> switchWindows_;
-  std::map<int, std::vector<LinkWindow>> namWindows_;
-  std::vector<NodeCrash> nodeCrashes_;
+  std::vector<Fault> faults_;
 };
 
 }  // namespace cbsim::fault

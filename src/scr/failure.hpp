@@ -121,8 +121,8 @@ class FailureInjector {
 
   /// Schedules every node crash of a fault plan.
   void applyPlan(const fault::FaultPlan& plan) {
-    for (const fault::NodeCrash& c : plan.nodeCrashes()) {
-      scheduleNodeCrash(c.at, c.node, c.restartAfter);
+    for (const fault::Fault& c : plan.crashes()) {
+      scheduleNodeCrash(c.from, c.target, c.restartAfter);
     }
   }
 

@@ -8,11 +8,10 @@
 namespace cbsim::sim {
 
 namespace {
-// Stream salts: Rng::reseed() splitmixes its input, so xor-distinct seeds
-// yield uncorrelated xoshiro states.  rng_ keeps the raw seed untouched so
+// Stream salt: Rng::reseed() splitmixes its input, so an xor-distinct seed
+// yields an uncorrelated xoshiro state.  rng_ keeps the raw seed untouched so
 // fault-free runs reproduce pre-split results bit-for-bit.
 constexpr std::uint64_t kFaultStreamSalt = 0x9e3779b97f4a7c15ull;
-constexpr std::uint64_t kTransportStreamSalt = 0xd1b54a32d192ed03ull;
 }  // namespace
 
 Engine::Engine() : Engine(kDefaultSeed) {}
@@ -20,8 +19,7 @@ Engine::Engine(std::uint64_t rngSeed) : Engine(rngSeed, defaultProcessBackend())
 Engine::Engine(std::uint64_t rngSeed, ProcessBackend backend)
     : backend_(effectiveProcessBackend(backend)),
       rng_(rngSeed),
-      faultRng_(rngSeed ^ kFaultStreamSalt),
-      transportRng_(rngSeed ^ kTransportStreamSalt) {}
+      faultRng_(rngSeed ^ kFaultStreamSalt) {}
 
 Engine::~Engine() { shutdownProcesses(); }
 

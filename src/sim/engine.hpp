@@ -11,6 +11,8 @@
 // process handshake (see process.hpp) guaranteeing that only one thread
 // touches engine state at a time.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -78,9 +80,6 @@ class Engine {
   /// sees, which is what keeps shrunk fault schedules replayable and the
   /// mc independence relation honest (ROADMAP item 4).
   [[nodiscard]] Rng& faultRng() { return faultRng_; }
-  /// Transport-level stream (reserved for randomized transport timing;
-  /// today's retransmit jitter goes through mc choice points instead).
-  [[nodiscard]] Rng& transportRng() { return transportRng_; }
   /// Backend every process spawned by this engine runs on.
   [[nodiscard]] ProcessBackend processBackend() const { return backend_; }
 
@@ -134,11 +133,19 @@ class Engine {
   /// can outlive state its closures reference.  Idempotent.
   void shutdown() { shutdownProcesses(); }
 
-  /// Fiber stack size for processes spawned after the call, in bytes;
-  /// 0 (the default) defers to $CBSIM_FIBER_STACK_KB / the 256 KiB
-  /// built-in.  Scenario descriptions route their per-workload stack
-  /// budget through this instead of mutating the environment.
-  void setFiberStackBytes(std::size_t bytes) { fiberStackBytes_ = bytes; }
+  /// Fiber stack size of every process spawned without another one set.
+  static constexpr std::size_t kDefaultFiberStackBytes = 256 * 1024;
+  /// Smallest fiber stack the engine hands out.
+  static constexpr std::size_t kMinFiberStackBytes = 16 * 1024;
+  /// Fiber stack size for processes spawned after the call, in bytes: 0
+  /// selects kDefaultFiberStackBytes, and smaller sizes are raised to
+  /// kMinFiberStackBytes.  Scenario descriptions route their per-workload
+  /// stack budget through this.  The thread backend ignores it.
+  void setFiberStackBytes(std::size_t bytes) {
+    fiberStackBytes_ = bytes == 0 ? kDefaultFiberStackBytes
+                                  : std::max(bytes, kMinFiberStackBytes);
+  }
+  /// The stack size a fiber spawned now gets (before page rounding).
   [[nodiscard]] std::size_t fiberStackBytes() const { return fiberStackBytes_; }
   /// Owner of this engine's fiber stack mappings; it guards the first
   /// detail::FiberStackPool::kGuardedStacks stacks individually and carves
@@ -220,7 +227,7 @@ class Engine {
   /// Declared before processes_: fibers return stacks here on finalize,
   /// so the pool must outlive every Process.
   detail::FiberStackPool stackPool_;
-  std::size_t fiberStackBytes_ = 0;  ///< 0 = environment default
+  std::size_t fiberStackBytes_ = kDefaultFiberStackBytes;
   /// Binary heap ordered by EventLater (std::push_heap/std::pop_heap), the
   /// same discipline std::priority_queue uses — kept as a plain vector so
   /// the top event can be moved out without const_cast (mutating through a
@@ -231,7 +238,6 @@ class Engine {
   ProcessBackend backend_;
   Rng rng_;
   Rng faultRng_;
-  Rng transportRng_;
   bool collectErrors_ = false;
   bool watchdogArmed_ = false;
   SimTime watchdogDeadline_ = SimTime::zero();

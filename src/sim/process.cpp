@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -299,30 +298,10 @@ class ThreadExec final : public ExecContext {
 
 #if defined(CBSIM_HAS_FIBERS)
 
-constexpr std::size_t kMinStackBytes = 16 * 1024;
-
-/// $CBSIM_FIBER_STACK_KB in bytes, 256 KiB when unset or empty.  Like a
-/// bad CBSIM_PROCESS_BACKEND, anything but a plain digit string throws.
-std::size_t fiberStackBytes() {
-  // Re-read per start: tests shrink stacks for mass-spawn scenarios.
-  const char* env = std::getenv("CBSIM_FIBER_STACK_KB");
-  if (env == nullptr || *env == '\0') return 256 * 1024;
-  const std::string v(env);
-  std::size_t kb = 0;
-  const char* end = v.data() + v.size();
-  const auto [stop, ec] = std::from_chars(v.data(), end, kb);
-  if (ec != std::errc{} || stop != end || kb > SIZE_MAX / 1024) {
-    throw std::invalid_argument(
-        "CBSIM_FIBER_STACK_KB must be a stack size in KiB (digits only), "
-        "got '" + v + "'");
-  }
-  return kb * 1024;
-}
-
 class FiberExec final : public ExecContext {
  public:
-  FiberExec(Process& proc, FiberStackPool& pool, std::size_t stackBytesHint)
-      : proc_(proc), pool_(pool), stackBytesHint_(stackBytesHint) {}
+  FiberExec(Process& proc, FiberStackPool& pool, std::size_t stackBytes)
+      : proc_(proc), pool_(pool), stackBytes_(stackBytes) {}
 
   ~FiberExec() override {
     finalize();  // normally already ran via Engine::reap/shutdown
@@ -410,10 +389,7 @@ class FiberExec final : public ExecContext {
 
   void startFiber() {
     const std::size_t page = pageBytes();
-    std::size_t stackBytes = std::max(
-        stackBytesHint_ != 0 ? stackBytesHint_ : fiberStackBytes(),
-        kMinStackBytes);
-    stackBytes = (stackBytes + page - 1) / page * page;
+    const std::size_t stackBytes = (stackBytes_ + page - 1) / page * page;
     stack_ = pool_.acquire(stackBytes + page, proc_.name());
     char* lo = static_cast<char*>(stack_.map) + page;
     stackLo_ = lo;
@@ -445,12 +421,11 @@ class FiberExec final : public ExecContext {
 
   Process& proc_;
   FiberStackPool& pool_;
-  std::size_t stackBytesHint_;  ///< 0 = environment default
   sigjmp_buf engineJmp_{};  ///< resume point on the engine stack
   sigjmp_buf fiberJmp_{};   ///< resume point on the fiber stack
   FiberStackPool::Stack stack_;  ///< guard page + stack, from pool_
   void* stackLo_ = nullptr;    ///< usable stack, lowest address
-  std::size_t stackBytes_ = 0;
+  std::size_t stackBytes_;     ///< usable stack size (page-rounded at start)
   bool started_ = false;
   bool done_ = false;
 #if defined(CBSIM_ASAN)

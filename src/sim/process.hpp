@@ -187,10 +187,9 @@ class ExecContext {
   static void markCancelledBeforeStart(Process& p);
 };
 
-/// `stackBytes` 0 means the environment default: $CBSIM_FIBER_STACK_KB
-/// (digits only, else std::invalid_argument at the fiber's first run), or
-/// 256 KiB when unset or empty.  Sizes below 16 KiB are clamped to 16 KiB.
-/// Both the pool and the size are ignored by the thread backend.
+/// `stackBytes` is the fiber's usable stack size (Engine::fiberStackBytes,
+/// rounded up to whole pages here).  Both the pool and the size are ignored
+/// by the thread backend.
 std::unique_ptr<ExecContext> makeExecContext(ProcessBackend backend,
                                              Process& proc,
                                              FiberStackPool& stackPool,

@@ -1,16 +1,15 @@
-// Process-backend equivalence, stress and environment tests.
+// Process-backend equivalence, stress and stack-size tests.
 //
 // The fiber and thread backends must be observationally identical: all
 // scheduling is decided by the Engine's event queue and the Process state
 // machine, a backend only transfers control (process.hpp).  These tests
 // assert that claim on a direct engine workload, on a full campaign report
 // (byte-for-byte), and under a mass cancel/wake stress load.  They also
-// pin how $CBSIM_FIBER_STACK_KB is parsed.
+// pin how an engine sizes its fiber stacks.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,58 +34,29 @@ struct BackendGuard {
   ~BackendGuard() { sim::setDefaultProcessBackend(saved); }
 };
 
-/// Scoped environment variable override.
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(BackendEnv, FiberStackKbIsDigitsOnly) {
+TEST(BackendEngine, FiberStackSizeIsPerEngine) {
   if (sim::effectiveProcessBackend(ProcessBackend::Fiber) !=
       ProcessBackend::Fiber) {
     GTEST_SKIP() << "fiber backend unavailable on this build";
   }
   // Address space of the one stack a single-fiber engine pools after its
-  // run: the stack size the variable selected, plus the guard page.
-  const auto pooledStackBytes = [](const char* kb) {
-    EnvGuard env("CBSIM_FIBER_STACK_KB", kb);
+  // run: the stack size the engine was set to, plus the guard page.
+  const auto pooledStackBytes = [](std::size_t bytes) {
     Engine e(1, ProcessBackend::Fiber);
+    e.setFiberStackBytes(bytes);
     e.spawn("p", [](Context& ctx) { ctx.delay(SimTime::us(1)); });
     e.run();
     return e.stackPool().pooledAddressBytes();
   };
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  EXPECT_EQ(pooledStackBytes("64"), 64 * 1024 + page);
-  EXPECT_EQ(pooledStackBytes("8"), 16 * 1024 + page);  // clamped like
-  EXPECT_EQ(pooledStackBytes("0"), 16 * 1024 + page);  // setFiberStackBytes
-  EXPECT_EQ(pooledStackBytes(""), 256 * 1024 + page);  // unset: default
-  for (const char* bad : {"32k", "abc", "-64", "+64", " 64", "64 ", "0x40",
-                          "99999999999999999999"}) {
-    try {
-      (void)pooledStackBytes(bad);
-      ADD_FAILURE() << "accepted CBSIM_FIBER_STACK_KB='" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("CBSIM_FIBER_STACK_KB"),
-                std::string::npos)
-          << e.what();
-    }
-  }
+  EXPECT_EQ(pooledStackBytes(64 * 1024), 64 * 1024 + page);
+  EXPECT_EQ(pooledStackBytes(8 * 1024), 16 * 1024 + page);  // clamped
+  EXPECT_EQ(pooledStackBytes(0), 256 * 1024 + page);        // the default
+  // What the engine reports is what its fibers get.
+  Engine e;
+  EXPECT_EQ(e.fiberStackBytes(), 256u * 1024);
+  e.setFiberStackBytes(8 * 1024);
+  EXPECT_EQ(e.fiberStackBytes(), 16u * 1024);
 }
 
 /// A workload exercising every control-transfer path: delays, plain events,
@@ -209,13 +179,13 @@ TEST(BackendStress, MassCancelWakeIsDeterministic) {
   // The run must terminate, leave nobody blocked, and produce the same
   // event count every time.  (Under the thread backend this would mean 10k
   // OS threads, so the count is scaled down there.)
-  EnvGuard stackEnv("CBSIM_FIBER_STACK_KB", "64");
   const bool fibers = sim::effectiveProcessBackend(ProcessBackend::Fiber) ==
                       ProcessBackend::Fiber;
   const int n = fibers ? 10000 : 500;
 
   auto runOnce = [&]() -> std::uint64_t {
     Engine e(99, fibers ? ProcessBackend::Fiber : ProcessBackend::Thread);
+    e.setFiberStackBytes(64 * 1024);
     std::vector<Process*> procs;
     procs.reserve(static_cast<std::size_t>(n));
     int completed = 0;

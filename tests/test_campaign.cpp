@@ -197,6 +197,31 @@ TEST(Determinism, ResilienceReportIdenticalAcrossJobCounts) {
   }
 }
 
+TEST(Resilience, FaultPlanCrashesAreInjected) {
+  // A fault_plan's node crashes fire beside the MTBF-driven failures.  With
+  // the MTBF far beyond the run and no pinned first failure, the plan's one
+  // crash is the only failure, and the supervisor relaunches after it.
+  campaign::ResilienceParams p;
+  p.mtbfSec = {1000};
+  p.schemes.resize(1);
+  p.ranks = 3;
+  p.steps = 12;
+  p.firstFailureAtSec = 0;
+  p.faultPlan.emplace();
+  p.faultPlan->crashNode(0, sim::SimTime::ms(50), sim::SimTime::ms(20));
+  const CampaignReport r =
+      campaign::runCampaign(campaign::resilienceCampaign(p));
+  ASSERT_EQ(r.scenarios.size(), 1u);
+  ASSERT_TRUE(r.scenarios[0].error.empty()) << r.scenarios[0].error;
+  const auto& v = r.scenarios[0].values;
+  EXPECT_GE(v.at("failures_injected"), 1.0);
+  EXPECT_GE(v.at("attempts"), 2.0);
+  EXPECT_EQ(v.at("done"), 1.0);
+  // A crash of a node the machine lacks is a description error.
+  p.faultPlan->crashNode(99, sim::SimTime::ms(50), sim::SimTime::ms(20));
+  EXPECT_THROW((void)campaign::resilienceCampaign(p), std::invalid_argument);
+}
+
 TEST(Runner, BatchedDispatchCoversEveryScenarioExactlyOnce) {
   // Many tiny scenarios with mixed (including zero) cost hints: the
   // cost-aware batching must still execute each exactly once and merge

@@ -1,10 +1,10 @@
-// Tests for the chaos campaign engine (src/chaos): seed-deterministic
-// schedule generation, normalization, storm correlation, description
-// round-trips, the fault-space property tests (trunk outage reroutes over
-// a bridge vs partitions an unbridged fabric; node crashes during
-// in-flight reliable transfers leave exactly-once intact), the fuzz loop
-// on the seeded transport defect, shrinker idempotence, artifact replay
-// and the committed example profiles.
+// Tests for the chaos fuzzer (src/chaos): seed-deterministic fault-plan
+// generation, normalization, storm correlation, description round-trips,
+// the fault-space property tests (trunk outage reroutes over a bridge vs
+// partitions an unbridged fabric; node crashes during in-flight reliable
+// transfers leave exactly-once intact), the fuzz loop on the seeded
+// transport defect, shrinker idempotence, artifact replay, the artifact's
+// hand-off to mc exploration and the committed example profiles.
 
 #include <gtest/gtest.h>
 
@@ -14,31 +14,70 @@
 #include <string>
 #include <vector>
 
-#include "campaign/builtin.hpp"
-#include "campaign/runner.hpp"
 #include "chaos/fuzz.hpp"
 #include "chaos/generate.hpp"
 #include "chaos/profile.hpp"
-#include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
 #include "chaos/trial.hpp"
 #include "desc/json.hpp"
 #include "desc/schema.hpp"
+#include "fault/desc.hpp"
 #include "hw/machine.hpp"
+#include "mc/desc.hpp"
 #include "mc/scenarios.hpp"
 
 namespace {
 
 using namespace cbsim;
 
-std::string dumped(const chaos::Schedule& s) {
-  return desc::dump(chaos::toDesc(s));
+using sim::SimTime;
+
+std::string dumped(const fault::FaultPlan& p) {
+  return desc::dump(fault::toDesc(p));
 }
 
-chaos::Schedule reparsed(const chaos::Schedule& s) {
-  const desc::Value v = desc::parse(dumped(s), "inline");
-  desc::Reader r(v, "schedule");
-  return chaos::scheduleFromDesc(r);
+fault::FaultPlan reparsed(const fault::FaultPlan& p) {
+  const desc::Value v = desc::parse(dumped(p), "inline");
+  desc::Reader r(v, "fault");
+  return fault::faultPlanFromDesc(r);
+}
+
+/// A bandwidth window over [fromMs, untilMs) milliseconds.
+fault::Fault window(fault::Kind kind, int target, int fromMs, int untilMs,
+                    double factor) {
+  return {.kind = kind,
+          .target = target,
+          .from = SimTime::ms(fromMs),
+          .until = SimTime::ms(untilMs),
+          .bwFactor = factor};
+}
+
+/// The reliable transport (message-race family) under a mixed
+/// endpoint/trunk/switch/storm profile with moderate packet loss, 100
+/// trials: the same fuzzing target as examples/chaos/transport-storm.json.
+chaos::ChaosSpec defaultChaosSpec() {
+  chaos::ChaosSpec spec;
+  spec.name = "chaos";
+  spec.seed = 7;
+  spec.trials = 100;
+  spec.scenario.name = "transport-under-chaos";
+  spec.scenario.family = "message-race";
+  spec.scenario.drainSec = 2.0;
+  spec.scenario.senders = 3;
+  spec.scenario.messages = 4;
+  spec.scenario.recvWorkUs = 5;
+  spec.profile.horizonSec = 0.01;
+  spec.profile.endpointRateHz = 150;
+  spec.profile.trunkRateHz = 50;
+  spec.profile.switchRateHz = 30;
+  spec.profile.stormRateHz = 30;
+  spec.profile.windowMinSec = 0.0005;
+  spec.profile.windowMaxSec = 0.003;
+  spec.profile.downWeight = 0.6;
+  spec.profile.stormSpanSec = 0.002;
+  spec.profile.dropProbMax = 0.05;
+  spec.profile.corruptProbMax = 0.02;
+  return spec;
 }
 
 /// Every fault class has eligible targets on this machine: two switches
@@ -99,28 +138,28 @@ mc::McScenario raceScenario() {
 TEST(Generate, SameSeedSameSchedule) {
   const hw::MachineConfig m = twoSwitchWorld(true);
   const chaos::ChaosProfile p = richProfile();
-  const chaos::Schedule a = chaos::generateSchedule(p, m, 12345);
-  const chaos::Schedule b = chaos::generateSchedule(p, m, 12345);
+  const fault::FaultPlan a = chaos::generatePlan(p, m, 12345);
+  const fault::FaultPlan b = chaos::generatePlan(p, m, 12345);
   EXPECT_EQ(dumped(a), dumped(b));
-  EXPECT_FALSE(a.empty());
+  EXPECT_TRUE(a.active());
 }
 
 TEST(Generate, DifferentSeedsDifferentSchedules) {
   const hw::MachineConfig m = twoSwitchWorld(true);
   const chaos::ChaosProfile p = richProfile();
-  const chaos::Schedule a = chaos::generateSchedule(p, m, 1);
-  const chaos::Schedule b = chaos::generateSchedule(p, m, 2);
+  const fault::FaultPlan a = chaos::generatePlan(p, m, 1);
+  const fault::FaultPlan b = chaos::generatePlan(p, m, 2);
   EXPECT_NE(dumped(a), dumped(b));
 }
 
 TEST(Generate, SchedulesCompileToValidPlansAcrossSeeds) {
-  // The generator's normalization promise: every sampled schedule — storms,
-  // overlaps and all — compiles to a FaultPlan that validateFor accepts.
+  // The generator's normalization promise: every sampled plan — storms,
+  // overlaps and all — is one that validateFor accepts.
   const hw::MachineConfig m = twoSwitchWorld(true);
   const chaos::ChaosProfile p = richProfile();
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const chaos::Schedule s = chaos::generateSchedule(p, m, seed);
-    EXPECT_EQ(s.toPlan().validateFor(m), "") << "seed " << seed;
+    EXPECT_EQ(chaos::generatePlan(p, m, seed).validateFor(m), "")
+        << "seed " << seed;
   }
 }
 
@@ -134,13 +173,13 @@ TEST(Generate, StormsShareIdsAndCrashVictimsAreDistinct) {
   p.stormSpanSec = 0.002;
   bool sawBurst = false;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const chaos::Schedule s = chaos::generateSchedule(p, m, seed);
+    const fault::FaultPlan s = chaos::generatePlan(p, m, seed);
     std::map<int, int> members;
     std::map<int, std::set<int>> crashVictims;
-    for (const chaos::FaultEvent& e : s.events) {
+    for (const fault::Fault& e : s.faults()) {
       EXPECT_GE(e.storm, 0);  // storm-only profile: nothing arrives alone
       ++members[e.storm];
-      if (e.kind == chaos::FaultKind::NodeCrash) {
+      if (e.kind == fault::Kind::Crash) {
         // Sampling without replacement: one burst never crashes the same
         // node twice.
         EXPECT_TRUE(crashVictims[e.storm].insert(e.target).second)
@@ -155,7 +194,7 @@ TEST(Generate, StormsShareIdsAndCrashVictimsAreDistinct) {
 TEST(Generate, RejectsFilterTargetsOffTheMachine) {
   chaos::ChaosProfile p = richProfile();
   p.trunkTargets = {7};  // the two-switch world has exactly one trunk
-  EXPECT_THROW(chaos::generateSchedule(p, twoSwitchWorld(true), 1),
+  EXPECT_THROW(chaos::generatePlan(p, twoSwitchWorld(true), 1),
                std::invalid_argument);
 }
 
@@ -170,46 +209,74 @@ TEST(Profile, ValidateNamesBadFields) {
 // ---- Normalization -------------------------------------------------------------------
 
 TEST(Schedule, NormalizeDropsWindowsBuriedInOutages) {
-  chaos::Schedule s;
-  s.events.push_back({chaos::FaultKind::TrunkWindow, 0, 0.01, 0.03, 0.0});
-  s.events.push_back({chaos::FaultKind::TrunkWindow, 0, 0.015, 0.02, 0.5});
-  chaos::normalize(s);
-  ASSERT_EQ(s.events.size(), 1u);
-  EXPECT_EQ(s.events[0].factor, 0.0);
-  EXPECT_EQ(s.toPlan().validateFor(twoSwitchWorld(true)), "");
+  const fault::FaultPlan s =
+      chaos::normalized({}, {window(fault::Kind::Trunk, 0, 10, 30, 0.0),
+                             window(fault::Kind::Trunk, 0, 15, 20, 0.5)});
+  ASSERT_EQ(s.faults().size(), 1u);
+  EXPECT_EQ(s.faults()[0].bwFactor, 0.0);
+  EXPECT_EQ(s.validateFor(twoSwitchWorld(true)), "");
+  // validateFor flags exactly what normalization drops: the same predicate.
+  fault::FaultPlan raw;
+  raw.add(window(fault::Kind::Trunk, 0, 10, 30, 0.0));
+  raw.add(window(fault::Kind::Trunk, 0, 15, 20, 0.5));
+  EXPECT_NE(raw.validateFor(twoSwitchWorld(true)).find("trunk 0: "),
+            std::string::npos);
 }
 
 TEST(Schedule, NormalizeSortsDeterministically) {
-  chaos::Schedule s;
-  s.events.push_back({chaos::FaultKind::SwitchWindow, 1, 0.02, 0.03, 0.0});
-  s.events.push_back({chaos::FaultKind::EndpointWindow, 2, 0.01, 0.02, 0.5});
-  s.events.push_back({chaos::FaultKind::EndpointWindow, 0, 0.01, 0.02, 0.5});
-  chaos::Schedule t = s;
-  chaos::normalize(s);
-  chaos::normalize(t);
+  const std::vector<fault::Fault> faults = {
+      window(fault::Kind::Switch, 1, 20, 30, 0.0),
+      window(fault::Kind::Endpoint, 2, 10, 20, 0.5),
+      window(fault::Kind::Endpoint, 0, 10, 20, 0.5)};
+  const fault::FaultPlan s = chaos::normalized({}, faults);
+  const fault::FaultPlan t =
+      chaos::normalized({}, {faults[2], faults[0], faults[1]});
   EXPECT_EQ(dumped(s), dumped(t));
-  EXPECT_EQ(s.events[0].fromSec, 0.01);
-  EXPECT_EQ(s.events[0].target, 0);
-  EXPECT_EQ(s.events[2].kind, chaos::FaultKind::SwitchWindow);
+  EXPECT_EQ(s.faults()[0].from, SimTime::ms(10));
+  EXPECT_EQ(s.faults()[0].target, 0);
+  EXPECT_EQ(s.faults()[2].kind, fault::Kind::Switch);
 }
 
 // ---- Description round-trips ---------------------------------------------------------
 
 TEST(Desc, ScheduleRoundTripsThroughDesc) {
-  const chaos::Schedule s =
-      chaos::generateSchedule(richProfile(), twoSwitchWorld(true), 99);
+  // A generated plan, storm tags included, survives the fault binding.
+  const fault::FaultPlan s =
+      chaos::generatePlan(richProfile(), twoSwitchWorld(true), 99);
+  EXPECT_NE(dumped(s).find("\"storm\""), std::string::npos);
   EXPECT_EQ(dumped(reparsed(s)), dumped(s));
 }
 
 TEST(Desc, SpecDumpIsCanonical) {
-  const chaos::ChaosSpec spec = campaign::defaultChaosSpec();
+  const chaos::ChaosSpec spec = defaultChaosSpec();
   const std::string text = chaos::dumpSpec(spec);
   EXPECT_EQ(chaos::dumpSpec(chaos::chaosSpecFromDescText(text, "inline")),
             text);
 }
 
+TEST(Desc, ScenarioFaultIsRejected) {
+  // Every trial installs the plan it generates, so a plan in the spec's
+  // scenario could only be dropped silently.
+  const char* text = R"({"chaos": {
+    "scenario": {
+      "family": "message-race",
+      "fault": {"endpoint_windows": [
+        {"endpoint": 0, "from_sec": 0, "until_sec": 100, "bw_factor": 0}]}
+    },
+    "profile": {}
+  }})";
+  try {
+    (void)chaos::chaosSpecFromDescText(text, "spec");
+    ADD_FAILURE() << "a scenario fault plan was accepted";
+  } catch (const desc::SchemaError& e) {
+    EXPECT_NE(std::string(e.what()).find("spec.chaos.scenario.fault: "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Desc, BreakDedupIsNeverSerialized) {
-  chaos::ChaosSpec spec = campaign::defaultChaosSpec();
+  chaos::ChaosSpec spec = defaultChaosSpec();
   spec.scenario.breakDedup = true;
   const chaos::ChaosSpec back =
       chaos::chaosSpecFromDescText(chaos::dumpSpec(spec), "inline");
@@ -225,9 +292,9 @@ TEST(Desc, ExampleProfilesParseValidateAndGenerate) {
     EXPECT_EQ(spec.profile.validate(), "") << file;
     EXPECT_NO_THROW((void)mc::makeRun(spec.scenario)) << file;
     const hw::MachineConfig m = mc::scenarioWorld(spec.scenario);
-    const chaos::Schedule s =
-        chaos::generateSchedule(spec.profile, m, chaos::trialSeed(spec, 0));
-    EXPECT_EQ(s.toPlan().validateFor(m), "") << file;
+    const fault::FaultPlan s =
+        chaos::generatePlan(spec.profile, m, chaos::trialSeed(spec, 0));
+    EXPECT_EQ(s.validateFor(m), "") << file;
     // Canonical-dump round trip, same contract as the builtin campaigns.
     const std::string text = chaos::dumpSpec(spec);
     EXPECT_EQ(chaos::dumpSpec(chaos::chaosSpecFromDescText(text, path)),
@@ -243,9 +310,8 @@ TEST(ChaosProperty, TrunkOutageDetoursOverBridgeInvariantsHold) {
   // reliable transport's invariants must hold end to end.
   mc::McScenario s = raceScenario();
   s.machine = twoSwitchWorld(true);
-  chaos::Schedule outage;
-  outage.events.push_back(
-      {chaos::FaultKind::TrunkWindow, 0, 0.0, 1e3, 0.0});
+  fault::FaultPlan outage;
+  outage.add(window(fault::Kind::Trunk, 0, 0, 1000000, 0.0));
   EXPECT_EQ(chaos::runTrial(s, outage), "");
 }
 
@@ -259,9 +325,8 @@ TEST(ChaosProperty, TrunkOutagePartitionsUnbridgedFabric) {
   mc::McScenario s = raceScenario();
   s.drainSec = 0.05;
   s.machine = twoSwitchWorld(false);
-  chaos::Schedule outage;
-  outage.events.push_back(
-      {chaos::FaultKind::TrunkWindow, 0, 0.0, 1e3, 0.0});
+  fault::FaultPlan outage;
+  outage.add(window(fault::Kind::Trunk, 0, 0, 1000000, 0.0));
   const std::string v = chaos::runTrial(s, outage);
   EXPECT_NE(v, "");
   EXPECT_NE(v.find("violation"), std::string::npos) << v;
@@ -273,9 +338,8 @@ TEST(ChaosProperty, TrunkFlapWithinDrainRecoversByRetransmit) {
   // in-order still hold at drain.
   mc::McScenario s = raceScenario();
   s.machine = twoSwitchWorld(false);
-  chaos::Schedule flap;
-  flap.events.push_back(
-      {chaos::FaultKind::TrunkWindow, 0, 0.0, 0.005, 0.0});
+  fault::FaultPlan flap;
+  flap.add(window(fault::Kind::Trunk, 0, 0, 5, 0.0));
   EXPECT_EQ(chaos::runTrial(s, flap), "");
 }
 
@@ -284,13 +348,8 @@ TEST(ChaosProperty, NodeCrashDuringTransferKeepsExactlyOnce) {
   // ends the trial cleanly; the invariants are conditional on delivery —
   // whatever did arrive must still be exactly-once and in order.
   mc::McScenario s = raceScenario();
-  chaos::Schedule crash;
-  chaos::FaultEvent e;
-  e.kind = chaos::FaultKind::NodeCrash;
-  e.target = 1;
-  e.fromSec = 0.0005;
-  e.restartSec = 0.01;
-  crash.events.push_back(e);
+  fault::FaultPlan crash;
+  crash.crashNode(1, SimTime::us(500), SimTime::ms(10));
   EXPECT_EQ(chaos::runTrial(s, crash), "");
 }
 
@@ -306,27 +365,33 @@ TEST(ChaosProperty, NodeCrashDuringCheckpointRestartStillRecovers) {
   s.spareNodes = 2;
   s.maxAttempts = 12;
   s.drainSec = 5.0;
-  chaos::Schedule crash;
-  chaos::FaultEvent e;
-  e.kind = chaos::FaultKind::NodeCrash;
-  e.target = 1;
-  e.fromSec = 0.015;
-  e.restartSec = 0.05;
-  crash.events.push_back(e);
+  fault::FaultPlan crash;
+  crash.crashNode(1, SimTime::ms(15), SimTime::ms(50));
   EXPECT_EQ(chaos::runTrial(s, crash), "");
 }
 
 // ---- Fuzz loop and shrinker ----------------------------------------------------------
 
+/// The default spec fuzzed with the seeded transport defect, found and
+/// shrunk once for every test that inspects the result.
+const chaos::FuzzResult& seededDefect() {
+  static const chaos::FuzzResult r = [] {
+    chaos::ChaosSpec spec = defaultChaosSpec();
+    spec.scenario.breakDedup = true;
+    return chaos::fuzz(spec);
+  }();
+  return r;
+}
+
 TEST(Fuzz, TrialSeedsFollowTheGoldenRatioStride) {
-  const chaos::ChaosSpec spec = campaign::defaultChaosSpec();
+  const chaos::ChaosSpec spec = defaultChaosSpec();
   EXPECT_EQ(chaos::trialSeed(spec, 0), spec.seed);
   EXPECT_EQ(chaos::trialSeed(spec, 1) - chaos::trialSeed(spec, 0),
             0x9e3779b97f4a7c15ull);
 }
 
 TEST(Fuzz, UnmodifiedTransportSurvivesTheDefaultCorpus) {
-  const chaos::ChaosSpec spec = campaign::defaultChaosSpec();
+  const chaos::ChaosSpec spec = defaultChaosSpec();
   chaos::FuzzOptions opt;
   opt.shrink = false;
   const chaos::FuzzResult r = chaos::fuzz(spec, opt);
@@ -335,21 +400,20 @@ TEST(Fuzz, UnmodifiedTransportSurvivesTheDefaultCorpus) {
 }
 
 TEST(Fuzz, FindsShrinksAndReplaysTheSeededDefect) {
-  chaos::ChaosSpec spec = campaign::defaultChaosSpec();
+  chaos::ChaosSpec spec = defaultChaosSpec();
   spec.scenario.breakDedup = true;
-  const chaos::FuzzResult r = chaos::fuzz(spec);
+  const chaos::FuzzResult& r = seededDefect();
   ASSERT_TRUE(r.violation);
   EXPECT_EQ(chaos::trialSeed(spec, r.badTrial), r.badSeed);
   EXPECT_NE(r.message, "");
   EXPECT_NE(r.shrunkMessage, "");
-  // The acceptance bar: the counterexample shrinks to at most 3 events.
-  EXPECT_LE(r.shrunk.events.size(), 3u);
+  // The acceptance bar: the counterexample shrinks to at most 3 faults.
+  EXPECT_LE(r.shrunk.faults().size(), 3u);
   EXPECT_FALSE(r.shrinkBudgetExhausted);
 
-  // Shrinker idempotence: re-shrinking the minimal schedule is a no-op.
-  const chaos::ShrinkResult again =
-      chaos::shrinkSchedule(spec.scenario, r.shrunk);
-  EXPECT_EQ(dumped(again.schedule), dumped(r.shrunk));
+  // Shrinker idempotence: re-shrinking the minimal plan is a no-op.
+  const chaos::ShrinkResult again = chaos::shrinkPlan(spec.scenario, r.shrunk);
+  EXPECT_EQ(dumped(again.plan), dumped(r.shrunk));
   EXPECT_EQ(again.violation, r.shrunkMessage);
 
   // The artifact round-trips canonically and replays to the same message
@@ -366,28 +430,28 @@ TEST(Fuzz, FindsShrinksAndReplaysTheSeededDefect) {
   EXPECT_EQ(chaos::replayArtifact(back), r.shrunkMessage);
 }
 
-TEST(Shrink, RefusesACleanSchedule) {
-  const mc::McScenario s = raceScenario();
-  EXPECT_THROW((void)chaos::shrinkSchedule(s, chaos::Schedule{}),
-               std::invalid_argument);
+TEST(Fuzz, ArtifactScenarioExploresUnderMc) {
+  // The hand-off: an artifact's scenario, wrapped as {"explore": ...}, is an
+  // mc scenario whose fault plan is the shrunk counterexample, so the
+  // explorer finds the defect in it and nothing without the defect.
+  chaos::ChaosSpec spec = defaultChaosSpec();
+  const chaos::FuzzResult& r = seededDefect();
+  ASSERT_TRUE(r.violation);
+  const desc::Value artifact = desc::parse(
+      chaos::dumpArtifact(chaos::makeArtifact(spec, r)), "artifact");
+  desc::Value doc = desc::Value::object();
+  doc.set("explore", *artifact.find("chaos_artifact")->find("scenario"));
+  mc::McScenario s = mc::scenarioFromDoc(doc, "artifact");
+  s.budget.maxSchedules = 50;
+  EXPECT_FALSE(mc::exploreScenario(s).violation);
+  s.breakDedup = true;
+  EXPECT_TRUE(mc::exploreScenario(s).violation);
 }
 
-// ---- Campaign integration ------------------------------------------------------------
-
-TEST(Campaign, ChaosTinyRunsCleanAndDerives) {
-  const campaign::Campaign c = campaign::builtinCampaign("chaos-tiny");
-  const campaign::CampaignReport rep = campaign::runCampaign(c);
-  EXPECT_EQ(rep.failedCount(), 0);
-  ASSERT_EQ(rep.scenarios.size(), 8u);
-  EXPECT_EQ(rep.derived.at("violations"), 0.0);
-  EXPECT_GT(rep.derived.at("fault_events_total"), 0.0);
-  // The repro contract: each trial publishes the seed that rebuilds its
-  // schedule via generateSchedule(profile, world, trial_seed).
-  const chaos::ChaosSpec spec = campaign::defaultChaosSpec();
-  for (int i = 0; i < static_cast<int>(rep.scenarios.size()); ++i) {
-    EXPECT_EQ(rep.scenarios[i].values.at("trial_seed"),
-              static_cast<double>(chaos::trialSeed(spec, i)));
-  }
+TEST(Shrink, RefusesACleanSchedule) {
+  const mc::McScenario s = raceScenario();
+  EXPECT_THROW((void)chaos::shrinkPlan(s, fault::FaultPlan{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the core module (partition planner, table printer) and the
-// batch scheduler (FIFO vs EASY backfill, malleability).
+// Tests for the core module (partition planner, table printer).
 
 #include <gtest/gtest.h>
 
@@ -7,13 +6,10 @@
 
 #include "core/planner.hpp"
 #include "core/table.hpp"
-#include "rm/batch.hpp"
 
 namespace {
 
 using namespace cbsim;
-using namespace cbsim::sim::literals;
-using sim::SimTime;
 
 // ------------------------------------------------------------------ Planner
 
@@ -87,109 +83,6 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(s.find("longer-name"), std::string::npos);
   EXPECT_NE(s.find("1.50"), std::string::npos);
   EXPECT_NE(s.find("----"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- Batch
-
-struct BatchFixture {
-  sim::Engine engine;
-  hw::Machine machine{engine, hw::MachineConfig::deepEr(8, 4)};
-  rm::ResourceManager res{machine};
-
-  rm::BatchJob job(const std::string& name, int nodes, SimTime dur,
-                   hw::NodeKind kind = hw::NodeKind::Cluster) {
-    rm::BatchJob j;
-    j.name = name;
-    j.kind = kind;
-    j.nodes = nodes;
-    j.duration = dur;
-    j.estimate = dur;
-    return j;
-  }
-};
-
-TEST(Batch, FifoRunsJobsInOrder) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Fifo);
-  const int a = sched.submit(f.job("a", 8, 10_s));
-  const int b = sched.submit(f.job("b", 8, 5_s));
-  f.engine.run();
-  EXPECT_EQ(sched.completed(), 2);
-  EXPECT_EQ(sched.stats(a).started, SimTime::zero());
-  EXPECT_EQ(sched.stats(b).started, SimTime::sec(10));
-  EXPECT_EQ(sched.makespan(), SimTime::sec(15));
-}
-
-TEST(Batch, BackfillFillsHolesWithoutDelayingHead) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Backfill);
-  // j0 takes 6 of 8 nodes for 10 s; j1 (head-blocked) wants all 8;
-  // j2 is small and short: it fits in the 2 idle nodes and finishes
-  // before j0 does, so backfill starts it immediately.
-  sched.submit(f.job("wide-running", 6, 10_s));
-  const int head = sched.submit(f.job("blocked-head", 8, 1_s));
-  const int filler = sched.submit(f.job("filler", 2, 5_s));
-  f.engine.run();
-  EXPECT_EQ(sched.stats(filler).started, SimTime::zero());      // backfilled
-  EXPECT_EQ(sched.stats(head).started, SimTime::sec(10));       // not delayed
-  EXPECT_EQ(sched.completed(), 3);
-}
-
-TEST(Batch, FifoWouldNotBackfill) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Fifo);
-  sched.submit(f.job("wide-running", 6, 10_s));
-  sched.submit(f.job("blocked-head", 8, 1_s));
-  const int filler = sched.submit(f.job("filler", 2, 5_s));
-  f.engine.run();
-  EXPECT_GT(sched.stats(filler).started, SimTime::sec(9));
-}
-
-TEST(Batch, BackfillRespectsShadowReservation) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Backfill);
-  sched.submit(f.job("wide-running", 6, 10_s));
-  const int head = sched.submit(f.job("blocked-head", 8, 1_s));
-  // Too long to fit in the shadow window: must NOT start before the head.
-  const int tooLong = sched.submit(f.job("too-long", 2, 20_s));
-  f.engine.run();
-  EXPECT_GE(sched.stats(tooLong).started, sched.stats(head).started);
-  EXPECT_EQ(sched.stats(head).started, SimTime::sec(10));
-}
-
-TEST(Batch, PartitionsScheduleIndependently) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Fifo);
-  sched.submit(f.job("cluster-hog", 8, 100_s));
-  const int boosterJob =
-      sched.submit(f.job("booster", 4, 1_s, hw::NodeKind::Booster));
-  f.engine.run();
-  // The Booster job is not stuck behind the Cluster hog.
-  EXPECT_EQ(sched.stats(boosterJob).started, SimTime::zero());
-}
-
-TEST(Batch, MalleableJobStartsShrunkAndStretches) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Fifo);
-  sched.submit(f.job("half", 4, 30_s));
-  rm::BatchJob m = f.job("malleable", 8, 10_s);
-  m.minNodes = 2;
-  const int mj = sched.submit(m);
-  f.engine.run();
-  EXPECT_EQ(sched.stats(mj).started, SimTime::zero());  // started at once
-  EXPECT_EQ(sched.stats(mj).grantedNodes, 4);           // shrunk to what's free
-  // Runtime stretched 2x: 10 s * 8/4.
-  EXPECT_EQ(sched.stats(mj).finished, SimTime::sec(20));
-}
-
-TEST(Batch, UtilizationAndWaitStats) {
-  BatchFixture f;
-  rm::BatchScheduler sched(f.machine, f.res, rm::Policy::Fifo);
-  sched.submit(f.job("a", 8, 10_s));
-  sched.submit(f.job("b", 8, 10_s));
-  f.engine.run();
-  EXPECT_NEAR(sched.utilization(hw::NodeKind::Cluster), 1.0, 1e-9);
-  EXPECT_EQ(sched.meanWait(), SimTime::sec(5));  // (0 + 10) / 2
 }
 
 }  // namespace

@@ -192,7 +192,12 @@ TEST(FaultPlan, RejectsMalformedWindows) {
                std::invalid_argument);
   EXPECT_THROW(plan.degradeEndpoint(0, SimTime::zero(), SimTime::us(1), 1.5),
                std::invalid_argument);
-  EXPECT_THROW(plan.degradeTrunk(0, SimTime::us(2), SimTime::us(1), 0.5),
+  EXPECT_THROW(plan.add({.kind = fault::Kind::Trunk,
+                         .from = SimTime::us(2),
+                         .until = SimTime::us(1),
+                         .bwFactor = 0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(plan.crashNode(0, SimTime::us(1), SimTime::zero()),
                std::invalid_argument);
   EXPECT_FALSE(plan.active());  // rejected windows must not be recorded
 }
@@ -201,13 +206,17 @@ TEST(FaultPlan, OverlappingWindowsCompoundAndFlapShortCircuits) {
   fault::FaultPlan plan;
   plan.degradeEndpoint(3, SimTime::us(10), SimTime::us(30), 0.5);
   plan.degradeEndpoint(3, SimTime::us(20), SimTime::us(40), 0.5);
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(3, SimTime::us(15)), 0.5);
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(3, SimTime::us(25)), 0.25);
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(3, SimTime::us(35)), 0.5);
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(3, SimTime::us(45)), 1.0);
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(4, SimTime::us(25)), 1.0);
+  const auto at = [&](int ep, std::int64_t us) {
+    return plan.factor(fault::Kind::Endpoint, ep, SimTime::us(us));
+  };
+  EXPECT_DOUBLE_EQ(at(3, 15), 0.5);
+  EXPECT_DOUBLE_EQ(at(3, 25), 0.25);
+  EXPECT_DOUBLE_EQ(at(3, 35), 0.5);
+  EXPECT_DOUBLE_EQ(at(3, 45), 1.0);
+  EXPECT_DOUBLE_EQ(at(4, 25), 1.0);
+  EXPECT_DOUBLE_EQ(plan.factor(fault::Kind::Trunk, 3, SimTime::us(25)), 1.0);
   plan.flapEndpoint(3, SimTime::us(22), SimTime::us(24));
-  EXPECT_DOUBLE_EQ(plan.endpointFactor(3, SimTime::us(23)), 0.0);
+  EXPECT_DOUBLE_EQ(at(3, 23), 0.0);
   EXPECT_TRUE(plan.active());
 }
 
@@ -342,7 +351,7 @@ TEST(Fabric, DownTrunkDetoursOverBridge) {
   FabricFixture f(std::move(cfg));
 
   fault::FaultPlan plan;
-  plan.flapTrunk(0, SimTime::zero(), SimTime::ms(1));
+  plan.add({.kind = fault::Kind::Trunk, .until = SimTime::ms(1)});  // down
   f.fabric.setFaultPlan(&plan);
   bool arrived = false;
   f.fabric.send(0, 2, 1e3, [&] { arrived = true; });  // CN -> BN crosses trunk

@@ -10,7 +10,6 @@
 #include "extoll/fabric.hpp"
 #include "hw/machine.hpp"
 #include "sim/engine.hpp"
-#include "sim/trigger.hpp"
 
 namespace {
 
@@ -167,29 +166,6 @@ TEST(EngineProperty, RandomEventStormIsReproducible) {
   };
   EXPECT_EQ(trace(7), trace(7));           // bit-identical replay
   EXPECT_NE(trace(7), trace(8));           // and actually seed-sensitive
-}
-
-TEST(EngineProperty, TriggerStormWakesEveryWaiter) {
-  sim::Engine e;
-  sim::Trigger t(e);
-  int woken = 0;
-  constexpr int kWaiters = 50;
-  for (int i = 0; i < kWaiters; ++i) {
-    e.spawn("w" + std::to_string(i), [&](sim::Context& ctx) {
-      t.wait(ctx);
-      ++woken;
-    });
-  }
-  sim::Rng rng(3);
-  // Fire one by one at random times; broadcast the stragglers at the end.
-  for (int i = 0; i < kWaiters / 2; ++i) {
-    e.schedule(SimTime::us(static_cast<std::int64_t>(rng.below(100)) + 1),
-               [&t] { t.fire(); });
-  }
-  e.schedule(SimTime::ms(1), [&t] { t.broadcast(); });
-  const auto st = e.run();
-  EXPECT_FALSE(st.deadlocked());
-  EXPECT_EQ(woken, kWaiters);
 }
 
 }  // namespace

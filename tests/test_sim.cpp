@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event engine: time arithmetic, PRNG,
-// event ordering, process lifecycle, wake semantics, triggers,
+// event ordering, process lifecycle, wake semantics,
 // deadlock detection, cancellation and the fiber stack pool.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/trigger.hpp"
 
 namespace {
 
@@ -589,66 +588,6 @@ TEST(Engine, DestructionCancelsLiveProcesses) {
     e.run();
   }
   EXPECT_TRUE(sawCancel);
-}
-
-// ----------------------------------------------------------------- Trigger
-
-TEST(Trigger, FireWakesOneWaiterFifo) {
-  Engine e;
-  Trigger t(e);
-  std::vector<int> woken;
-  for (int i = 0; i < 3; ++i) {
-    e.spawn("w" + std::to_string(i), [&, i](Context& ctx) {
-      t.wait(ctx);
-      woken.push_back(i);
-    });
-  }
-  e.schedule(1_us, [&] { t.fire(); });
-  e.schedule(2_us, [&] { t.fire(); });
-  e.schedule(3_us, [&] { t.fire(); });
-  const RunStats st = e.run();
-  EXPECT_FALSE(st.deadlocked());
-  EXPECT_EQ(woken, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(Trigger, BroadcastWakesAll) {
-  Engine e;
-  Trigger t(e);
-  int woken = 0;
-  for (int i = 0; i < 5; ++i) {
-    e.spawn("w" + std::to_string(i), [&](Context& ctx) {
-      t.wait(ctx);
-      ++woken;
-    });
-  }
-  e.schedule(1_us, [&] { t.broadcast(); });
-  e.run();
-  EXPECT_EQ(woken, 5);
-}
-
-TEST(Trigger, FireWithNoWaitersReturnsFalse) {
-  Engine e;
-  Trigger t(e);
-  e.schedule(1_us, [&] { EXPECT_FALSE(t.fire()); });
-  e.run();
-}
-
-TEST(Trigger, CancelledWaiterIsUnlinked) {
-  Engine e;
-  Trigger t(e);
-  Process& victim = e.spawn("victim", [&](Context& ctx) { t.wait(ctx); });
-  int survivorWoken = 0;
-  e.schedule(1_us, [&] { e.cancel(victim); });
-  e.spawn("survivor", [&](Context& ctx) {
-    ctx.delay(2_us);
-    t.wait(ctx);
-    ++survivorWoken;
-  });
-  e.schedule(3_us, [&] { t.fire(); });
-  const RunStats st = e.run();
-  EXPECT_FALSE(st.deadlocked());
-  EXPECT_EQ(survivorWoken, 1);
-  EXPECT_EQ(t.waiterCount(), 0u);
 }
 
 }  // namespace
