@@ -91,8 +91,12 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   if (auto pr = r.tryChild("protocol")) {
     p.protocol = pmpi::protocolParamsFromDesc(*pr);
   }
+  // Machine before fault_plan: with a machine, the plan may name its
+  // targets ("cn01") and is checked against it.
   if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
-  if (auto f = r.tryChild("fault_plan")) p.faultPlan = fault::faultPlanFromDesc(*f);
+  if (auto f = r.tryChild("fault_plan")) {
+    p.faultPlan = fault::faultPlanFromDesc(*f, p.machine ? &*p.machine : nullptr);
+  }
   p.dropProb = r.numberAt("drop_prob", p.dropProb);
   p.corruptProb = r.numberAt("corrupt_prob", p.corruptProb);
   p.degradeFactor = r.numberAt("degrade_factor", p.degradeFactor);

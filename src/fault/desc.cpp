@@ -97,10 +97,6 @@ desc::Value faultToDesc(const Fault& f, const char* targetKey) {
 
 }  // namespace
 
-FaultPlan faultPlanFromDesc(desc::Reader& r) {
-  return faultPlanFromDesc(r, nullptr);
-}
-
 FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
   FaultPlan p;
   p.dropProb = r.numberAt("drop_prob", p.dropProb);

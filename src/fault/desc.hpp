@@ -26,11 +26,11 @@
 // window or crash may also carry "storm": <id>, the chaos generator's
 // correlated-burst tag (written only when set).
 //
-// With a machine context (the two-argument overload), "endpoint" and
-// "node" also accept node names ("cn03"), "switch" accepts switch names
-// ("extoll-fabric"), and every reference is validated against the machine
-// — unknown names/indices and contradictory windows are rejected with the
-// reader's origin:line:column.  The canonical dump always uses indices.
+// With a machine context, "endpoint" and "node" also accept node names
+// ("cn03"), "switch" accepts switch names ("extoll-fabric"), and every
+// reference is validated against the machine — unknown names/indices and
+// contradictory windows are rejected with the reader's
+// origin:line:column.  The canonical dump always uses indices.
 
 #include "desc/schema.hpp"
 #include "fault/plan.hpp"
@@ -41,12 +41,11 @@ struct MachineConfig;
 
 namespace cbsim::fault {
 
-[[nodiscard]] FaultPlan faultPlanFromDesc(desc::Reader& r);
-/// Machine-aware parse: resolves node/switch names and runs
-/// FaultPlan::validateFor.  `machine` may be nullptr (same as the
-/// one-argument form: indices only, no existence checks).
-[[nodiscard]] FaultPlan faultPlanFromDesc(desc::Reader& r,
-                                          const hw::MachineConfig* machine);
+/// With a `machine`, the parse resolves node/switch names and runs
+/// FaultPlan::validateFor; without one it takes indices only and checks
+/// no target's existence.
+[[nodiscard]] FaultPlan faultPlanFromDesc(
+    desc::Reader& r, const hw::MachineConfig* machine = nullptr);
 [[nodiscard]] desc::Value toDesc(const FaultPlan& p);
 
 }  // namespace cbsim::fault

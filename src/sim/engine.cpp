@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +16,175 @@ namespace {
 constexpr std::uint64_t kFaultStreamSalt = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
+// ------------------------------------------------------------ EventQueue
+
+namespace detail {
+
+EventQueue::~EventQueue() {
+  for (const Instant& in : instants_) {
+    for (const Lane& lane : buckets_[in.bucket].lanes) {
+      for (std::uint32_t s = lane.head; s != kNone;) {
+        Body& b = slot(s).body;
+        s = b.next;
+        b.~Body();
+      }
+    }
+  }
+}
+
+std::uint32_t EventQueue::allocSlot() {
+  if (freeHead_ != kNone) {
+    const std::uint32_t s = freeHead_;
+    freeHead_ = slot(s).nextFree;
+    return s;
+  }
+  if (used_ == chunks_.size() * kChunkSlots) {
+    if (used_ > kNone - kChunkSlots) {
+      throw std::length_error("Engine: more than 2^32 - 1 pending events");
+    }
+    chunks_.emplace_back(new Slot[kChunkSlots]);
+  }
+  return used_++;
+}
+
+void EventQueue::push(SimTime when, bool urgent, EventFn&& fn, Process* proc) {
+  const std::uint32_t b = bucketFor(when);
+  Lane& lane = buckets_[b].lanes[urgent ? 0 : 1];
+  const std::uint32_t s = allocSlot();
+  ::new (&body(s)) Body{std::move(fn), proc, kNone};
+  if (lane.tail == kNone) {
+    lane.head = s;
+  } else {
+    body(lane.tail).next = s;
+  }
+  lane.tail = s;
+  ++size_;
+}
+
+SimTime EventQueue::nextWhen() {
+  for (;;) {
+    const Instant top = instants_.front();
+    const Bucket& b = buckets_[top.bucket];
+    if (b.lanes[0].head != kNone || b.lanes[1].head != kNone) return top.when;
+    retireTop();
+  }
+}
+
+std::uint32_t EventQueue::pop() {
+  Bucket& b = buckets_[instants_.front().bucket];
+  Lane& lane = b.lanes[0].head != kNone ? b.lanes[0] : b.lanes[1];
+  const std::uint32_t s = lane.head;
+  lane.head = body(s).next;
+  if (lane.head == kNone) lane.tail = kNone;
+  --size_;
+  return s;
+}
+
+void EventQueue::release(std::uint32_t s) noexcept {
+  Slot& raw = slot(s);
+  raw.body.~Body();
+  raw.nextFree = freeHead_;
+  freeHead_ = s;
+}
+
+namespace {
+/// Heap order of the instant min-heap.
+constexpr auto kLater = [](const auto& x, const auto& y) {
+  return x.when > y.when;
+};
+}  // namespace
+
+std::uint32_t EventQueue::bucketFor(SimTime when) {
+  // Room for one more instant at load <= 1/2, so a probe that misses ends
+  // on an empty entry, which takes the new instant.
+  if ((instants_.size() + 1) * 2 > index_.size()) growIndex();
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(when);
+  for (; index_[i].bucket != kNone; i = (i + 1) & mask) {
+    if (index_[i].when == when) return index_[i].bucket;
+  }
+  std::uint32_t b;
+  if (!freeBuckets_.empty()) {
+    b = freeBuckets_.back();
+    freeBuckets_.pop_back();
+  } else {
+    b = static_cast<std::uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+  }
+  buckets_[b] = Bucket{};
+  index_[i] = IndexEntry{when, b};
+  instants_.push_back(Instant{when, b});
+  std::push_heap(instants_.begin(), instants_.end(), kLater);
+  return b;
+}
+
+void EventQueue::retireTop() {
+  std::pop_heap(instants_.begin(), instants_.end(), kLater);
+  const Instant done = instants_.back();
+  instants_.pop_back();
+  indexErase(done.when);
+  freeBuckets_.push_back(done.bucket);
+}
+
+std::size_t EventQueue::home(SimTime when) const {
+  // Fibonacci hashing: the top bits of the product spread nearby instants.
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(when.picos()) * 0x9e3779b97f4a7c15ull) >>
+      indexShift_);
+}
+
+void EventQueue::growIndex() {
+  std::vector<IndexEntry> old(std::max<std::size_t>(16, index_.size() * 2));
+  old.swap(index_);
+  indexShift_ = 64 - std::countr_zero(index_.size());
+  const std::size_t mask = index_.size() - 1;
+  for (const IndexEntry& e : old) {
+    if (e.bucket == kNone) continue;
+    std::size_t i = home(e.when);
+    while (index_[i].bucket != kNone) i = (i + 1) & mask;
+    index_[i] = e;
+  }
+}
+
+void EventQueue::indexErase(SimTime when) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(when);
+  while (index_[hole].when != when || index_[hole].bucket == kNone) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move them in front of their home slot.
+  for (std::size_t j = (hole + 1) & mask; index_[j].bucket != kNone;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(index_[j].when);
+    const bool staysPut = hole <= j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (staysPut) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole].bucket = kNone;
+}
+
+std::vector<EventQueue::Pending> EventQueue::front(std::size_t n) const {
+  std::vector<Instant> order = instants_;
+  std::sort(order.begin(), order.end(),
+            [](const Instant& x, const Instant& y) { return x.when < y.when; });
+  std::vector<Pending> out;
+  for (const Instant& in : order) {
+    for (int l = 0; l < 2; ++l) {
+      for (std::uint32_t s = buckets_[in.bucket].lanes[l].head;
+           s != kNone && out.size() < n; s = slot(s).body.next) {
+        out.push_back(Pending{in.when, l == 0, slot(s).body.proc});
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------- Engine
+
 Engine::Engine() : Engine(kDefaultSeed) {}
 Engine::Engine(std::uint64_t rngSeed) : Engine(rngSeed, defaultProcessBackend()) {}
 Engine::Engine(std::uint64_t rngSeed, ProcessBackend backend)
@@ -23,25 +194,44 @@ Engine::Engine(std::uint64_t rngSeed, ProcessBackend backend)
 
 Engine::~Engine() { shutdownProcesses(); }
 
+void Engine::throwBadDelay(SimTime delay, const std::string* process) const {
+  std::ostringstream msg;
+  msg << "simulated time out of range: ";
+  if (process != nullptr) {
+    msg << "process '" << *process << "'";
+  } else {
+    msg << "callback";
+  }
+  msg << " delay " << delay.toSeconds() << " s at t=" << now_.toSeconds()
+      << " s ";
+  if (delay < SimTime::zero()) {
+    msg << "is negative";
+  } else {
+    msg << "passes the last instant, t=" << SimTime::max().toSeconds() << " s";
+  }
+  throw std::out_of_range(msg.str());
+}
+
 void Engine::schedule(SimTime delay, EventFn fn) {
-  scheduleAt(now_ + delay, std::move(fn));
+  queue_.push(instantAfter(delay, nullptr), false, std::move(fn), nullptr);
 }
 
-void Engine::pushEvent(Event ev) {
-  queue_.push_back(std::move(ev));
-  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
-}
-
-Engine::Event Engine::popEvent() {
-  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-  Event ev = std::move(queue_.back());
-  queue_.pop_back();
-  return ev;
+void Engine::throwPastInstant(SimTime when, const std::string* process) const {
+  std::ostringstream msg;
+  msg << "Engine: ";
+  if (process != nullptr) {
+    msg << "resume of process '" << *process << "'";
+  } else {
+    msg << "callback";
+  }
+  msg << " at t=" << when.toSeconds() << " s is before now (t="
+      << now_.toSeconds() << " s)";
+  throw std::logic_error(msg.str());
 }
 
 void Engine::scheduleAt(SimTime when, EventFn fn, bool urgent) {
-  if (when < now_) throw std::logic_error("Engine::scheduleAt: time in the past");
-  pushEvent(Event{when, seq_++, std::move(fn), nullptr, urgent});
+  if (when < now_) [[unlikely]] throwPastInstant(when, nullptr);
+  queue_.push(when, urgent, std::move(fn), nullptr);
 }
 
 Process& Engine::spawn(std::string name, std::function<void(Context&)> fn) {
@@ -50,12 +240,13 @@ Process& Engine::spawn(std::string name, std::function<void(Context&)> fn) {
 
 Process& Engine::spawnAfter(SimTime startDelay, std::string name,
                             std::function<void(Context&)> fn) {
+  const SimTime start = instantAfter(startDelay, &name);
   auto proc = std::unique_ptr<Process>(new Process(
       *this, std::move(name), std::move(fn), nextProcId_++, backend_));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
   ref.start();
-  scheduleResume(ref, now_ + startDelay);
+  scheduleResume(ref, start);
   ref.state_ = Process::State::Runnable;
   return ref;
 }
@@ -81,7 +272,8 @@ void Engine::cancel(Process& p) {
 }
 
 void Engine::scheduleResume(Process& p, SimTime when) {
-  pushEvent(Event{when, seq_++, {}, &p});
+  if (when < now_) [[unlikely]] throwPastInstant(when, &p.name());
+  queue_.push(when, false, {}, &p);
 }
 
 int Engine::processRow(Process& p) {
@@ -98,17 +290,18 @@ RunStats Engine::runImpl(std::optional<SimTime> limit) {
   RunStats stats;
   std::uint64_t eventsThisInstant = 0;
   while (!queue_.empty()) {
-    if (limit && queue_.front().when > *limit) {
+    const SimTime when = queue_.nextWhen();
+    if (limit && when > *limit) {
       now_ = *limit;
       break;
     }
-    if (watchdogArmed_ && queue_.front().when > watchdogDeadline_) {
+    if (watchdogArmed_ && when > watchdogDeadline_) {
       fireWatchdog(stats, "simulated-time deadline " +
                               std::to_string(watchdogDeadline_.toSeconds()) +
                               "s expired");
       break;
     }
-    if (queue_.front().when > now_) {
+    if (when > now_) {
       eventsThisInstant = 0;
     } else if (watchdogArmed_ && watchdogMaxEventsPerInstant_ != 0 &&
                eventsThisInstant >= watchdogMaxEventsPerInstant_) {
@@ -120,11 +313,13 @@ RunStats Engine::runImpl(std::optional<SimTime> limit) {
       break;
     }
     ++eventsThisInstant;
-    Event ev = popEvent();
-    now_ = ev.when;
+    const std::uint32_t slot = queue_.pop();
+    detail::EventQueue::Body& ev = queue_.body(slot);
+    now_ = when;
     ++stats.eventsProcessed;
     if (ev.proc != nullptr) {
       Process& p = *ev.proc;
+      queue_.release(slot);
       // Stale resume for a process that was woken/cancelled/terminated by
       // an earlier event at the same timestamp.
       if (!p.live() || p.state() != Process::State::Runnable) continue;
@@ -134,6 +329,13 @@ RunStats Engine::runImpl(std::optional<SimTime> limit) {
       current_ = prev;
       if (!p.live()) reap(p, stats);
     } else {
+      // The callback runs in place (slab chunks never move) and its slot
+      // is freed however it leaves, a throw included.
+      struct Release {
+        detail::EventQueue& q;
+        std::uint32_t slot;
+        ~Release() { q.release(slot); }
+      } release{queue_, slot};
       ev.fn();
     }
   }
@@ -170,32 +372,16 @@ void Engine::fireWatchdog(RunStats& stats, const std::string& why) const {
   std::ostringstream out;
   out << "watchdog: " << why << " at t=" << now_.toSeconds() << "s\n";
   out << "pending events: " << queue_.size() << "\n";
-  // The queue is a heap; sort a copy of the ordering keys to report the
-  // earliest few in execution order.
-  struct Key {
-    SimTime when;
-    std::uint64_t seq;
-    bool urgent;
-    const Process* proc;
-  };
-  std::vector<Key> keys;
-  keys.reserve(queue_.size());
-  for (const auto& ev : queue_) {
-    keys.push_back(Key{ev.when, ev.seq, ev.urgent, ev.proc});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.urgent != b.urgent) return a.urgent;
-    return a.seq < b.seq;
-  });
-  const std::size_t shown = std::min<std::size_t>(keys.size(), 8);
-  for (std::size_t i = 0; i < shown; ++i) {
-    const Key& k = keys[i];
+  const std::vector<detail::EventQueue::Pending> first = queue_.front(8);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const detail::EventQueue::Pending& k = first[i];
     out << "  [" << i << "] t=" << k.when.toSeconds() << "s "
         << (k.proc != nullptr ? "resume " + k.proc->name() : std::string("callback"))
         << (k.urgent ? " (urgent)" : "") << "\n";
   }
-  if (keys.size() > shown) out << "  ... " << (keys.size() - shown) << " more\n";
+  if (queue_.size() > first.size()) {
+    out << "  ... " << (queue_.size() - first.size()) << " more\n";
+  }
   std::size_t live = 0;
   for (const auto& p : processes_) {
     if (p->live()) ++live;

@@ -2,7 +2,7 @@
 
 // Deterministic discrete-event engine.
 //
-// Events are ordered by (time, urgency, insertion sequence); ties therefore
+// Events are ordered by (time, urgency, insertion order); ties therefore
 // resolve in schedule order, making every run bit-reproducible.  Urgent
 // events (failure injection) run before regular events carrying the same
 // timestamp regardless of insertion order — a defined semantic tie-break
@@ -32,6 +32,115 @@ namespace cbsim::sim {
 /// in the event itself — the schedule/pop hot path never allocates for
 /// them; larger captures are boxed once (see small_fn.hpp).
 using EventFn = SmallFn<64>;
+
+namespace detail {
+
+/// The engine's pending events, keyed by simulated instant.
+///
+/// Event bodies (callback or process to resume) sit in a slab of
+/// fixed-size chunks that never move, so an event runs in place and may
+/// schedule more events meanwhile; freed slots are reused LIFO.  Every
+/// pending instant owns a bucket with two FIFO lanes, urgent and regular,
+/// singly linked through the bodies by 4-byte slot index.  A min-heap
+/// orders the distinct instants and an open-addressed table maps an
+/// instant to its bucket, so a push costs one table probe and a pop
+/// touches no ordering structure until its instant drains.  A drained
+/// bucket is recycled only when the next instant is looked up, so
+/// zero-delay events scheduled by the last event of an instant still land
+/// in it.
+///
+/// Pop order is (instant, urgent lane first, FIFO within a lane).  Lanes
+/// are FIFO in push order, so this is the order a single queue keyed by
+/// (time, urgent, insertion sequence) gives.  Nothing is allocated until
+/// the first push.
+class EventQueue {
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kChunkSlots = 256;
+
+ public:
+  struct Body {
+    EventFn fn;                  ///< empty for a process resume
+    Process* proc = nullptr;     ///< process to resume
+    std::uint32_t next = kNone;  ///< next slot of the same lane
+  };
+  /// A pending event as the watchdog report lists it.
+  struct Pending {
+    SimTime when;
+    bool urgent = false;
+    const Process* proc = nullptr;  ///< nullptr for a callback
+  };
+
+  EventQueue() = default;
+  ~EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  void push(SimTime when, bool urgent, EventFn&& fn, Process* proc);
+  /// Instant of the next event.  Pre: !empty().
+  [[nodiscard]] SimTime nextWhen();
+  /// Unlinks the next event and returns its slot, whose body stays valid
+  /// until release().  Pre: nextWhen() was called since the last pop.
+  [[nodiscard]] std::uint32_t pop();
+  [[nodiscard]] Body& body(std::uint32_t s) { return slot(s).body; }
+  /// Destroys the body of a popped slot and frees the slot.
+  void release(std::uint32_t s) noexcept;
+
+  /// The first `n` pending events in run order.
+  [[nodiscard]] std::vector<Pending> front(std::size_t n) const;
+
+ private:
+  /// Raw storage for one body: constructed by push, destroyed by release,
+  /// and the free-list link while free.
+  union Slot {
+    Slot() {}   // NOLINT: leaves the storage uninitialized on purpose
+    ~Slot() {}  // NOLINT
+    Body body;
+    std::uint32_t nextFree;
+  };
+  struct Lane {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+  struct Bucket {
+    Lane lanes[2];  ///< [0] urgent, [1] regular
+  };
+  struct Instant {
+    SimTime when;
+    std::uint32_t bucket;
+  };
+  struct IndexEntry {
+    SimTime when;
+    std::uint32_t bucket = kNone;  ///< kNone: empty entry
+  };
+
+  [[nodiscard]] Slot& slot(std::uint32_t s) const {
+    return chunks_[s / kChunkSlots][s % kChunkSlots];
+  }
+  [[nodiscard]] std::uint32_t allocSlot();
+  /// The bucket of `when`, created (and its instant queued) on first use.
+  [[nodiscard]] std::uint32_t bucketFor(SimTime when);
+  /// Drops the drained bucket at the top of the instant heap.
+  void retireTop();
+  [[nodiscard]] std::size_t home(SimTime when) const;
+  /// Doubles the index (16 entries at first) and rehashes it.
+  void growIndex();
+  void indexErase(SimTime when);
+
+  std::vector<std::unique_ptr<Slot[]>> chunks_;  ///< never move
+  std::uint32_t used_ = 0;                       ///< slots ever handed out
+  std::uint32_t freeHead_ = kNone;
+  std::size_t size_ = 0;  ///< pending events
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> freeBuckets_;
+  std::vector<Instant> instants_;  ///< min-heap on `when`
+  std::vector<IndexEntry> index_;  ///< power-of-two size, load <= 1/2
+  int indexShift_ = 64;            ///< 64 - log2(index_.size())
+};
+
+}  // namespace detail
 
 /// Result of an Engine::run() call.
 struct RunStats {
@@ -84,8 +193,11 @@ class Engine {
   [[nodiscard]] ProcessBackend processBackend() const { return backend_; }
 
   /// Schedules `fn` to run `delay` after the current simulated time.
+  /// Throws std::out_of_range, naming the callback, the delay and now(),
+  /// when `delay` is negative or now() + delay would pass SimTime::max().
   void schedule(SimTime delay, EventFn fn);
-  /// Schedules `fn` at the absolute simulated time `when` (>= now()).
+  /// Schedules `fn` at the absolute simulated time `when` (>= now(), else
+  /// std::logic_error).
   /// An urgent event runs before every non-urgent event scheduled at the
   /// same simulated time, regardless of insertion order — the tie-break
   /// used by failure injection so "fault at t" beats "delivery at t".
@@ -93,7 +205,8 @@ class Engine {
 
   /// Creates a process and schedules its first run at the current time.
   Process& spawn(std::string name, std::function<void(Context&)> fn);
-  /// Creates a process whose first run happens `startDelay` from now.
+  /// Creates a process whose first run happens `startDelay` from now
+  /// (checked like schedule()'s delay, naming the process).
   Process& spawnAfter(SimTime startDelay, std::string name,
                       std::function<void(Context&)> fn);
 
@@ -195,25 +308,21 @@ class Engine {
   friend class Context;
   friend class Process;
 
-  struct Event {
-    SimTime when;
-    std::uint64_t seq;
-    EventFn fn;               // empty when proc != nullptr
-    Process* proc = nullptr;  // process to resume
-    bool urgent = false;      // runs before same-time non-urgent events
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.urgent != b.urgent) return b.urgent;
-      return a.seq > b.seq;
+  /// now() + delay, or std::out_of_range naming the delayed `process`
+  /// (nullptr: a callback), the delay and now() when the delay is negative
+  /// or the instant would pass SimTime::max().
+  [[nodiscard]] SimTime instantAfter(SimTime delay,
+                                     const std::string* process) const {
+    if (delay < SimTime::zero() || delay > SimTime::max() - now_) [[unlikely]] {
+      throwBadDelay(delay, process);
     }
-  };
-
-  void pushEvent(Event ev);
-  /// Removes and returns the earliest event (FIFO on time ties).
-  Event popEvent();
-
+    return now_ + delay;
+  }
+  [[noreturn]] void throwBadDelay(SimTime delay,
+                                  const std::string* process) const;
+  /// std::logic_error: an event at `when` < now() (nullptr: a callback).
+  [[noreturn]] void throwPastInstant(SimTime when,
+                                     const std::string* process) const;
   void scheduleResume(Process& p, SimTime when);
   RunStats runImpl(std::optional<SimTime> limit);
   void reap(Process& p, RunStats& stats);
@@ -223,16 +332,11 @@ class Engine {
   void fireWatchdog(RunStats& stats, const std::string& why) const;
 
   SimTime now_ = SimTime::zero();
-  std::uint64_t seq_ = 0;
   /// Declared before processes_: fibers return stacks here on finalize,
   /// so the pool must outlive every Process.
   detail::FiberStackPool stackPool_;
   std::size_t fiberStackBytes_ = kDefaultFiberStackBytes;
-  /// Binary heap ordered by EventLater (std::push_heap/std::pop_heap), the
-  /// same discipline std::priority_queue uses — kept as a plain vector so
-  /// the top event can be moved out without const_cast (mutating through a
-  /// const reference is UB).
-  std::vector<Event> queue_;
+  detail::EventQueue queue_;
   std::vector<std::unique_ptr<Process>> processes_;
   Process* current_ = nullptr;
   ProcessBackend backend_;

@@ -510,7 +510,7 @@ SimTime Context::now() const { return engine_.now(); }
 const std::string& Context::name() const { return proc_.name(); }
 
 void Context::delay(SimTime d, const char* label) {
-  const SimTime until = engine_.now() + d;
+  const SimTime until = engine_.instantAfter(d, &proc_.name());
   if (engine_.timeline() != nullptr) [[unlikely]] traceDelay(label, until);
   engine_.scheduleResume(proc_, until);
   proc_.state_ = Process::State::Runnable;

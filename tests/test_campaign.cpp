@@ -103,6 +103,28 @@ TEST(Runner, XpicTimeStepBeyondGhostRingIsANamedScenarioError) {
   }
 }
 
+// halo-tiny at 5e6 s of compute per step needs 2e7 simulated seconds, past
+// SimTime::max() (about 9.22e6 s).  The clock used to wrap and report a
+// negative comm_sec; now each world fails with a named error.
+TEST(Runner, SimulatedTimeOverflowIsANamedScenarioError) {
+  campaign::CampaignSpec spec = campaign::campaignSpecFromDescText(
+      campaign::builtinCampaignText("halo-tiny"), "halo-tiny");
+  spec.halo.computeSec = 5e6;
+  const CampaignReport rep =
+      campaign::runCampaign(campaign::buildCampaign(spec), campaign::withJobs(2));
+  ASSERT_EQ(rep.scenarios.size(), 2u);
+  EXPECT_EQ(rep.failedCount(), 2);
+  for (const auto& s : rep.scenarios) {
+    EXPECT_NE(s.error.find("simulated time out of range: process '"),
+              std::string::npos)
+        << s.name << ": " << s.error;
+    EXPECT_NE(s.error.find("delay 5e+06 s at t=5e+06 s passes the last "
+                           "instant"),
+              std::string::npos)
+        << s.name << ": " << s.error;
+  }
+}
+
 TEST(Runner, JobsZeroMeansHardwareConcurrency) {
   Campaign c;
   c.name = "jobs0";

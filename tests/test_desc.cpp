@@ -439,6 +439,34 @@ TEST(DescCampaign, ResilienceRejectsNegativeRestartDelay) {
       << msg;
 }
 
+// A resilience fault_plan is read against the params' machine, as mc's
+// fault is: names resolve, unknown ones are rejected by path, and the
+// dump keeps the index form.
+TEST(DescCampaign, ResilienceFaultPlanResolvesNamedTargets) {
+  const auto withEndpoint = [](const std::string& endpoint) {
+    return R"({"campaign": "resilience", "resilience": {"machine": "deep-er",
+        "fault_plan": {"endpoint_windows": [{"endpoint": )" +
+           endpoint +
+           R"(, "from_sec": 0.001, "until_sec": 0.002, "bw_factor": 0.5}]}}})";
+  };
+  const campaign::CampaignSpec named =
+      campaign::campaignSpecFromDescText(withEndpoint("\"cn01\""), "t");
+  const campaign::CampaignSpec indexed =
+      campaign::campaignSpecFromDescText(withEndpoint("1"), "t");
+  const std::string dump = desc::dump(campaign::toDesc(named));
+  EXPECT_EQ(dump, desc::dump(campaign::toDesc(indexed)));
+  EXPECT_NE(dump.find("\"endpoint\": 1,"), std::string::npos) << dump;
+  EXPECT_EQ(campaign::buildCampaign(named).scenarios.size(), 12u);
+
+  const std::string msg = errorOf([&] {
+    (void)campaign::campaignSpecFromDescText(withEndpoint("\"cn99\""), "t");
+  });
+  EXPECT_NE(msg.find("t.resilience.fault_plan.endpoint_windows[0].endpoint: "
+                     "\"cn99\" does not name anything in machine"),
+            std::string::npos)
+      << msg;
+}
+
 // What a run would reject fails when the campaign is built, which
 // --validate does too: a grid that repeats a scenario name, or a machine
 // without the nodes the grid places ranks on.

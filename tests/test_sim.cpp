@@ -1,17 +1,22 @@
 // Unit tests for the discrete-event engine: time arithmetic, PRNG,
-// event ordering, process lifecycle, wake semantics,
-// deadlock detection, cancellation and the fiber stack pool.
+// event ordering (against a reference queue), process lifecycle, wake
+// semantics, deadlock detection, cancellation, simulated-time range
+// checks and the fiber stack pool.
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -194,6 +199,51 @@ TEST(Engine, RunUntilStopsAtLimit) {
   EXPECT_EQ(st.endTime, 10_us);
 }
 
+// Simulated time is a signed 64-bit picosecond count (SimTime::max() is
+// about 9.22e6 s).  A delay that would pass it, or a negative one, fails
+// by name instead of wrapping the clock.
+TEST(Engine, SimulatedTimeOutOfRangeFailsByName) {
+  Engine e;
+  e.setCollectProcessErrors(true);
+  e.spawn("sleeper", [](Context& ctx) {
+    ctx.delay(SimTime::sec(5'000'000));
+    ctx.delay(SimTime::sec(5'000'000));
+  });
+  const RunStats st = e.run();
+  ASSERT_EQ(st.processFailures.size(), 1u);
+  EXPECT_EQ(st.processFailures[0],
+            "sleeper: simulated time out of range: process 'sleeper' delay "
+            "5e+06 s at t=5e+06 s passes the last instant, t=9.22337e+06 s");
+  EXPECT_EQ(st.endTime, SimTime::sec(5'000'000));
+
+  const auto outOfRange = [](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const std::out_of_range& ex) {
+      return std::string(ex.what());
+    }
+    return std::string("no std::out_of_range");
+  };
+  EXPECT_EQ(outOfRange([&] { e.schedule(SimTime::max(), [] {}); }),
+            "simulated time out of range: callback delay 9.22337e+06 s at "
+            "t=5e+06 s passes the last instant, t=9.22337e+06 s");
+  EXPECT_EQ(outOfRange([&] { e.schedule(SimTime::ps(-1), [] {}); }),
+            "simulated time out of range: callback delay -1e-12 s at "
+            "t=5e+06 s is negative");
+  EXPECT_EQ(outOfRange([&] {
+              (void)e.spawnAfter(SimTime::ps(-1), "late", [](Context&) {});
+            }),
+            "simulated time out of range: process 'late' delay -1e-12 s at "
+            "t=5e+06 s is negative");
+  EXPECT_EQ(e.spawnedProcessCount(), 1u);  // the rejected spawn made nothing
+  // The last instant itself is reachable.
+  bool ran = false;
+  e.schedule(SimTime::max() - e.now(), [&] { ran = true; });
+  e.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(e.now(), SimTime::max());
+}
+
 TEST(Engine, ProcessDelayAdvancesTime) {
   Engine e;
   std::vector<double> stamps;
@@ -307,6 +357,183 @@ TEST(Engine, WatchdogStaysArmedAcrossRunsUntilCleared) {
   // Drains the event the watchdog abandoned plus the new one.
   const RunStats st = e.run();
   EXPECT_FALSE(st.watchdogFired);
+}
+
+TEST(Engine, WatchdogReportListsTheFirstEventsInRunOrder) {
+  // Urgent before regular within an instant, FIFO within each, instants in
+  // order; cbsim mc prints this text inside its no-progress violations.
+  Engine e;
+  e.spawnAfter(2_us, "sleeper", [](Context&) {});
+  e.scheduleAt(3_us, [] {});
+  e.scheduleAt(2_us, [] {});
+  e.scheduleAt(2_us, [] {}, /*urgent=*/true);
+  e.scheduleAt(1_us, [] {});
+  e.scheduleAt(3_us, [] {}, /*urgent=*/true);
+  e.scheduleAt(1_us, [] {}, /*urgent=*/true);
+  e.scheduleAt(2_us, [] {});
+  e.scheduleAt(4_us, [] {});
+  e.scheduleAt(5_us, [] {}, /*urgent=*/true);
+  e.setWatchdog(500_ns);
+  const RunStats st = e.run();
+  EXPECT_TRUE(st.watchdogFired);
+  EXPECT_EQ(st.watchdogReport,
+            "watchdog: simulated-time deadline 0.000000s expired at t=0s\n"
+            "pending events: 10\n"
+            "  [0] t=1e-06s callback (urgent)\n"
+            "  [1] t=1e-06s callback\n"
+            "  [2] t=2e-06s callback (urgent)\n"
+            "  [3] t=2e-06s resume sleeper\n"
+            "  [4] t=2e-06s callback\n"
+            "  [5] t=2e-06s callback\n"
+            "  [6] t=3e-06s callback (urgent)\n"
+            "  [7] t=3e-06s callback\n"
+            "  ... 2 more\n"
+            "processes: 1 total, 1 live\n"
+            "  sleeper: runnable\n");
+}
+
+// The order the engine promises, kept independently: every push is
+// mirrored here keyed by (instant, urgent first, insertion number), and
+// each event that runs must be the smallest key still pending.
+class ReferenceQueue {
+ public:
+  std::uint64_t add(SimTime when, bool urgent) {
+    pending_.emplace(when.picos(), !urgent, inserted_);
+    return inserted_++;
+  }
+  void ran(std::uint64_t id) {
+    ASSERT_FALSE(pending_.empty()) << "event " << id << " was never pushed";
+    expected_.push_back(std::get<2>(*pending_.begin()));
+    pending_.erase(pending_.begin());
+    actual_.push_back(id);
+  }
+  [[nodiscard]] std::uint64_t inserted() const { return inserted_; }
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] const std::vector<std::uint64_t>& expected() const {
+    return expected_;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& actual() const {
+    return actual_;
+  }
+
+ private:
+  std::set<std::tuple<std::int64_t, bool, std::uint64_t>> pending_;
+  std::uint64_t inserted_ = 0;
+  std::vector<std::uint64_t> expected_;
+  std::vector<std::uint64_t> actual_;
+};
+
+// A seeded mix of a few thousand schedule / scheduleAt(urgent) calls,
+// zero-delay and same-instant urgent pushes from inside callbacks, and
+// process delay / wake / cancel runs in exactly the reference order.
+TEST(Engine, RandomCallsRunInReferenceOrder) {
+  constexpr std::uint64_t kBudget = 4000;  // pushes
+  constexpr int kProcs = 8;
+  ReferenceQueue ref;
+  Rng rng(20261018);
+  const std::array<SimTime, 5> delays{SimTime::zero(), 1_ns, 2_ns, 3_ns, 7_ns};
+  const auto delay = [&] { return delays[rng.below(delays.size())]; };
+  std::vector<Process*> procs(kProcs, nullptr);
+  std::vector<std::uint64_t> resumeId(kProcs, 0);
+  bool recording = true;
+  std::function<void(std::uint64_t)> callback;
+  Engine e;  // declared last: its processes die before the state above
+
+  const auto push = [&](SimTime when, bool urgent) {
+    const std::uint64_t id = ref.add(when, urgent);
+    e.scheduleAt(when, [&callback, id] { callback(id); }, urgent);
+  };
+  // Resumes a suspended process (the engine queues its resume now).
+  const auto poke = [&](int i, bool cancel) {
+    Process* p = procs[static_cast<std::size_t>(i)];
+    if (p->state() != Process::State::Suspended) return;
+    resumeId[static_cast<std::size_t>(i)] = ref.add(e.now(), false);
+    if (cancel) {
+      e.cancel(*p);
+    } else {
+      e.wake(*p);
+    }
+  };
+  callback = [&](std::uint64_t id) {
+    ref.ran(id);
+    const std::uint64_t actions = 1 + rng.below(3);
+    for (std::uint64_t a = 0; a < actions && ref.inserted() < kBudget; ++a) {
+      switch (rng.below(6)) {
+        case 0: {
+          const SimTime d = delay();
+          const std::uint64_t next = ref.add(e.now() + d, false);
+          e.schedule(d, [&callback, next] { callback(next); });
+          break;
+        }
+        case 1: push(e.now() + delay(), rng.below(2) == 0); break;
+        case 2: push(e.now(), false); break;
+        case 3: push(e.now(), true); break;
+        case 4: poke(static_cast<int>(rng.below(kProcs)), false); break;
+        default:
+          poke(static_cast<int>(rng.below(kProcs)), rng.below(4) == 0);
+      }
+    }
+  };
+  for (int i = 0; i < kProcs; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    resumeId[k] = ref.add(SimTime::zero(), false);
+    procs[k] = &e.spawn("p" + std::to_string(i), [&, k](Context& ctx) {
+      try {
+        ref.ran(resumeId[k]);
+        while (ref.inserted() < kBudget) {
+          if (rng.below(3) == 0) {
+            ctx.suspend();  // poke() recorded the resume
+          } else {
+            const SimTime d = delay();
+            resumeId[k] = ref.add(ctx.now() + d, false);
+            ctx.delay(d);
+          }
+          ref.ran(resumeId[k]);
+          if (rng.below(2) == 0) push(ctx.now() + delay(), rng.below(2) == 0);
+        }
+      } catch (const ProcessCancelled&) {
+        if (recording) ref.ran(resumeId[k]);
+        throw;
+      }
+    });
+  }
+  for (int i = 0; i < 16; ++i) push(SimTime::ns(rng.below(4)), rng.below(2) == 0);
+  e.run();
+  recording = false;
+  EXPECT_GE(ref.inserted(), kBudget);
+  EXPECT_EQ(ref.pending(), 0u);
+  EXPECT_EQ(ref.actual(), ref.expected());
+}
+
+// A callback that throws out of run() takes only itself with it: the
+// events behind it run on the next call, and every capture is destroyed
+// (the thrown one, the run ones and those still pending when the engine
+// dies), inline and boxed alike.
+TEST(Engine, ThrowingCallbackLeavesTheRestRunnable) {
+  auto token = std::make_shared<int>(0);
+  std::vector<int> order;
+  {
+    Engine e;
+    e.schedule(1_us, [&] { order.push_back(1); });
+    e.schedule(2_us, [&order, token] {
+      order.push_back(2);
+      throw std::runtime_error("boom");
+    });
+    e.scheduleAt(2_us, [&order, token] { order.push_back(3); });
+    const std::array<char, 128> pad{};  // too big for the inline buffer
+    e.schedule(3_us, [&order, token, pad] { order.push_back(4 + pad[0]); });
+    e.schedule(4_us, [token] {});
+    EXPECT_EQ(token.use_count(), 5);
+    EXPECT_THROW(e.run(), std::runtime_error);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(e.now(), 2_us);
+    EXPECT_EQ(token.use_count(), 4);
+    const RunStats st = e.runUntil(3_us);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(st.eventsProcessed, 2u);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Engine, ProcessFailureThrowsByDefault) {
