@@ -89,8 +89,8 @@ struct ResilienceParams {
   /// runs lossy for the whole scenario).
   pmpi::ProtocolParams protocol = resilienceDefaultProtocol();
 
-  /// Platform override.  When unset each scenario builds the DEEP-ER
-  /// machine with ranks + spare_nodes Cluster nodes and 2 Boosters.
+  /// Platform override.  When unset the grid runs on resilienceMachine()'s
+  /// DEEP-ER default.
   std::optional<hw::MachineConfig> machine;
 
   /// Fault-plan override.  When unset the plan is built from the scalar
@@ -116,6 +116,11 @@ struct ResilienceParams {
   double firstFailureAtSec = 0.12;  ///< deterministic first node failure
   double restartDelaySec = 0.005;   ///< supervisor relaunch latency
 };
+
+/// The platform a resilience grid runs on, and the one its fault plan's
+/// named targets resolve against: `p.machine`, else the DEEP-ER preset with
+/// ranks + spare_nodes Cluster nodes and 2 Boosters.
+[[nodiscard]] hw::MachineConfig resilienceMachine(const ResilienceParams& p);
 
 /// Throws std::invalid_argument when `ranks` exceeds the machine's Cluster
 /// count.

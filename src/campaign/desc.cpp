@@ -1,5 +1,6 @@
 #include "campaign/desc.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -91,12 +92,8 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   if (auto pr = r.tryChild("protocol")) {
     p.protocol = pmpi::protocolParamsFromDesc(*pr);
   }
-  // Machine before fault_plan: with a machine, the plan may name its
-  // targets ("cn01") and is checked against it.
   if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
-  if (auto f = r.tryChild("fault_plan")) {
-    p.faultPlan = fault::faultPlanFromDesc(*f, p.machine ? &*p.machine : nullptr);
-  }
+  std::optional<desc::Reader> plan = r.tryChild("fault_plan");
   p.dropProb = r.numberAt("drop_prob", p.dropProb);
   p.corruptProb = r.numberAt("corrupt_prob", p.corruptProb);
   p.degradeFactor = r.numberAt("degrade_factor", p.degradeFactor);
@@ -122,6 +119,13 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   }
   if (p.degradeFactor < 0 || p.degradeFactor > 1) {
     r.fail("degrade_factor must be in [0, 1]");
+  }
+  // Read last, once the sizes the default machine is built from are
+  // checked: the plan may name its targets ("cn01") and is validated
+  // against the machine the grid runs on.  Its dump keeps indices.
+  if (plan) {
+    const hw::MachineConfig machine = resilienceMachine(p);
+    p.faultPlan = fault::faultPlanFromDesc(*plan, &machine);
   }
   return p;
 }

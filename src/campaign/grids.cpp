@@ -469,6 +469,11 @@ Campaign haloCampaign(const HaloParams& params) {
   return c;
 }
 
+hw::MachineConfig resilienceMachine(const ResilienceParams& p) {
+  return p.machine ? *p.machine
+                   : hw::MachineConfig::deepEr(p.ranks + p.spareNodes, 2);
+}
+
 Campaign resilienceCampaign(const ResilienceParams& params) {
   Campaign c;
   // Resolve the platform once per campaign: without this every scenario
@@ -476,10 +481,7 @@ Campaign resilienceCampaign(const ResilienceParams& params) {
   // per-world construction cost ROADMAP item 2 calls out).  The config is
   // still copied into each closure, so worlds remain isolated.
   ResilienceParams resolved = params;
-  if (!resolved.machine) {
-    resolved.machine =
-        hw::MachineConfig::deepEr(resolved.ranks + resolved.spareNodes, 2);
-  }
+  resolved.machine = resilienceMachine(params);
   // The supervisor would wait forever for a repair that frees enough nodes.
   requireClusterNodes("resilience", *resolved.machine, resolved.ranks);
   // A plan aimed at a target the machine lacks is a description error.

@@ -91,26 +91,33 @@ bool Env::iprobe(Comm c, int src, int tag, Status* st) {
   if (st != nullptr) {
     st->source = m->srcRank;
     st->tag = m->tag;
-    st->bytes = m->bytes;
+    st->bytes = m->payloadLen;
   }
   return true;
 }
 
-Request Env::isend(Comm c, int dst, int tag, ConstBytes data) {
+Request Env::postSend(Comm c, int dst, int tag, ConstBytes data,
+                      std::size_t wireBytes, Runtime::SendMode mode) {
   checkUserTag(tag);
   // Injection: the sending CPU runs the MPI stack before returning.
   const SimTime ov = node().mpiSwOverhead;
   proc_.commSec += ov.toSeconds();
   ctx_.delay(ov);
-  return rt_.postSend(proc_, c, dst, tag, data, Runtime::SendMode::Standard);
+  return rt_.postSend(proc_, c, dst, tag, data, wireBytes, mode);
+}
+
+Request Env::isend(Comm c, int dst, int tag, ConstBytes data) {
+  return postSend(c, dst, tag, data, data.size(), Runtime::SendMode::Standard);
 }
 
 Request Env::issend(Comm c, int dst, int tag, ConstBytes data) {
-  checkUserTag(tag);
-  const SimTime ov = node().mpiSwOverhead;
-  proc_.commSec += ov.toSeconds();
-  ctx_.delay(ov);
-  return rt_.postSend(proc_, c, dst, tag, data, Runtime::SendMode::Synchronous);
+  return issend(c, dst, tag, data, data.size());
+}
+
+Request Env::issend(Comm c, int dst, int tag, ConstBytes data,
+                    std::size_t wireBytes) {
+  return postSend(c, dst, tag, data, wireBytes,
+                  Runtime::SendMode::Synchronous);
 }
 
 Request Env::irecv(Comm c, int src, int tag, Bytes buf) {
@@ -119,7 +126,13 @@ Request Env::irecv(Comm c, int src, int tag, Bytes buf) {
 }
 
 void Env::send(Comm c, int dst, int tag, ConstBytes data) {
-  waitTracked(isend(c, dst, tag, data));
+  send(c, dst, tag, data, data.size());
+}
+
+void Env::send(Comm c, int dst, int tag, ConstBytes data,
+               std::size_t wireBytes) {
+  waitTracked(
+      postSend(c, dst, tag, data, wireBytes, Runtime::SendMode::Standard));
 }
 
 void Env::ssend(Comm c, int dst, int tag, ConstBytes data) {

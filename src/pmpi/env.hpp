@@ -73,12 +73,22 @@ class Env {
 
   // ---- Point-to-point (byte level) ------------------------------------------
   void send(Comm c, int dst, int tag, ConstBytes data);
+  /// Sends `data` as a message of `wireBytes` simulated bytes (at least
+  /// data.size(), else std::invalid_argument): protocol choice, fabric
+  /// volume, counters and trace events see `data` zero-padded to that
+  /// size, while the host copies only `data` and the receiver's Status
+  /// reports data.size().  For padding no rank ever reads (xPic's
+  /// interface volume).
+  void send(Comm c, int dst, int tag, ConstBytes data, std::size_t wireBytes);
   /// Synchronous-mode send: completes only once the receive matched.
   void ssend(Comm c, int dst, int tag, ConstBytes data);
   Status recv(Comm c, int src, int tag, Bytes buf);
 
   Request isend(Comm c, int dst, int tag, ConstBytes data);
   Request issend(Comm c, int dst, int tag, ConstBytes data);
+  /// issend with a wire size, as send(c, dst, tag, data, wireBytes).
+  Request issend(Comm c, int dst, int tag, ConstBytes data,
+                 std::size_t wireBytes);
   Request irecv(Comm c, int src, int tag, Bytes buf);
 
   void wait(const Request& r);
@@ -93,7 +103,7 @@ class Env {
   std::size_t waitAny(std::span<const Request> rs);
 
   /// Nonblocking probe: is a matching message waiting?  Fills `st` (with
-  /// the pending byte count) when one is.
+  /// the pending payload's byte count) when one is.
   bool iprobe(Comm c, int src, int tag, Status* st = nullptr);
 
   Status sendRecv(Comm c, int dst, int sendTag, ConstBytes sendData, int src,
@@ -204,6 +214,9 @@ class Env {
   void checkUserTag([[maybe_unused]] int tag) const {
     assert(tag == AnyTag || tag >= 0);
   }
+  /// Charges the sender's MPI software overhead, then posts the send.
+  Request postSend(Comm c, int dst, int tag, ConstBytes data,
+                   std::size_t wireBytes, Runtime::SendMode mode);
   /// Blocks until `r` completes, charging the elapsed time to commSec.
   /// Returns the completion Status and releases the request's pool slot
   /// (the handle becomes inactive: test() keeps reporting done).

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -165,7 +167,19 @@ bool Runtime::matches(const RequestState& r, const Proc::UnexpectedMsg& m) {
 }
 
 Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
-                          ConstBytes data, SendMode mode) {
+                          ConstBytes data, std::size_t wireBytes,
+                          SendMode mode) {
+  if (wireBytes < data.size()) [[unlikely]] {
+    throw std::invalid_argument(
+        "pmpi: wire size of " + std::to_string(wireBytes) +
+        " bytes is smaller than the " + std::to_string(data.size()) +
+        "-byte payload");
+  }
+  if (data.size() > std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+    throw std::invalid_argument("pmpi: payload of " +
+                                std::to_string(data.size()) +
+                                " bytes exceeds the 4 GiB message limit");
+  }
   const int dstIdx = sendTarget(c, src.idx, dstRank);
   const int srcRank = rankIn(c, src.idx);
   if (srcRank < 0) throw std::logic_error("sender not a member of comm");
@@ -175,13 +189,14 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
   reqState.commId = c.id();
 
   const bool rendezvous =
-      mode == SendMode::Synchronous || data.size() > params_.eagerThreshold;
+      mode == SendMode::Synchronous || wireBytes > params_.eagerThreshold;
 
   Proc::UnexpectedMsg msg;
   msg.commId = c.id();
   msg.srcRank = srcRank;
   msg.tag = tag;
-  msg.bytes = data.size();
+  msg.bytes = wireBytes;
+  msg.payloadLen = static_cast<std::uint32_t>(data.size());
   msg.srcProcIdx = src.idx;
   if (obs::Tracer* tr = engine().tracer()) {
     MetricIds& ids = metricIds();
@@ -193,7 +208,7 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
     traceMsgEvent(engine(), *tl, src, "send.post",
                   {{"dst", static_cast<double>(dstRank)},
                    {"tag", static_cast<double>(tag)},
-                   {"bytes", static_cast<double>(data.size())},
+                   {"bytes", static_cast<double>(wireBytes)},
                    {"rdv", rendezvous ? 1.0 : 0.0}});
   }
   if (rendezvous) {
@@ -210,12 +225,11 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
     // Eager: the payload is copied into the *destination* rank's arena at
     // send time (the simulated copy-out), so the message itself stays a
     // 48-byte ticket and the send buffer is free immediately.
-    msg.payloadLen = static_cast<std::uint32_t>(data.size());
     msg.payloadOff = procs_[static_cast<std::size_t>(dstIdx)]
                          .eagerPayloads.store(data);
     reqState.done = true;
     transportSend(src.idx, dstIdx,
-                  static_cast<double>(data.size()) + params_.headerBytes,
+                  static_cast<double>(wireBytes) + params_.headerBytes,
                   [this, dstIdx, msg]() mutable {
                     deliverEager(dstIdx, std::move(msg));
                   });
@@ -371,7 +385,7 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
 
 void Runtime::startRendezvousTransfer(Proc& dst, Request req,
                                       Proc::UnexpectedMsg msg) {
-  if (msg.bytes > requests_.get(req).recvBuf.size()) {
+  if (msg.payloadLen > requests_.get(req).recvBuf.size()) {
     throw std::runtime_error("pmpi: rendezvous message truncates receive buffer");
   }
   const hw::Node& dstNode = machine_.node(dst.nodeId);
@@ -405,11 +419,11 @@ void Runtime::startRendezvousTransfer(Proc& dst, Request req,
                       RequestState* ss = requests_.find(msg.sendReq);
                       if (rr == nullptr || ss == nullptr) return;
                       std::memcpy(rr->recvBuf.data(), ss->sendBuf.data(),
-                                  msg.bytes);
+                                  msg.payloadLen);
                       completeRequest(dst, req, msg.srcRank, msg.tag,
-                                      msg.bytes);
+                                      msg.payloadLen);
                       completeRequest(src, msg.sendReq, msg.srcRank, msg.tag,
-                                      msg.bytes);
+                                      msg.payloadLen);
                     });
     });
   });

@@ -66,9 +66,9 @@ struct Proc {
     int commId;
     int srcRank;
     int tag;
-    std::size_t bytes;
+    std::size_t bytes;             ///< wire size: what the fabric carries
     std::uint32_t payloadOff = 0;  ///< into the dst proc's eagerPayloads
-    std::uint32_t payloadLen = 0;  ///< 0 for rendezvous (no eager payload)
+    std::uint32_t payloadLen = 0;  ///< host payload, <= bytes (both paths)
     bool rendezvous = false;
     int srcProcIdx = -1;           ///< rendezvous: who to CTS
     Request sendReq;               ///< rendezvous: sender's request
@@ -267,8 +267,14 @@ class Runtime {
 
   /// Called from within the sender's process context (Env).  Returns the
   /// send request; for eager standard sends it is already complete.
+  ///
+  /// `wireBytes` (>= data.size(), else std::invalid_argument) is the
+  /// message's simulated size: the protocol choice, fabric volume,
+  /// counters and trace events see a zero-padded buffer of that size.
+  /// The host stores and copies only `data`, and the receiver's Status
+  /// reports data.size().
   Request postSend(Proc& src, Comm c, int dstRank, int tag, ConstBytes data,
-                   SendMode mode);
+                   std::size_t wireBytes, SendMode mode);
   Request postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf);
 
   void deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg);

@@ -202,6 +202,13 @@ void Engine::throwBadDelay(SimTime delay, const std::string* process) const {
   } else {
     msg << "callback";
   }
+  if (delay == SimTime::max()) {
+    // SimTime::seconds saturates there, so the requested delay is lost;
+    // all that is known is that it does not fit.
+    msg << " delay beyond the SimTime range (≥ 9.22e6 s) at t="
+        << now_.toSeconds() << " s";
+    throw std::out_of_range(msg.str());
+  }
   msg << " delay " << delay.toSeconds() << " s at t=" << now_.toSeconds()
       << " s ";
   if (delay < SimTime::zero()) {
@@ -216,21 +223,15 @@ void Engine::schedule(SimTime delay, EventFn fn) {
   queue_.push(instantAfter(delay, nullptr), false, std::move(fn), nullptr);
 }
 
-void Engine::throwPastInstant(SimTime when, const std::string* process) const {
+void Engine::throwPastInstant(SimTime when, const std::string& what) const {
   std::ostringstream msg;
-  msg << "Engine: ";
-  if (process != nullptr) {
-    msg << "resume of process '" << *process << "'";
-  } else {
-    msg << "callback";
-  }
-  msg << " at t=" << when.toSeconds() << " s is before now (t="
-      << now_.toSeconds() << " s)";
+  msg << "Engine: " << what << " at t=" << when.toSeconds()
+      << " s is before now (t=" << now_.toSeconds() << " s)";
   throw std::logic_error(msg.str());
 }
 
 void Engine::scheduleAt(SimTime when, EventFn fn, bool urgent) {
-  if (when < now_) [[unlikely]] throwPastInstant(when, nullptr);
+  if (when < now_) [[unlikely]] throwPastInstant(when, "callback");
   queue_.push(when, urgent, std::move(fn), nullptr);
 }
 
@@ -272,7 +273,9 @@ void Engine::cancel(Process& p) {
 }
 
 void Engine::scheduleResume(Process& p, SimTime when) {
-  if (when < now_) [[unlikely]] throwPastInstant(when, &p.name());
+  if (when < now_) [[unlikely]] {
+    throwPastInstant(when, "resume of process '" + p.name() + "'");
+  }
   queue_.push(when, false, {}, &p);
 }
 
@@ -284,7 +287,10 @@ int Engine::processRow(Process& p) {
 }
 
 RunStats Engine::run() { return runImpl(std::nullopt); }
-RunStats Engine::runUntil(SimTime limit) { return runImpl(limit); }
+RunStats Engine::runUntil(SimTime limit) {
+  if (limit < now_) [[unlikely]] throwPastInstant(limit, "runUntil limit");
+  return runImpl(limit);
+}
 
 RunStats Engine::runImpl(std::optional<SimTime> limit) {
   RunStats stats;

@@ -223,6 +223,8 @@ class Engine {
   /// in which case failures are reported in RunStats::processFailures.
   RunStats run();
   /// Runs until the queue is empty or simulated time would exceed `limit`.
+  /// A limit before now() throws std::logic_error and leaves the clock and
+  /// the queue alone.
   RunStats runUntil(SimTime limit);
 
   void setCollectProcessErrors(bool collect) { collectErrors_ = collect; }
@@ -310,7 +312,9 @@ class Engine {
 
   /// now() + delay, or std::out_of_range naming the delayed `process`
   /// (nullptr: a callback), the delay and now() when the delay is negative
-  /// or the instant would pass SimTime::max().
+  /// or the instant would pass SimTime::max().  A delay of exactly
+  /// SimTime::max() is reported as beyond the range: SimTime::seconds
+  /// saturates there.
   [[nodiscard]] SimTime instantAfter(SimTime delay,
                                      const std::string* process) const {
     if (delay < SimTime::zero() || delay > SimTime::max() - now_) [[unlikely]] {
@@ -320,9 +324,10 @@ class Engine {
   }
   [[noreturn]] void throwBadDelay(SimTime delay,
                                   const std::string* process) const;
-  /// std::logic_error: an event at `when` < now() (nullptr: a callback).
+  /// std::logic_error: `what` ("callback", a process resume, a runUntil
+  /// limit) at `when` < now().
   [[noreturn]] void throwPastInstant(SimTime when,
-                                     const std::string* process) const;
+                                     const std::string& what) const;
   void scheduleResume(Process& p, SimTime when);
   RunStats runImpl(std::optional<SimTime> limit);
   void reap(Process& p, RunStats& stats);

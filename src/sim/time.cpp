@@ -2,10 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace cbsim::sim {
 
 SimTime SimTime::seconds(double s) {
+  if (std::isnan(s)) [[unlikely]] {
+    throw std::invalid_argument("SimTime::seconds: NaN is not a time");
+  }
   const double p = std::round(s * 1e12);
   if (p >= static_cast<double>(std::numeric_limits<std::int64_t>::max())) return max();
   if (p <= static_cast<double>(std::numeric_limits<std::int64_t>::min())) {

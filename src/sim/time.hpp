@@ -28,7 +28,8 @@ class SimTime {
   [[nodiscard]] static constexpr SimTime sec(std::int64_t v) { return SimTime{v * 1'000'000'000'000}; }
 
   /// Builds a SimTime from a floating-point number of seconds
-  /// (rounded to the nearest picosecond, saturating at max()).
+  /// (rounded to the nearest picosecond, saturating at max() and at the
+  /// most negative count); NaN throws std::invalid_argument.
   [[nodiscard]] static SimTime seconds(double s);
   /// Builds a SimTime from a floating-point number of microseconds.
   [[nodiscard]] static SimTime micros(double us);

@@ -24,8 +24,8 @@ constexpr int kTagFields = 10;
 constexpr int kTagMoments = 11;
 constexpr int kTagClusterStats = 12;
 
-/// Copies the interior cells of `fs` into the front of `out`, field by
-/// field in row order.
+/// Copies the interior cells of `fs` into `out`, field by field in row
+/// order.
 void packInterior(const Grid2D& g, std::span<Field2D* const> fs,
                   std::vector<double>& out) {
   std::size_t k = 0;
@@ -46,20 +46,27 @@ void unpackInterior(const Grid2D& g, std::span<const double> in,
   }
 }
 
-/// Zeroed buffer for one direction of the inter-module interface: `fields`
-/// packed interior arrays at the front, padded to the production-xPic
-/// payload size (cfg.interfaceDoublesPerCell per local cell) so the
-/// simulated exchange carries the full 3D multi-species 10-moment
-/// interface volume.  Each rank allocates its buffers once; packing
-/// rewrites only the front, so the padding stays zero.
-std::vector<double> interfaceBuffer(const Grid2D& g, const XpicConfig& cfg,
-                                    std::size_t fields) {
-  const std::size_t packed = fields * static_cast<std::size_t>(g.lnx()) *
-                             static_cast<std::size_t>(g.lny());
-  const std::size_t target = static_cast<std::size_t>(
-      cfg.interfaceDoublesPerCell * g.lnx() * g.lny());
-  return std::vector<double>(std::max(packed, target), 0.0);
-}
+/// One direction of the inter-module interface: `fields` packed interior
+/// arrays, sent as a message of the production-xPic payload size
+/// (cfg.interfaceDoublesPerCell per local cell, at least the packed
+/// arrays) so the simulated exchange carries the full 3D multi-species
+/// 10-moment interface volume.  The padding is wire volume only: no host
+/// buffer holds it (pmpi::Env::send's `wireBytes`).
+struct InterfaceBuffer {
+  std::vector<double> data;
+  std::size_t wireBytes = 0;
+
+  InterfaceBuffer(const Grid2D& g, const XpicConfig& cfg, std::size_t fields)
+      : data(fields * static_cast<std::size_t>(g.lnx()) *
+             static_cast<std::size_t>(g.lny())) {
+    const auto target = static_cast<std::size_t>(cfg.interfaceDoublesPerCell *
+                                                 g.lnx() * g.lny());
+    wireBytes = std::max(data.size(), target) * sizeof(double);
+  }
+  [[nodiscard]] pmpi::ConstBytes bytes() const {
+    return std::as_bytes(std::span<const double>(data));
+  }
+};
 
 struct PhaseTimers {
   double fields = 0, particles = 0, aux = 0;
@@ -184,33 +191,34 @@ void boosterMain(Env& env, const XpicConfig& cfg, int nodesPerSolver,
   };
 
   // Every send of `mom` completes before the next pack rewrites it.
-  std::vector<double> mom = interfaceBuffer(grid, cfg, 5);
-  std::vector<double> emBuf = interfaceBuffer(grid, cfg, 6);
+  InterfaceBuffer mom(grid, cfg, 5);
+  InterfaceBuffer emBuf(grid, cfg, 6);
 
   // Initial moments feed the Cluster's first calculateE.
   phase(t.particles, "particles", [&] { ps.particleMoments(f, halo, env); });
-  packInterior(grid, f.momentFields(), mom);
-  env.send(inter, peer, kTagMoments, std::span<const double>(mom));
+  packInterior(grid, f.momentFields(), mom.data);
+  env.send(inter, peer, kTagMoments, mom.bytes(), mom.wireBytes);
 
   pmpi::Request recvFields =
-      env.irecv(inter, peer, kTagFields, std::span<double>(emBuf));
+      env.irecv(inter, peer, kTagFields, std::span<double>(emBuf.data));
 
   for (int step = 0; step < cfg.steps; ++step) {
     pmpi::Request sendMoments;
     phase(t.sync, "sync", [&] { env.wait(recvFields); });  // ClusterWait
     phase(t.particles, "particles", [&] {
-      unpackInterior(grid, emBuf, f.emFields());
+      unpackInterior(grid, emBuf.data, f.emFields());
       env.compute(workmodel::interfaceCopy(cells));  // cpyFromArr_F
       halo.exchange({&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz});
       ps.particlesMove(f, env);
       ps.migrate(env, env.world());
       ps.particleMoments(f, halo, env);
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_M
-      packInterior(grid, f.momentFields(), mom);
+      packInterior(grid, f.momentFields(), mom.data);
       sendMoments =
-          env.issend(inter, peer, kTagMoments, std::span<const double>(mom));
+          env.issend(inter, peer, kTagMoments, mom.bytes(), mom.wireBytes);
       if (step + 1 < cfg.steps) {
-        recvFields = env.irecv(inter, peer, kTagFields, std::span<double>(emBuf));
+        recvFields =
+            env.irecv(inter, peer, kTagFields, std::span<double>(emBuf.data));
       }
     });
     // I/O and auxiliary computations overlap the non-blocking send
@@ -279,20 +287,20 @@ void clusterMain(Env& env, const XpicConfig& cfg) {
   };
 
   // Every send of `em` completes before the next pack rewrites it.
-  std::vector<double> em = interfaceBuffer(grid, cfg, 6);
-  std::vector<double> momBuf = interfaceBuffer(grid, cfg, 5);
-  env.recv(up, peer, kTagMoments, std::span<double>(momBuf));
-  unpackInterior(grid, momBuf, f.momentFields());
+  InterfaceBuffer em(grid, cfg, 6);
+  InterfaceBuffer momBuf(grid, cfg, 5);
+  env.recv(up, peer, kTagMoments, std::span<double>(momBuf.data));
+  unpackInterior(grid, momBuf.data, f.momentFields());
 
   for (int step = 0; step < cfg.steps; ++step) {
     pmpi::Request sendFields, recvMoments;
     phase(t.fields, "fields", [&] {
       fs.calculateE(f, halo, env, env.world());
       env.compute(workmodel::interfaceCopy(cells));  // cpyToArr_F
-      packInterior(grid, f.emFields(), em);
-      sendFields =
-          env.issend(up, peer, kTagFields, std::span<const double>(em));
-      recvMoments = env.irecv(up, peer, kTagMoments, std::span<double>(momBuf));
+      packInterior(grid, f.emFields(), em.data);
+      sendFields = env.issend(up, peer, kTagFields, em.bytes(), em.wireBytes);
+      recvMoments =
+          env.irecv(up, peer, kTagMoments, std::span<double>(momBuf.data));
     });
     // Auxiliary computations + output staging overlap the exchange
     // (listing 2, line 6): the Cluster side owns the snapshot writing in
@@ -308,7 +316,7 @@ void clusterMain(Env& env, const XpicConfig& cfg) {
     });
     if (!cfg.overlapAux) phase(t.aux, "aux", clusterAux);
     phase(t.fields, "fields", [&] {
-      unpackInterior(grid, momBuf, f.momentFields());
+      unpackInterior(grid, momBuf.data, f.momentFields());
       env.compute(workmodel::interfaceCopy(cells));  // cpyFromArr_M
       fs.calculateB(f, halo, env);
     });

@@ -125,6 +125,28 @@ TEST(Runner, SimulatedTimeOverflowIsANamedScenarioError) {
   }
 }
 
+// At 1e10 s of compute per step SimTime::seconds saturates at
+// SimTime::max(): the error says the delay does not fit instead of naming
+// the saturated 9.22e6 s as if the description had asked for it.
+TEST(Runner, SaturatedDelayIsReportedBeyondTheRange) {
+  campaign::CampaignSpec spec = campaign::campaignSpecFromDescText(
+      campaign::builtinCampaignText("halo-tiny"), "halo-tiny");
+  spec.halo.computeSec = 1e10;
+  const CampaignReport rep =
+      campaign::runCampaign(campaign::buildCampaign(spec), campaign::withJobs(2));
+  ASSERT_EQ(rep.scenarios.size(), 2u);
+  EXPECT_EQ(rep.failedCount(), 2);
+  for (const auto& s : rep.scenarios) {
+    EXPECT_NE(s.error.find("simulated time out of range: process 'halo:j0:r0' "
+                           "delay beyond the SimTime range (≥ 9.22e6 s) at "
+                           "t=1.4e-06 s"),
+              std::string::npos)
+        << s.name << ": " << s.error;
+    EXPECT_EQ(s.error.find("9.22337e+06"), std::string::npos)
+        << s.name << ": " << s.error;
+  }
+}
+
 TEST(Runner, JobsZeroMeansHardwareConcurrency) {
   Campaign c;
   c.name = "jobs0";

@@ -467,6 +467,41 @@ TEST(DescCampaign, ResilienceFaultPlanResolvesNamedTargets) {
       << msg;
 }
 
+// Without a machine the plan resolves against the DEEP-ER default the grid
+// runs on (ranks + spare_nodes Cluster nodes), as if that machine had been
+// named; a name past the default's Cluster nodes is rejected by path.
+TEST(DescCampaign, ResilienceFaultPlanNamesResolveOnTheDefaultMachine) {
+  const auto withEndpoint = [](const std::string& machine,
+                               const std::string& endpoint) {
+    return R"({"campaign": "resilience", "resilience": {"ranks": 3,
+        "spare_nodes": 2, )" +
+           machine + R"("fault_plan": {"endpoint_windows": [{"endpoint": )" +
+           endpoint +
+           R"(, "from_sec": 0.001, "until_sec": 0.002, "bw_factor": 0.5}]}}})";
+  };
+  const campaign::CampaignSpec named =
+      campaign::campaignSpecFromDescText(withEndpoint("", "\"cn04\""), "t");
+  const campaign::CampaignSpec indexed =
+      campaign::campaignSpecFromDescText(withEndpoint("", "4"), "t");
+  const std::string dump = desc::dump(campaign::toDesc(named));
+  EXPECT_EQ(dump, desc::dump(campaign::toDesc(indexed)));
+  EXPECT_NE(dump.find("\"endpoint\": 4,"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("\"machine\""), std::string::npos) << dump;
+  EXPECT_EQ(campaign::buildCampaign(named).scenarios.size(), 12u);
+
+  const std::string msg = errorOf([&] {
+    (void)campaign::campaignSpecFromDescText(withEndpoint("", "\"cn05\""),
+                                             "t");
+  });
+  EXPECT_NE(msg.find("t.resilience.fault_plan.endpoint_windows[0].endpoint: "
+                     "\"cn05\" does not name anything in machine"),
+            std::string::npos)
+      << msg;
+  // The full preset has a cn05.
+  EXPECT_NO_THROW((void)campaign::campaignSpecFromDescText(
+      withEndpoint(R"("machine": "deep-er", )", "\"cn05\""), "t"));
+}
+
 // What a run would reject fails when the campaign is built, which
 // --validate does too: a grid that repeats a scenario name, or a machine
 // without the nodes the grid places ranks on.

@@ -4,6 +4,7 @@
 // mechanism (MPI_Comm_spawn + inter-communicators).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <numeric>
 #include <stdexcept>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "fault/plan.hpp"
+#include "obs/tracer.hpp"
+#include "sim/rng.hpp"
 #include "world_fixture.hpp"
 
 namespace {
@@ -950,6 +953,200 @@ TEST(PmpiMatchOrder, ReverseDrainSurvivesQueueCompaction) {
   w.rt.launch("drain", hw::NodeKind::Cluster, 2);
   w.run();
   EXPECT_EQ(checked, kMsgs);
+}
+
+// ---- Wire size ----------------------------------------------------------------
+
+/// What one send from rank 0 to rank 1 looked like from both ends.
+struct WireRun {
+  std::vector<std::byte> received;  ///< rank 1's receive buffer afterwards
+  pmpi::Status status;              ///< rank 1's receive Status
+  std::size_t probedBytes = 0;      ///< iprobe's count (receive posted late)
+  double sendDone = -1.0;           ///< simulated instant the send returned
+  double recvDone = -1.0;
+  double fabricBytes = 0, fabricMessages = 0, events = 0;
+  double sendsEager = 0, sendsRendezvous = 0;
+};
+
+/// Rank 0 sends `payload` as a `wire`-byte message: through the wire-size
+/// overloads, or (`padded`) the way xPic's interface used to go, as a
+/// zero-padded `wire`-byte buffer into a `wire`-byte receive buffer.  The
+/// receive is posted at once or (`!recvFirst`) a millisecond after the
+/// message arrived, behind an iprobe.
+WireRun runWire(const std::vector<std::byte>& payload, std::size_t wire,
+                bool synchronous, bool recvFirst, bool padded) {
+  obs::Tracer tracer;
+  tracer.setMetricsOnly(true);
+  pmpi::World w(hw::MachineConfig::deepEr(2, 2), {}, sim::Engine::kDefaultSeed,
+                &tracer);
+  WireRun out;
+  w.registry.add("wire", [&](Env& env) {
+    const Comm c = env.world();
+    if (env.rank() == 0) {
+      std::vector<std::byte> buf = payload;
+      if (padded) {
+        buf.resize(wire, std::byte{0});
+        if (synchronous) {
+          env.wait(env.issend(c, 1, 7, pmpi::ConstBytes(buf)));
+        } else {
+          env.send(c, 1, 7, pmpi::ConstBytes(buf));
+        }
+      } else if (synchronous) {
+        env.wait(env.issend(c, 1, 7, pmpi::ConstBytes(buf), wire));
+      } else {
+        env.send(c, 1, 7, pmpi::ConstBytes(buf), wire);
+      }
+      out.sendDone = env.wtime();
+    } else {
+      out.received.assign(padded ? wire : payload.size(), std::byte{0xAA});
+      if (!recvFirst) {
+        env.computeDelay(1_ms);
+        pmpi::Status st;
+        EXPECT_TRUE(env.iprobe(c, 0, 7, &st));
+        out.probedBytes = st.bytes;
+      }
+      out.status = env.recv(c, 0, 7, pmpi::Bytes(out.received));
+      out.recvDone = env.wtime();
+    }
+  });
+  w.rt.launch("wire", hw::NodeKind::Cluster, 2);
+  w.run();
+  const obs::Metrics& m = tracer.metrics();
+  out.fabricBytes = m.value("fabric.bytes");
+  out.fabricMessages = m.value("fabric.messages");
+  out.events = m.value("engine.events_processed");
+  out.sendsEager = m.value("pmpi.sends.eager");
+  out.sendsRendezvous = m.value("pmpi.sends.rendezvous");
+  return out;
+}
+
+// Differential oracle for the wire size: a P-byte payload sent as a W-byte
+// message must simulate exactly like a zero-padded W-byte buffer received
+// into a W-byte buffer, while the host moves and reports only P bytes.
+// Draws straddle the eager threshold, in both send modes, with the receive
+// posted before and after arrival.
+TEST(PmpiWireSize, SimulatesLikeAZeroPaddedBuffer) {
+  const std::size_t threshold = pmpi::ProtocolParams{}.eagerThreshold;
+  sim::Rng rng(0x77697265);
+  int eager = 0;
+  int rendezvous = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t wire = trial % 4 == 3
+                                 ? 1 + rng.below(4 * threshold)
+                                 : threshold - 64 + rng.below(129);
+    std::vector<std::byte> payload(rng.below(wire + 1));
+    for (std::byte& b : payload) b = static_cast<std::byte>(rng.next());
+    const bool synchronous = trial % 2 == 1;
+    const bool recvFirst = (trial / 2) % 2 == 1;
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": payload " +
+                 std::to_string(payload.size()) + " B, wire " +
+                 std::to_string(wire) + " B, " +
+                 (synchronous ? "synchronous" : "standard") + ", receive " +
+                 (recvFirst ? "first" : "late"));
+
+    const WireRun got = runWire(payload, wire, synchronous, recvFirst, false);
+    const WireRun ref = runWire(payload, wire, synchronous, recvFirst, true);
+    EXPECT_EQ(got.sendDone, ref.sendDone);
+    EXPECT_EQ(got.recvDone, ref.recvDone);
+    EXPECT_EQ(got.fabricBytes, ref.fabricBytes);
+    EXPECT_EQ(got.fabricMessages, ref.fabricMessages);
+    EXPECT_EQ(got.events, ref.events);
+    EXPECT_EQ(got.sendsEager, ref.sendsEager);
+    EXPECT_EQ(got.sendsRendezvous, ref.sendsRendezvous);
+
+    EXPECT_EQ(got.received, payload);
+    EXPECT_EQ(got.status.bytes, payload.size());
+    EXPECT_EQ(got.status.source, 0);
+    EXPECT_EQ(got.status.tag, 7);
+    EXPECT_EQ(ref.status.bytes, wire);
+    if (!recvFirst) {
+      EXPECT_EQ(got.probedBytes, payload.size());
+      EXPECT_EQ(ref.probedBytes, wire);
+    }
+    eager += got.sendsEager > 0 ? 1 : 0;
+    rendezvous += got.sendsRendezvous > 0 ? 1 : 0;
+  }
+  // Both protocols were exercised, the standard-mode eager path included.
+  EXPECT_GT(eager, 4);
+  EXPECT_GT(rendezvous, 4);
+}
+
+TEST(PmpiWireSize, WireSmallerThanPayloadIsRejectedNamingBoth) {
+  World w;
+  std::vector<std::string> errors;
+  w.registry.add("short-wire", [&](Env& env) {
+    const std::vector<std::byte> buf(100);
+    for (const bool synchronous : {false, true}) {
+      try {
+        if (synchronous) {
+          (void)env.issend(env.world(), 0, 1, pmpi::ConstBytes(buf), 99);
+        } else {
+          env.send(env.world(), 0, 1, pmpi::ConstBytes(buf), 99);
+        }
+      } catch (const std::invalid_argument& e) {
+        errors.emplace_back(e.what());
+      }
+    }
+  });
+  w.rt.launch("short-wire", hw::NodeKind::Cluster, 1);
+  w.run();
+  ASSERT_EQ(errors.size(), 2u);
+  for (const std::string& e : errors) {
+    EXPECT_EQ(e, "pmpi: wire size of 99 bytes is smaller than the 100-byte "
+                 "payload");
+  }
+}
+
+// The payload length travels in 32 bits: a longer one is refused by name
+// before a byte of it is read (the span covers reserved, inaccessible
+// address space).
+TEST(PmpiWireSize, PayloadPastFourGiBIsRejectedByName) {
+  const std::size_t len = (std::size_t{1} << 32) + 1;
+  void* base = mmap(nullptr, len, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) GTEST_SKIP() << "cannot reserve 4 GiB of addresses";
+  World w;
+  std::string error;
+  w.registry.add("huge", [&](Env& env) {
+    const pmpi::ConstBytes data(static_cast<const std::byte*>(base), len);
+    try {
+      env.send(env.world(), 0, 1, data, len);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+  });
+  w.rt.launch("huge", hw::NodeKind::Cluster, 1);
+  w.run();
+  munmap(base, len);
+  EXPECT_EQ(error, "pmpi: payload of 4294967297 bytes exceeds the 4 GiB "
+                   "message limit");
+}
+
+// The truncation checks compare the payload, not the wire size, with the
+// receive buffer: one byte short fails on both protocols.
+TEST(PmpiWireSize, ShortReceiveBufferTruncatesOnBothProtocols) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {4096, "pmpi: eager message truncates receive buffer"},
+      {65536, "pmpi: rendezvous message truncates receive buffer"}};
+  for (const auto& [wire, expected] : cases) {
+    World w;
+    w.registry.add("trunc", [&, wire = wire](Env& env) {
+      std::vector<std::byte> buf(100);
+      if (env.rank() == 0) {
+        env.send(env.world(), 1, 1, pmpi::ConstBytes(buf), wire);
+      } else {
+        env.recv(env.world(), 0, 1, pmpi::Bytes(buf.data(), 99));
+      }
+    });
+    w.rt.launch("trunc", hw::NodeKind::Cluster, 2);
+    try {
+      w.engine.run();
+      ADD_FAILURE() << "a 99-byte buffer took a 100-byte payload";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

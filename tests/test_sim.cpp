@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -53,6 +54,22 @@ TEST(SimTime, FloatingPointConversions) {
   EXPECT_DOUBLE_EQ(SimTime::seconds(2.5).toSeconds(), 2.5);
   EXPECT_EQ(SimTime::micros(1.8).picos(), 1'800'000);
   EXPECT_EQ(SimTime::seconds(1e300), SimTime::max());
+}
+
+// NaN has no integer picosecond count: converting it used to be undefined
+// behaviour (a float-to-integer cast of NaN); now it fails by name.
+TEST(SimTime, NaNSecondsFailByName) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)SimTime::seconds(nan);
+    ADD_FAILURE() << "SimTime::seconds(NaN) must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("SimTime::seconds"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)SimTime::micros(nan), std::invalid_argument);
+  EXPECT_EQ(SimTime::seconds(-1e300).picos(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(SimTime, HumanReadableString) {
@@ -199,6 +216,28 @@ TEST(Engine, RunUntilStopsAtLimit) {
   EXPECT_EQ(st.endTime, 10_us);
 }
 
+// A limit before now() must not move the clock backwards: events scheduled
+// afterwards would be timed before events that already ran.
+TEST(Engine, RunUntilRejectsALimitBeforeNow) {
+  Engine e;
+  std::vector<SimTime> fired;
+  e.schedule(10_us, [&] { fired.push_back(e.now()); });
+  (void)e.runUntil(5_us);
+  ASSERT_EQ(e.now(), 5_us);
+  try {
+    (void)e.runUntil(2_us);
+    ADD_FAILURE() << "runUntil(2 us) at t=5 us must throw";
+  } catch (const std::logic_error& ex) {
+    EXPECT_EQ(std::string(ex.what()),
+              "Engine: runUntil limit at t=2e-06 s is before now (t=5e-06 s)");
+  }
+  EXPECT_EQ(e.now(), 5_us);
+  e.schedule(1_us, [&] { fired.push_back(e.now()); });
+  (void)e.runUntil(5_us);  // a limit equal to now() is fine
+  (void)e.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{6_us, 10_us}));
+}
+
 // Simulated time is a signed 64-bit picosecond count (SimTime::max() is
 // about 9.22e6 s).  A delay that would pass it, or a negative one, fails
 // by name instead of wrapping the clock.
@@ -224,7 +263,12 @@ TEST(Engine, SimulatedTimeOutOfRangeFailsByName) {
     }
     return std::string("no std::out_of_range");
   };
+  // SimTime::seconds saturates at max(), so a delay of max() is reported as
+  // beyond the range, not as a value the caller may never have asked for.
   EXPECT_EQ(outOfRange([&] { e.schedule(SimTime::max(), [] {}); }),
+            "simulated time out of range: callback delay beyond the SimTime "
+            "range (≥ 9.22e6 s) at t=5e+06 s");
+  EXPECT_EQ(outOfRange([&] { e.schedule(SimTime::max() - 1_ps, [] {}); }),
             "simulated time out of range: callback delay 9.22337e+06 s at "
             "t=5e+06 s passes the last instant, t=9.22337e+06 s");
   EXPECT_EQ(outOfRange([&] { e.schedule(SimTime::ps(-1), [] {}); }),
