@@ -153,8 +153,10 @@ class PayloadArena {
  public:
   /// Copies `data` into the arena and returns its offset.  Prefers an
   /// exact-size recycled block (the homogeneous-message common case);
-  /// otherwise bump-extends.
+  /// otherwise bump-extends.  An empty payload holds nothing and is never
+  /// released, so it is not counted as outstanding either.
   std::uint32_t store(ConstBytes data) {
+    if (data.empty()) return 0;
     const auto len = static_cast<std::uint32_t>(data.size());
     ++outstanding_;
     for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {

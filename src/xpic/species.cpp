@@ -1,9 +1,20 @@
 #include "xpic/species.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+
+// The AVX-512 kernels carry their ISA in target attributes, function by
+// function, so this file still compiles for baseline x86-64 and the choice
+// is made at run time (hostParticleKernels).  GCC does not pass a target
+// attribute on to lambdas: helpers are always_inline functions instead.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define CBSIM_AVX512 __attribute__((target("avx512f,avx512dq")))
+#define CBSIM_AVX512_INLINE CBSIM_AVX512 __attribute__((always_inline)) inline
+#endif
 
 namespace cbsim::xpic {
 
@@ -22,6 +33,49 @@ struct Stencil {
   std::size_t base;
   double w00, w10, w01, w11;
 };
+
+#ifdef CBSIM_AVX512
+// Lane kernels: kBatch particles per vector, each lane running the scalar
+// code's IEEE operations in the same order.  Their vector expressions
+// repeat the scalar ones operand for operand; -ffp-contract=off keeps the
+// compiler from fusing them (DESIGN §3 item 9).
+
+/// kBatch stencils, one per lane: the padded indices of the four corners
+/// and their weights.
+struct Stencil8 {
+  __m512i i00, i10, i01, i11;
+  __m512d w00, w10, w01, w11;
+};
+
+/// StencilMap::floorToInt lane by lane, as doubles: truncation, then one
+/// step down where that rounded up.
+CBSIM_AVX512_INLINE __m512d floor8(__m512d v) {
+  const __m512d t = _mm512_cvtepi64_pd(_mm512_cvttpd_epi64(v));
+  return _mm512_mask_sub_pd(t, _mm512_cmp_pd_mask(v, t, _CMP_LT_OQ), t,
+                            _mm512_set1_pd(1.0));
+}
+
+/// StencilMap::gather lane by lane.
+CBSIM_AVX512_INLINE __m512d gather8(const double* a, const Stencil8& s) {
+  // Masked gathers from zero: GCC 12 flags the unmasked form's source
+  // operand with -Wmaybe-uninitialized.
+  const __m512d z = _mm512_setzero_pd();
+  const __m512d a00 = _mm512_mask_i64gather_pd(z, 0xFF, s.i00, a, 8);
+  const __m512d a10 = _mm512_mask_i64gather_pd(z, 0xFF, s.i10, a, 8);
+  const __m512d a01 = _mm512_mask_i64gather_pd(z, 0xFF, s.i01, a, 8);
+  const __m512d a11 = _mm512_mask_i64gather_pd(z, 0xFF, s.i11, a, 8);
+  return s.w00 * a00 + s.w10 * a10 + s.w01 * a01 + s.w11 * a11;
+}
+
+/// wrap() lane by lane.
+CBSIM_AVX512_INLINE __m512d wrap8(__m512d v, double period) {
+  const __m512d p = _mm512_set1_pd(period);
+  const __mmask8 above = _mm512_cmp_pd_mask(v, p, _CMP_GE_OQ);
+  const __mmask8 below = _mm512_mask_cmp_pd_mask(
+      static_cast<__mmask8>(~above), v, _mm512_setzero_pd(), _CMP_LT_OQ);
+  return _mm512_mask_add_pd(_mm512_mask_sub_pd(v, above, v, p), below, v, p);
+}
+#endif
 
 /// Stencil geometry of one rank's padded block.
 class StencilMap {
@@ -53,6 +107,41 @@ class StencilMap {
                 static_cast<std::size_t>(gi - g_.x0() + 1),
             (1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy};
   }
+
+#ifdef CBSIM_AVX512
+  /// at() for kBatch positions, one per lane.  When a lane leaves the ghost
+  /// ring, at() re-runs over the lanes in order and throws for the first.
+  CBSIM_AVX512_INLINE Stencil8 at8(__m512d x, __m512d y) const {
+    const __m512d gx = x / _mm512_set1_pd(dx_) - _mm512_set1_pd(0.5);
+    const __m512d gy = y / _mm512_set1_pd(dy_) - _mm512_set1_pd(0.5);
+    const __mmask8 inside =
+        _mm512_cmp_pd_mask(gx, _mm512_set1_pd(loX_), _CMP_GE_OQ) &
+        _mm512_cmp_pd_mask(gx, _mm512_set1_pd(hiX_), _CMP_LT_OQ) &
+        _mm512_cmp_pd_mask(gy, _mm512_set1_pd(loY_), _CMP_GE_OQ) &
+        _mm512_cmp_pd_mask(gy, _mm512_set1_pd(hiY_), _CMP_LT_OQ);
+    if (inside != 0xFF) [[unlikely]] {
+      double xs[kBatch], ys[kBatch];
+      _mm512_storeu_pd(xs, x);
+      _mm512_storeu_pd(ys, y);
+      for (std::size_t l = 0; l < kBatch; ++l) (void)at(xs[l], ys[l]);
+    }
+    const __m512d gi = floor8(gx);
+    const __m512d gj = floor8(gy);
+    const __m512d wx = gx - gi;
+    const __m512d wy = gy - gj;
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i stride = _mm512_set1_epi64(static_cast<long long>(stride_));
+    const __m512i base =
+        (_mm512_cvttpd_epi64(gj) - _mm512_set1_epi64(g_.y0()) + one) * stride +
+        (_mm512_cvttpd_epi64(gi) - _mm512_set1_epi64(g_.x0()) + one);
+    const __m512d oneD = _mm512_set1_pd(1.0);
+    return {base, base + one, base + stride, base + stride + one,
+            (oneD - wx) * (oneD - wy), wx * (oneD - wy), (oneD - wx) * wy,
+            wx * wy};
+  }
+#endif
+
+  [[nodiscard]] std::size_t stride() const { return stride_; }
 
   /// Bilinear interpolation of one padded field array at a stencil.
   [[nodiscard]] double gather(const double* a, const Stencil& s) const {
@@ -148,6 +237,48 @@ struct Mover {
       y[k + l] = wrap(y[k + l] + dt * vb[l], ly);
     }
   }
+
+#ifdef CBSIM_AVX512
+  /// push<kBatch> over the whole batches of particles [0, n), one particle
+  /// per lane; returns how many particles it pushed.
+  CBSIM_AVX512 std::size_t pushLanes(std::size_t n) const {
+    const __m512d q = _mm512_set1_pd(qdt2m), one = _mm512_set1_pd(1.0),
+                  two = _mm512_set1_pd(2.0), h = _mm512_set1_pd(halfDt),
+                  d = _mm512_set1_pd(dt);
+    std::size_t k = 0;
+    for (; k + kBatch <= n; k += kBatch) {
+      const __m512d x0 = _mm512_loadu_pd(x + k), y0 = _mm512_loadu_pd(y + k);
+      const __m512d u0 = _mm512_loadu_pd(u + k), v0 = _mm512_loadu_pd(v + k),
+                    w0 = _mm512_loadu_pd(w + k);
+      __m512d xb = x0, yb = y0, ub = u0, vb = v0, wb = w0;
+      for (int it = 0; it < iters; ++it) {
+        const Stencil8 s = map.at8(xb, yb);
+        const __m512d fex = gather8(ex, s), fey = gather8(ey, s),
+                      fez = gather8(ez, s);
+        const __m512d fbx = gather8(bx, s), fby = gather8(by, s),
+                      fbz = gather8(bz, s);
+        const __m512d vx = u0 + q * fex;
+        const __m512d vy = v0 + q * fey;
+        const __m512d vz = w0 + q * fez;
+        const __m512d tx = q * fbx, ty = q * fby, tz = q * fbz;
+        const __m512d tsq = tx * tx + ty * ty + tz * tz;
+        const __m512d vdt = vx * tx + vy * ty + vz * tz;
+        const __m512d inv = one / (one + tsq);
+        ub = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
+        vb = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
+        wb = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
+        xb = x0 + h * ub;
+        yb = y0 + h * vb;
+      }
+      _mm512_storeu_pd(u + k, two * ub - u0);
+      _mm512_storeu_pd(v + k, two * vb - v0);
+      _mm512_storeu_pd(w + k, two * wb - w0);
+      _mm512_storeu_pd(x + k, wrap8(x0 + d * ub, lx));
+      _mm512_storeu_pd(y + k, wrap8(y0 + d * vb, ly));
+    }
+    return k;
+  }
+#endif
 };
 
 /// One Species::deposit call: constants, moment views and particle arrays.
@@ -170,9 +301,94 @@ struct Depositor {
       map.scatter(chi, s[l], chiw);
     }
   }
+
+#ifdef CBSIM_AVX512
+  /// deposit<kBatch> over the whole batches of particles [0, n): stencils
+  /// and weight x value products in lanes, the adds into the moment arrays
+  /// scalar, in particle order.  Returns how many particles it deposited.
+  CBSIM_AVX512 std::size_t depositLanes(std::size_t n) const {
+    const __m512d q = _mm512_set1_pd(qw), c = _mm512_set1_pd(chiw);
+    double* const moments[5] = {rho, jx, jy, jz, chi};
+    const std::size_t stride = map.stride();
+    std::size_t k = 0;
+    for (; k + kBatch <= n; k += kBatch) {
+      const Stencil8 s =
+          map.at8(_mm512_loadu_pd(x + k), _mm512_loadu_pd(y + k));
+      const __m512d vals[5] = {q, q * _mm512_loadu_pd(u + k),
+                               q * _mm512_loadu_pd(v + k),
+                               q * _mm512_loadu_pd(w + k), c};
+      // terms[m][c][l]: corner c's share of moment m from particle k + l.
+      alignas(64) double terms[5][4][kBatch];
+      for (std::size_t m = 0; m < 5; ++m) {
+        _mm512_store_pd(terms[m][0], s.w00 * vals[m]);
+        _mm512_store_pd(terms[m][1], s.w10 * vals[m]);
+        _mm512_store_pd(terms[m][2], s.w01 * vals[m]);
+        _mm512_store_pd(terms[m][3], s.w11 * vals[m]);
+      }
+      alignas(64) long long base[kBatch];
+      _mm512_store_si512(base, s.i00);
+      for (std::size_t l = 0; l < kBatch; ++l) {
+        const auto b = static_cast<std::size_t>(base[l]);
+        for (std::size_t m = 0; m < 5; ++m) {
+          double* const a = moments[m];
+          a[b] += terms[m][0][l];
+          a[b + 1] += terms[m][1][l];
+          a[b + stride] += terms[m][2][l];
+          a[b + stride + 1] += terms[m][3][l];
+        }
+      }
+    }
+    return k;
+  }
+#endif
 };
 
+#ifdef CBSIM_AVX512
+/// One rank's block in cell coordinates, [x0, x1) x [y0, y1).
+struct HomeBlock {
+  double dx, dy, x0, x1, y0, y1;
+
+  /// Bit l set when particle l of (xs, ys) has its cell coordinates inside
+  /// the block, which implies collectLeavers' "stays" verdict.
+  CBSIM_AVX512 unsigned lanes(const double* xs, const double* ys) const {
+    const __m512d cellX = _mm512_loadu_pd(xs) / _mm512_set1_pd(dx);
+    const __m512d cellY = _mm512_loadu_pd(ys) / _mm512_set1_pd(dy);
+    return _mm512_cmp_pd_mask(cellX, _mm512_set1_pd(x0), _CMP_GE_OQ) &
+           _mm512_cmp_pd_mask(cellX, _mm512_set1_pd(x1), _CMP_LT_OQ) &
+           _mm512_cmp_pd_mask(cellY, _mm512_set1_pd(y0), _CMP_GE_OQ) &
+           _mm512_cmp_pd_mask(cellY, _mm512_set1_pd(y1), _CMP_LT_OQ);
+  }
+};
+#endif
+
+void requireHostRuns(ParticleKernels k) {
+  if (!hostRuns(k)) {
+    throw std::invalid_argument(
+        std::string("xpic: this host's CPU cannot run the ") + kernelsName(k) +
+        " particle kernels");
+  }
+}
+
 }  // namespace
+
+bool hostRuns(ParticleKernels k) {
+#ifdef CBSIM_AVX512
+  static const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                             __builtin_cpu_supports("avx512dq");
+#else
+  constexpr bool avx512 = false;
+#endif
+  return k == ParticleKernels::scalar || avx512;
+}
+
+ParticleKernels hostParticleKernels() {
+  return hostRuns(ParticleKernels::avx512) ? ParticleKernels::avx512
+                                           : ParticleKernels::scalar;
+}
+
+const char* kernelsName(ParticleKernels k) {
+  return k == ParticleKernels::avx512 ? "avx512" : "scalar";
+}
 
 double interpolate(const Field2D& f, const Grid2D& g, double x, double y) {
   const StencilMap map(g);
@@ -229,7 +445,9 @@ void Species::addParticle(double x, double y, double u, double v, double w) {
   w_.push_back(w);
 }
 
-void Species::move(const FieldArrays& f, const Grid2D& g) {
+void Species::move(const FieldArrays& f, const Grid2D& g,
+                   ParticleKernels kernels) {
+  requireHostRuns(kernels);
   const StencilMap map(g);
   const Mover m{map,
                 f.ex.raw().data(), f.ey.raw().data(), f.ez.raw().data(),
@@ -239,11 +457,16 @@ void Species::move(const FieldArrays& f, const Grid2D& g) {
                 g.lxGlobal(), g.lyGlobal(), iters_};
   const std::size_t n = x_.size();
   std::size_t k = 0;
+#ifdef CBSIM_AVX512
+  if (kernels == ParticleKernels::avx512) k = m.pushLanes(n);
+#endif
   for (; k + kBatch <= n; k += kBatch) m.push<kBatch>(k);
   for (; k < n; ++k) m.push<1>(k);
 }
 
-void Species::deposit(FieldArrays& f, const Grid2D& g) const {
+void Species::deposit(FieldArrays& f, const Grid2D& g,
+                      ParticleKernels kernels) const {
+  requireHostRuns(kernels);
   const StencilMap map(g);
   // Implicit susceptibility: chi = sum_s omega_ps^2 (theta dt)^2 / 2,
   // deposited per particle like the density.
@@ -256,6 +479,9 @@ void Species::deposit(FieldArrays& f, const Grid2D& g) const {
                     p_.charge * weight_ * invDV_, chiw};
   const std::size_t n = x_.size();
   std::size_t k = 0;
+#ifdef CBSIM_AVX512
+  if (kernels == ParticleKernels::avx512) k = d.depositLanes(n);
+#endif
   for (; k + kBatch <= n; k += kBatch) d.deposit<kBatch>(k);
   for (; k < n; ++k) d.deposit<1>(k);
 }
@@ -272,7 +498,9 @@ std::pair<int, int> Species::dirOffset(int dir) {
 }
 
 void Species::collectLeavers(const Grid2D& g,
-                             std::array<std::vector<double>, 8>& out) {
+                             std::array<std::vector<double>, 8>& out,
+                             ParticleKernels kernels) {
+  requireHostRuns(kernels);
   const int lnx = g.lnx(), lny = g.lny();
   const double gnx = static_cast<double>(lnx) * g.px();
   const double gny = static_cast<double>(lny) * g.py();
@@ -282,8 +510,27 @@ void Species::collectLeavers(const Grid2D& g,
         ", y=" + std::to_string(y_[k]) + " jumped more than one block from rank " +
         std::to_string(g.rank()) + " (time step too large for the block size)");
   };
+#ifdef CBSIM_AVX512
+  const HomeBlock home{g.dx(),
+                       g.dy(),
+                       static_cast<double>(g.cx() * lnx),
+                       static_cast<double>((g.cx() + 1) * lnx),
+                       static_cast<double>(g.cy() * lny),
+                       static_cast<double>((g.cy() + 1) * lny)};
+#endif
   std::size_t k = 0;
   while (k < x_.size()) {
+#ifdef CBSIM_AVX512
+    // Skips the batch's leading particles that stay; the first other one
+    // takes the scalar path below, so every verdict, throw and swap is the
+    // scalar loop's.
+    if (kernels == ParticleKernels::avx512 && k + kBatch <= x_.size()) {
+      const int stay =
+          std::countr_one(home.lanes(x_.data() + k, y_.data() + k));
+      k += static_cast<std::size_t>(stay);
+      if (stay == static_cast<int>(kBatch)) continue;
+    }
+#endif
     const double cellX = x_[k] / g.dx();
     const double cellY = y_[k] / g.dy();
     // move() wraps positions into the domain; a coordinate beyond one

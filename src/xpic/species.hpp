@@ -17,6 +17,19 @@
 
 namespace cbsim::xpic {
 
+/// Implementations of Species' particle kernels (move, deposit,
+/// collectLeavers).  Every one computes the same bits (DESIGN §3 item 9):
+/// `scalar` runs on any host and is the others' fallback and reference;
+/// `avx512` pushes 8 particles per AVX-512 F+DQ vector.
+enum class ParticleKernels { scalar, avx512 };
+
+/// Whether this host's CPU can run `k`.
+[[nodiscard]] bool hostRuns(ParticleKernels k);
+/// The fastest kernels this host's CPU runs, chosen once per process: the
+/// default of every kernel call.
+[[nodiscard]] ParticleKernels hostParticleKernels();
+[[nodiscard]] const char* kernelsName(ParticleKernels k);
+
 struct SpeciesParams {
   int id = 0;
   double charge = -1.0;  ///< in units of e
@@ -43,19 +56,23 @@ class Species {
   /// periodic wrap; block ownership is restored by collectLeavers().
   /// Throws std::runtime_error when a sweep's position takes the bilinear
   /// stencil outside the ghost ring (a time step beyond the CFL limit, or
-  /// non-finite fields).
-  void move(const FieldArrays& f, const Grid2D& g);
+  /// non-finite fields).  Every kernel call throws std::invalid_argument
+  /// for `kernels` the host cannot run.
+  void move(const FieldArrays& f, const Grid2D& g,
+            ParticleKernels kernels = hostParticleKernels());
 
   /// CIC deposition of rho, J, and the implicit susceptibility chi into
   /// the padded arrays (ghost contributions included; caller runs the
   /// reverse halo afterwards).  Same ghost-ring check as move().
-  void deposit(FieldArrays& f, const Grid2D& g) const;
+  void deposit(FieldArrays& f, const Grid2D& g,
+               ParticleKernels kernels = hostParticleKernels()) const;
 
   /// Removes particles that left the local block and packs them as
   /// [x y u v w]* per direction (8 neighbour directions, index
   /// dir = (dy+1)*3 + (dx+1) skipping the centre).  Throws
   /// std::runtime_error for a particle more than one block away.
-  void collectLeavers(const Grid2D& g, std::array<std::vector<double>, 8>& out);
+  void collectLeavers(const Grid2D& g, std::array<std::vector<double>, 8>& out,
+                      ParticleKernels kernels = hostParticleKernels());
 
   /// Appends packed particles produced by collectLeavers on another rank.
   void addPacked(std::span<const double> data);

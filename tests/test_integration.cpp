@@ -1,11 +1,17 @@
 // Full-stack integration tests: real xPic physics built from the library
 // components, checkpointed through the SCR stack, killed by injected node
-// failures, relaunched, and carried to completion — plus an I/O pipeline
-// (xPic moments through SION onto BeeGFS) and a batch-driven campaign.
+// failures, relaunched, and carried to the fault-free run's exact final
+// state — plus an I/O pipeline (xPic moments through SION onto BeeGFS) and
+// a batch-driven campaign.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "io/beegfs.hpp"
 #include "io/local_store.hpp"
@@ -31,11 +37,22 @@ xpic::XpicConfig miniCfg() {
   return cfg;
 }
 
-TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
-  // A 2-rank PIC run (20 steps) with per-step SCR checkpoints of the full
-  // particle state; a node failure kills it at step ~8 and destroys that
-  // node's NVMe.  The relaunch must resume (not restart) and finish with
-  // the exact particle census and a sane plasma.
+/// What one run of the checkpointed PIC world ends with.
+struct PicRun {
+  int finishedStep = -1;
+  int resumedFrom = -1;
+  long long finalCount = 0;
+  double finalKinetic = 0;
+  /// Per rank: the six E/B arrays raw (ghosts included), then every
+  /// species' packAll().
+  std::array<std::vector<double>, 2> finalState;
+};
+
+/// A 2-rank PIC run (20 steps) with per-step SCR checkpoints of the full
+/// state: E/B raw with ghosts and every particle.  With `injectFailure`, a
+/// node failure kills it at step ~8 and destroys that node's NVMe, and a
+/// relaunch resumes from the newest checkpoint.
+PicRun runCheckpointedPic(bool injectFailure) {
   World w;
   io::BeeGfs fs(w.machine, w.fabric);
   io::LocalStore local(w.machine, w.fabric);
@@ -48,10 +65,7 @@ TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
 
   const xpic::XpicConfig cfg = miniCfg();
   constexpr int kSteps = 20;
-  int finishedStep = -1;
-  int resumedFrom = -1;
-  long long finalCount = 0;
-  double finalKinetic = 0;
+  PicRun run;
 
   w.registry.add("pic", [&](Env& env) {
     const xpic::Grid2D grid(cfg, env.size(), env.rank());
@@ -61,17 +75,22 @@ TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
     xpic::HaloExchanger halo(env, env.world(), grid);
     xpic::ParticleSolver ps(cfg, grid, 42);
 
-    // Restore: the checkpoint payload is [step, nspec populations...]
-    // packed as doubles.
+    // Restore: the checkpoint payload is [step, E/B arrays, nspec
+    // populations...] packed as doubles.
     int start = 0;
     {
       std::vector<std::byte> blob;
       if (const auto step = ckpt.restart(env, env.world(), blob)) {
         start = *step + 1;
-        resumedFrom = *step;
+        run.resumedFrom = *step;
         std::span<const double> d(reinterpret_cast<const double*>(blob.data()),
                                   blob.size() / sizeof(double));
         std::size_t pos = 1;  // d[0] is the step, already consumed
+        for (xpic::Field2D* e : f.emFields()) {
+          const auto field = d.subspan(pos, e->raw().size());
+          std::copy(field.begin(), field.end(), e->raw().begin());
+          pos += field.size();
+        }
         for (xpic::Species& s : ps.species()) {
           const auto n = static_cast<std::size_t>(d[pos++]);
           s.restoreFrom(d.subspan(pos, 5 * n));
@@ -91,6 +110,9 @@ TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
                                               // lands mid-run deterministically
 
       std::vector<double> payload = {static_cast<double>(step)};
+      for (xpic::Field2D* e : f.emFields()) {
+        payload.insert(payload.end(), e->raw().begin(), e->raw().end());
+      }
       for (const xpic::Species& s : ps.species()) {
         payload.push_back(static_cast<double>(s.count()));
         const auto packed = s.packAll();
@@ -100,37 +122,68 @@ TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
                       std::as_bytes(std::span<const double>(payload)));
     }
 
+    std::vector<double>& state =
+        run.finalState[static_cast<std::size_t>(env.rank())];
+    for (xpic::Field2D* e : f.emFields()) {
+      state.insert(state.end(), e->raw().begin(), e->raw().end());
+    }
+    for (const xpic::Species& s : ps.species()) {
+      const auto packed = s.packAll();
+      state.insert(state.end(), packed.begin(), packed.end());
+    }
     const long long count = env.allreduceValue(
         env.world(), static_cast<std::int64_t>(ps.particleCount()),
         pmpi::Op::Sum);
     const double kin =
         env.allreduceValue(env.world(), ps.kineticEnergy(), pmpi::Op::Sum);
     if (env.rank() == 0) {
-      finishedStep = kSteps;
-      finalCount = count;
-      finalKinetic = kin;
+      run.finishedStep = kSteps;
+      run.finalCount = count;
+      run.finalKinetic = kin;
     }
   });
 
-  // Attempt 1: killed mid-run; node 0's NVMe is lost.
-  const auto& first = w.rt.launch("pic", hw::NodeKind::Cluster, 2);
-  scr::FailureInjector chaos(w.rt, local);
-  chaos.scheduleNodeFailure(first.id, sim::SimTime::ms(42), /*dropNode=*/0);
-  w.engine.run();
-  ASSERT_EQ(chaos.injected(), 1);
-  ASSERT_EQ(finishedStep, -1);
-
-  // Attempt 2: resumes and completes.
+  if (injectFailure) {
+    // Attempt 1: killed mid-run; node 0's NVMe is lost.
+    const auto& first = w.rt.launch("pic", hw::NodeKind::Cluster, 2);
+    scr::FailureInjector chaos(w.rt, local);
+    chaos.scheduleNodeFailure(first.id, sim::SimTime::ms(42), /*dropNode=*/0);
+    w.engine.run();
+    EXPECT_EQ(chaos.injected(), 1);
+    EXPECT_EQ(run.finishedStep, -1);
+  }
+  // Attempt 2 (or the only one): runs to completion.
   w.rt.launch("pic", hw::NodeKind::Cluster, 2);
   w.run();
-  EXPECT_EQ(finishedStep, 20);
-  EXPECT_GT(resumedFrom, 0);          // it really resumed mid-stream
-  EXPECT_LT(resumedFrom, 19);
+  return run;
+}
+
+TEST(Integration, CheckpointedPicSurvivesNodeFailure) {
+  // The relaunch must resume (not restart) and finish with the exact
+  // particle census, and with exactly the fields and particles of the same
+  // world run without the failure.
+  const PicRun recovered = runCheckpointedPic(true);
+  EXPECT_EQ(recovered.finishedStep, 20);
+  EXPECT_GT(recovered.resumedFrom, 0);  // it really resumed mid-stream
+  EXPECT_LT(recovered.resumedFrom, 19);
+  const xpic::XpicConfig cfg = miniCfg();
   const long long expected = static_cast<long long>(cfg.cells()) *
                              (cfg.ppcReal / cfg.nspec) * cfg.nspec;
-  EXPECT_EQ(finalCount, expected);    // census survived kill + restore
-  EXPECT_GT(finalKinetic, 0.0);
-  EXPECT_TRUE(std::isfinite(finalKinetic));
+  EXPECT_EQ(recovered.finalCount, expected);  // census survived kill + restore
+  EXPECT_GT(recovered.finalKinetic, 0.0);
+  EXPECT_TRUE(std::isfinite(recovered.finalKinetic));
+
+  const PicRun faultFree = runCheckpointedPic(false);
+  EXPECT_EQ(faultFree.resumedFrom, -1);
+  EXPECT_EQ(recovered.finalKinetic, faultFree.finalKinetic);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const std::vector<double>& a = recovered.finalState[r];
+    const std::vector<double>& b = faultFree.finalState[r];
+    ASSERT_FALSE(b.empty());
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "rank " << r;
+  }
 }
 
 TEST(Integration, PicMomentsFlowThroughSionOntoBeeGfs) {

@@ -927,6 +927,42 @@ TEST(PmpiMatchOrder, WildcardReceiverSurvivesATenThousandPostBurst) {
   EXPECT_LT(bytesAfterDrain, bytesAtPeak / 4);
 }
 
+TEST(PmpiMemory, EmptyEagerPayloadDoesNotPinTheArena) {
+  // Ping-pongs of 1..100 bytes, each drained before the next: a rank's
+  // eager arena resets whenever it holds no payload, so its peak is the
+  // largest single message.  A zero-byte message sent first holds no bytes
+  // and must not keep the arena from resetting, or every later size is
+  // appended to it.
+  const auto arenaPeak = [](bool emptyFirst) {
+    World w;
+    w.runRanks(2, [&](Env& env) {
+      const Comm c = env.world();
+      if (emptyFirst) {
+        if (env.rank() == 0) {
+          env.send(c, 1, 1, pmpi::ConstBytes{});
+        } else {
+          env.recv(c, 0, 1, pmpi::Bytes{});
+        }
+      }
+      std::vector<std::byte> buf(100);
+      for (std::size_t n = 1; n <= buf.size(); ++n) {
+        const std::span<std::byte> msg(buf.data(), n);
+        if (env.rank() == 0) {
+          env.send(c, 1, 2, msg);
+          env.recv(c, 1, 2, msg);
+        } else {
+          env.recv(c, 0, 2, msg);
+          env.send(c, 0, 2, msg);
+        }
+      }
+    });
+    return w.rt.memoryStats().payloadArenaPeakBytes;
+  };
+  const std::size_t paced = arenaPeak(false);
+  EXPECT_LE(paced, 2 * 100u);  // two ranks, 100 B each at most
+  EXPECT_EQ(arenaPeak(true), paced);
+}
+
 TEST(PmpiMatchOrder, ReverseDrainSurvivesQueueCompaction) {
   // Draining 48 unexpected messages in reverse tag order leaves a long
   // tombstone tail and forces MatchFifo::compact() mid-drain; every payload

@@ -1,15 +1,17 @@
 // xPic tests: decomposition and grid math, interpolation/deposition,
-// a bitwise oracle for the mover and deposit kernels and their ghost-ring
-// guard, single-particle physics (gyromotion, uniform-field acceleration),
-// migration bookkeeping, halo exchange across ranks, field-solver
-// convergence, the inter-module payload size, and full-run invariants in
-// all three execution modes.
+// bitwise oracles for every variant of the mover, deposit and
+// collectLeavers kernels and their guards, single-particle physics
+// (gyromotion, uniform-field acceleration), migration bookkeeping, halo
+// exchange across ranks, field-solver convergence, the inter-module
+// payload size, and full-run invariants in all three execution modes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <numbers>
@@ -212,8 +214,28 @@ TEST(Species, DepositConservesCharge) {
 //
 // The per-field scalar mover and deposit that the fused, batched kernels
 // replaced, kept as the reference.  Species::move and Species::deposit must
-// reproduce them bit for bit: the same IEEE operations per particle, and
-// every moment cell accumulated in particle order.
+// reproduce them bit for bit, in every kernel variant the host runs: the
+// same IEEE operations per particle, and every moment cell accumulated in
+// particle order.
+
+using xpic::ParticleKernels;
+
+/// The kernel variants this host runs, each called directly by the tests;
+/// prints the name of every variant it skips.
+std::vector<ParticleKernels> hostKernels() {
+  std::vector<ParticleKernels> out;
+  for (const ParticleKernels k :
+       {ParticleKernels::scalar, ParticleKernels::avx512}) {
+    if (xpic::hostRuns(k)) {
+      out.push_back(k);
+    } else {
+      std::printf(
+          "[ SKIPPED  ] %s particle kernels: this host's CPU cannot run them\n",
+          xpic::kernelsName(k));
+    }
+  }
+  return out;
+}
 
 struct RefStencil {
   int i, j;
@@ -315,8 +337,10 @@ void refDeposit(const RefParticles& p, const SpeciesParams& sp,
 }
 
 bool sameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  // An empty vector's data() may be null, which memcmp must not see.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// `n` particles inside g's block: first the edge cases (cell faces, cell
@@ -351,53 +375,56 @@ RefParticles oracleParticles(const Grid2D& g, std::size_t n, sim::Rng& rng) {
 }
 
 TEST(Species, KernelsMatchScalarReferenceBitForBit) {
-  XpicConfig cfg = XpicConfig::tiny();
-  int cases = 0;
-  for (const int ranks : {1, 4}) {
-    // Rank 3 of a 2x2 decomposition: x0, y0 != 0, touching x = L, y = L.
-    const Grid2D g(cfg, ranks, ranks - 1);
-    for (const int iters : {1, 3}) {
-      cfg.moverIterations = iters;
-      for (const double charge : {-1.0, 1.0}) {
-        for (const std::size_t n : {1u, 7u, 8u, 9u, 1003u}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "ranks=" << ranks << " iters=" << iters
-                       << " charge=" << charge << " n=" << n);
-          sim::Rng rng(1000 + n);
-          FieldArrays f(g);
-          for (Field2D* e : f.emFields()) {
-            for (double& v : e->raw()) v = 0.4 * (rng.uniform() - 0.5);
-          }
-          for (Field2D* m : f.momentFields()) {
-            for (double& v : m->raw()) v = rng.uniform();
-          }
-          FieldArrays fRef = f;
-          SpeciesParams sp;
-          sp.charge = charge;
-          sp.mass = charge < 0 ? 1.0 : cfg.massRatio;
-          Species s(sp, cfg);
-          RefParticles ref = oracleParticles(g, n, rng);
-          for (std::size_t k = 0; k < n; ++k) {
-            s.addParticle(ref.x[k], ref.y[k], ref.u[k], ref.v[k], ref.w[k]);
-          }
+  for (const ParticleKernels kernels : hostKernels()) {
+    XpicConfig cfg = XpicConfig::tiny();
+    int cases = 0;
+    for (const int ranks : {1, 4}) {
+      // Rank 3 of a 2x2 decomposition: x0, y0 != 0, touching x = L, y = L.
+      const Grid2D g(cfg, ranks, ranks - 1);
+      for (const int iters : {1, 3}) {
+        cfg.moverIterations = iters;
+        for (const double charge : {-1.0, 1.0}) {
+          for (const std::size_t n : {1u, 7u, 8u, 9u, 1003u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << xpic::kernelsName(kernels) << " ranks=" << ranks
+                         << " iters=" << iters << " charge=" << charge
+                         << " n=" << n);
+            sim::Rng rng(1000 + n);
+            FieldArrays f(g);
+            for (Field2D* e : f.emFields()) {
+              for (double& v : e->raw()) v = 0.4 * (rng.uniform() - 0.5);
+            }
+            for (Field2D* m : f.momentFields()) {
+              for (double& v : m->raw()) v = rng.uniform();
+            }
+            FieldArrays fRef = f;
+            SpeciesParams sp;
+            sp.charge = charge;
+            sp.mass = charge < 0 ? 1.0 : cfg.massRatio;
+            Species s(sp, cfg);
+            RefParticles ref = oracleParticles(g, n, rng);
+            for (std::size_t k = 0; k < n; ++k) {
+              s.addParticle(ref.x[k], ref.y[k], ref.u[k], ref.v[k], ref.w[k]);
+            }
 
-          // Deposit on top of non-zero moments, ghost ring included.
-          s.deposit(f, g);
-          refDeposit(ref, sp, cfg, s.weight(), fRef, g);
-          for (std::size_t m = 0; m < 5; ++m) {
-            EXPECT_TRUE(sameBytes(f.momentFields()[m]->raw(),
-                                  fRef.momentFields()[m]->raw()))
-                << "moment " << m;
+            // Deposit on top of non-zero moments, ghost ring included.
+            s.deposit(f, g, kernels);
+            refDeposit(ref, sp, cfg, s.weight(), fRef, g);
+            for (std::size_t m = 0; m < 5; ++m) {
+              EXPECT_TRUE(sameBytes(f.momentFields()[m]->raw(),
+                                    fRef.momentFields()[m]->raw()))
+                  << "moment " << m;
+            }
+            s.move(f, g, kernels);
+            refMove(ref, sp, cfg, fRef, g);
+            EXPECT_TRUE(sameBytes(s.packAll(), ref.packed()));
+            ++cases;
           }
-          s.move(f, g);
-          refMove(ref, sp, cfg, fRef, g);
-          EXPECT_TRUE(sameBytes(s.packAll(), ref.packed()));
-          ++cases;
         }
       }
     }
+    EXPECT_EQ(cases, 40);
   }
-  EXPECT_EQ(cases, 40);
 }
 
 TEST(Species, KernelsRejectParticlesOutsideTheGhostRing) {
@@ -440,6 +467,93 @@ TEST(Species, KernelsRejectParticlesOutsideTheGhostRing) {
   // Non-finite positions.
   EXPECT_TRUE(fails(std::nan(""), yIn, 0.0, true));
   EXPECT_TRUE(fails(xIn, std::numeric_limits<double>::infinity(), 0.0, false));
+}
+
+TEST(Species, KernelsRejectAtEveryLaneLikeTheScalarKernels) {
+  // One particle outside the ghost ring at each position of a 16-particle
+  // population (every lane of both batches), sometimes with a second one
+  // further along the same batch: every variant must throw the scalar
+  // kernels' message, naming the lowest such lane, and leave the same
+  // particle and moment arrays behind.
+  XpicConfig cfg = XpicConfig::tiny();
+  cfg.lx = cfg.ly = 16.0;
+  const Grid2D g(cfg, 4, 3);  // block [8, 16) x [8, 16), ghost ring to 16.5
+  sim::Rng rng(0x6c616e65);
+  FieldArrays fields(g);
+  for (Field2D* e : fields.emFields()) {
+    for (double& v : e->raw()) v = 0.4 * (rng.uniform() - 0.5);
+  }
+  for (Field2D* m : fields.momentFields()) {
+    for (double& v : m->raw()) v = rng.uniform();
+  }
+  std::vector<double> inside;  // [x y u v w] of 16 particles inside the block
+  for (int k = 0; k < 16; ++k) {
+    inside.insert(inside.end(),
+                  {8.5 + 7 * rng.uniform(), 8.5 + 7 * rng.uniform(),
+                   0.1 * rng.normal(), 0.1 * rng.normal(), 0.1 * rng.normal()});
+  }
+  struct Outcome {
+    std::string error;
+    std::vector<double> particles;
+    std::vector<std::vector<double>> moments;
+  };
+  const auto run = [&](ParticleKernels kernels, bool deposit,
+                       const std::vector<double>& packed) {
+    Species s(SpeciesParams{}, cfg);
+    s.addPacked(packed);
+    FieldArrays f = fields;
+    Outcome o;
+    try {
+      if (deposit) {
+        s.deposit(f, g, kernels);
+      } else {
+        s.move(f, g, kernels);
+      }
+    } catch (const std::runtime_error& e) {
+      o.error = e.what();
+    }
+    o.particles = s.packAll();
+    for (Field2D* m : f.momentFields()) o.moments.push_back(m->raw());
+    return o;
+  };
+  const std::vector<ParticleKernels> variants = hostKernels();
+  int checked = 0;
+  for (const bool deposit : {false, true}) {
+    for (std::size_t bad = 0; bad < 16; ++bad) {
+      for (const int second : {0, 1}) {
+        std::vector<double> packed = inside;
+        // Outside from the start, or (move only) driven out of the ring by
+        // the half-step position of the second sweep.
+        const bool late = !deposit && bad % 2 == 1;
+        packed[5 * bad] = late ? 12.0 : 17.0 + static_cast<double>(bad);
+        packed[5 * bad + 2] = late ? 1000.0 : 0.0;
+        const std::size_t other = bad + 3;
+        if (second == 1) {
+          if (other / 8 != bad / 8) continue;
+          packed[5 * other] = 7.0 - static_cast<double>(other);
+        }
+        const Outcome ref = run(ParticleKernels::scalar, deposit, packed);
+        ASSERT_NE(ref.error.find("xpic: particle left the ghost ring"),
+                  std::string::npos)
+            << ref.error;
+        for (const ParticleKernels kernels : variants) {
+          SCOPED_TRACE(::testing::Message()
+                       << xpic::kernelsName(kernels)
+                       << (deposit ? " deposit" : " move") << " bad=" << bad
+                       << " second=" << second);
+          const Outcome got = run(kernels, deposit, packed);
+          EXPECT_EQ(got.error, ref.error);
+          EXPECT_TRUE(sameBytes(got.particles, ref.particles));
+          for (std::size_t m = 0; m < ref.moments.size(); ++m) {
+            EXPECT_TRUE(sameBytes(got.moments[m], ref.moments[m]))
+                << "moment " << m;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * (16 + 10) * static_cast<int>(variants.size()));
 }
 
 // ---- Migration bookkeeping ----------------------------------------------------------
@@ -491,6 +605,137 @@ TEST(Species, CollectLeaversRejectsMultiBlockJumps) {
     std::array<std::vector<double>, 8> out;
     EXPECT_THROW(s.collectLeavers(g, out), std::runtime_error) << x;
   }
+}
+
+// The scalar collectLeavers loop the lane kernels must reproduce: verdicts,
+// throws and swap-with-last compaction, particle by particle.
+void refCollectLeavers(RefParticles& p, const Grid2D& g,
+                       std::array<std::vector<double>, 8>& out) {
+  const int lnx = g.lnx(), lny = g.lny();
+  const double gnx = static_cast<double>(lnx) * g.px();
+  const double gny = static_cast<double>(lny) * g.py();
+  const auto jumped = [&](std::size_t k) {
+    return std::runtime_error(
+        "xpic: particle at x=" + std::to_string(p.x[k]) +
+        ", y=" + std::to_string(p.y[k]) + " jumped more than one block from rank " +
+        std::to_string(g.rank()) + " (time step too large for the block size)");
+  };
+  std::size_t k = 0;
+  while (k < p.x.size()) {
+    const double cellX = p.x[k] / g.dx();
+    const double cellY = p.y[k] / g.dy();
+    if (!(cellX > -gnx && cellX < 2 * gnx && cellY > -gny && cellY < 2 * gny)) {
+      throw jumped(k);
+    }
+    const int gi = static_cast<int>(cellX);
+    const int gj = static_cast<int>(cellY);
+    const int ox = gi / lnx;
+    const int oy = gj / lny;
+    int dx = ox - g.cx();
+    int dy = oy - g.cy();
+    if (dx > g.px() / 2) dx -= g.px();
+    if (dx < -g.px() / 2) dx += g.px();
+    if (dy > g.py() / 2) dy -= g.py();
+    if (dy < -g.py() / 2) dy += g.py();
+    if (dx < -1 || dx > 1 || dy < -1 || dy > 1) throw jumped(k);
+    if (dx == 0 && dy == 0) {
+      ++k;
+      continue;
+    }
+    auto& buf = out[static_cast<std::size_t>(Species::dirIndex(dx, dy))];
+    buf.insert(buf.end(), {p.x[k], p.y[k], p.u[k], p.v[k], p.w[k]});
+    for (std::vector<double>* c : {&p.x, &p.y, &p.u, &p.v, &p.w}) {
+      (*c)[k] = c->back();
+      c->pop_back();
+    }
+  }
+}
+
+TEST(Species, CollectLeaversMatchesScalarReferenceBitForBit) {
+  const XpicConfig cfg = XpicConfig::tableII();
+  const std::vector<ParticleKernels> variants = hostKernels();
+  int cases = 0;
+  // 4x4 blocks: rank 0 sits at x = y = 0 (cx = 0), rank 5 inside, rank 15
+  // at x = y = L; a 1-rank grid wraps every leaver home.
+  for (const auto& [ranks, rank] : {std::pair{16, 0}, {16, 5}, {16, 15}, {1, 0}}) {
+    const Grid2D g(cfg, ranks, rank);
+    const double bw = g.xMax() - g.xMin(), bh = g.yMax() - g.yMin();
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      sim::Rng rng(seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(rank));
+      const std::size_t n = 64 + rng.below(17);
+      // One leaver at lane l of batch l, the last particle a leaver (it is
+      // swapped into the slot of the leaver before it), the rest drawn.
+      const auto leaverAt = [&](std::size_t k) {
+        return k == n - 1 || (k < 64 && k % 8 == k / 8);
+      };
+      RefParticles drawn;
+      for (std::size_t k = 0; k < n; ++k) {
+        double x = g.xMin() + rng.uniform() * bw;
+        double y = g.yMin() + rng.uniform() * bh;
+        const std::uint64_t kind = leaverAt(k) ? 1 : rng.below(10);
+        if (kind == 1) {  // into a random neighbour block, maybe across x = L
+          const int ox = static_cast<int>(rng.below(3)) - 1;
+          const int oy = ox == 0 ? 1 - 2 * static_cast<int>(rng.below(2))
+                                 : static_cast<int>(rng.below(3)) - 1;
+          x = std::fmod(x + ox * bw + cfg.lx, cfg.lx);
+          y = std::fmod(y + oy * bh + cfg.ly, cfg.ly);
+        } else if (kind == 2) {  // exactly on one of the block's faces
+          const std::uint64_t face = rng.below(4);
+          if (face == 0) x = g.xMin();
+          if (face == 1) x = g.xMax() == cfg.lx ? 0.0 : g.xMax();
+          if (face == 2) y = g.yMin();
+          if (face == 3) y = g.yMax() == cfg.ly ? 0.0 : g.yMax();
+        } else if (kind == 3 && g.cx() == 0) {  // cellX in (-1, 0): home
+          x = -rng.uniform() * g.dx();
+        }
+        drawn.x.push_back(x);
+        drawn.y.push_back(y);
+        drawn.u.push_back(rng.normal());
+        drawn.v.push_back(rng.normal());
+        drawn.w.push_back(rng.normal());
+      }
+      // Every fourth population also holds a particle collectLeavers
+      // rejects: NaN, or more than one block away.
+      if (seed % 4 == 0) {
+        const std::size_t k = rng.below(n);
+        if (seed % 8 == 0) {
+          drawn.x[k] = std::nan("");
+        } else {
+          drawn.y[k] = g.yMin() + 2.5 * bh;
+        }
+      }
+      RefParticles ref = drawn;
+      std::array<std::vector<double>, 8> refOut;
+      std::string refError;
+      try {
+        refCollectLeavers(ref, g, refOut);
+      } catch (const std::runtime_error& e) {
+        refError = e.what();
+      }
+      EXPECT_EQ(refError.empty(), seed % 4 != 0) << refError;
+      for (const ParticleKernels kernels : variants) {
+        SCOPED_TRACE(::testing::Message()
+                     << xpic::kernelsName(kernels) << " ranks=" << ranks
+                     << " rank=" << rank << " seed=" << seed);
+        Species s(SpeciesParams{}, cfg);
+        s.addPacked(drawn.packed());
+        std::array<std::vector<double>, 8> out;
+        std::string error;
+        try {
+          s.collectLeavers(g, out, kernels);
+        } catch (const std::runtime_error& e) {
+          error = e.what();
+        }
+        EXPECT_EQ(error, refError);
+        EXPECT_TRUE(sameBytes(s.packAll(), ref.packed()));
+        for (std::size_t d = 0; d < out.size(); ++d) {
+          EXPECT_TRUE(sameBytes(out[d], refOut[d])) << "direction " << d;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4 * 24 * static_cast<int>(variants.size()));
 }
 
 // ---- Full runs ------------------------------------------------------------------------
