@@ -56,9 +56,14 @@ XpicConfig xpicConfigFromDesc(desc::Reader& r) {
     }
   };
   requireFinitePositive("dt", c.dt);
+  requireFinitePositive("theta", c.theta);
   requireFinitePositive("lx", c.lx);
   requireFinitePositive("ly", c.ly);
   requireFinitePositive("mass_ratio", c.massRatio);
+  if (!(std::isfinite(c.interfaceDoublesPerCell) &&
+        c.interfaceDoublesPerCell >= 0)) {
+    r.fail("interface_doubles_per_cell must be finite and >= 0");
+  }
   return c;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -59,9 +60,18 @@ struct InterfaceBuffer {
   InterfaceBuffer(const Grid2D& g, const XpicConfig& cfg, std::size_t fields)
       : data(fields * static_cast<std::size_t>(g.lnx()) *
              static_cast<std::size_t>(g.lny())) {
-    const auto target = static_cast<std::size_t>(cfg.interfaceDoublesPerCell *
-                                                 g.lnx() * g.lny());
-    wireBytes = std::max(data.size(), target) * sizeof(double);
+    const double target = cfg.interfaceDoublesPerCell * g.lnx() * g.lny();
+    // 2^64: a byte count at or past it is no std::size_t.
+    if (!(target >= 0 && target * sizeof(double) < 0x1p64)) {
+      std::ostringstream msg;
+      msg << "xpic: interface wire size of " << target * sizeof(double)
+          << " bytes (interface_doubles_per_cell "
+          << cfg.interfaceDoublesPerCell << " x " << g.lnx() * g.lny()
+          << " cells) does not fit std::size_t";
+      throw std::invalid_argument(msg.str());
+    }
+    wireBytes = std::max(data.size(), static_cast<std::size_t>(target)) *
+                sizeof(double);
   }
   [[nodiscard]] pmpi::ConstBytes bytes() const {
     return std::as_bytes(std::span<const double>(data));

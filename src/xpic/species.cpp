@@ -38,33 +38,118 @@ struct Stencil {
 // Lane kernels: kBatch particles per vector, each lane running the scalar
 // code's IEEE operations in the same order.  Their vector expressions
 // repeat the scalar ones operand for operand; -ffp-contract=off keeps the
-// compiler from fusing them (DESIGN §3 item 9).
+// compiler from fusing them (DESIGN §3 item 9).  They read and write a
+// cell table instead of the padded arrays: one 64-byte row per padded
+// cell, holding that cell's value of every array side by side, so a
+// stencil corner is one aligned load.  Copying the arrays in and out
+// moves bits and changes no sum.
 
-/// kBatch stencils, one per lane: the padded indices of the four corners
-/// and their weights.
-struct Stencil8 {
-  __m512i i00, i10, i01, i11;
-  __m512d w00, w10, w01, w11;
+/// One padded cell of a cell table: the cell's E and B (`ex ey ez bx by bz
+/// 0 0`) or its moments (`rho jx jy jz chi 0 0 0`).
+struct alignas(64) CellRow {
+  double v[8];
 };
 
-/// StencilMap::floorToInt lane by lane, as doubles: truncation, then one
-/// step down where that rounded up.
-CBSIM_AVX512_INLINE __m512d floor8(__m512d v) {
-  const __m512d t = _mm512_cvtepi64_pd(_mm512_cvttpd_epi64(v));
-  return _mm512_mask_sub_pd(t, _mm512_cmp_pd_mask(v, t, _CMP_LT_OQ), t,
-                            _mm512_set1_pd(1.0));
+/// The calling thread's cell table, grown to at least `cells` rows.  One
+/// table serves both kernels and every species: each kernel call refills
+/// it, and no call yields to another process in between.
+CellRow* cellTable(std::size_t cells) {
+  thread_local std::vector<CellRow> table;
+  if (table.size() < cells) table.assign(cells, CellRow{});
+  return table.data();
 }
 
-/// StencilMap::gather lane by lane.
-CBSIM_AVX512_INLINE __m512d gather8(const double* a, const Stencil8& s) {
-  // Masked gathers from zero: GCC 12 flags the unmasked form's source
-  // operand with -Wmaybe-uninitialized.
-  const __m512d z = _mm512_setzero_pd();
-  const __m512d a00 = _mm512_mask_i64gather_pd(z, 0xFF, s.i00, a, 8);
-  const __m512d a10 = _mm512_mask_i64gather_pd(z, 0xFF, s.i10, a, 8);
-  const __m512d a01 = _mm512_mask_i64gather_pd(z, 0xFF, s.i01, a, 8);
-  const __m512d a11 = _mm512_mask_i64gather_pd(z, 0xFF, s.i11, a, 8);
-  return s.w00 * a00 + s.w10 * a10 + s.w01 * a01 + s.w11 * a11;
+/// out[c][l] = in[l][c].  Three rounds of 8 shuffles; the compiler drops
+/// those whose outputs go unused.  The shuffles are masked from zero:
+/// GCC 12 flags the unmasked forms' undefined source with
+/// -Wmaybe-uninitialized.
+CBSIM_AVX512_INLINE void transpose8(const __m512d in[8], __m512d out[8]) {
+  constexpr __mmask8 all = 0xFF;
+  // t[i] (i even) holds rows i, i+1 at columns 0, 2, 4, 6 (one column per
+  // 128-bit lane); t[i + 1] the same at columns 1, 3, 5, 7.
+  __m512d t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm512_maskz_unpacklo_pd(all, in[i], in[i + 1]);
+    t[i + 1] = _mm512_maskz_unpackhi_pd(all, in[i], in[i + 1]);
+  }
+  // u[0] = [r00 r10 | r04 r14 | r20 r30 | r24 r34] and so on: two columns
+  // of four rows each.
+  __m512d u[8];
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm512_maskz_shuffle_f64x2(all, t[i], t[i + 2], 0x88);
+    u[i + 1] = _mm512_maskz_shuffle_f64x2(all, t[i], t[i + 2], 0xDD);
+    u[i + 2] = _mm512_maskz_shuffle_f64x2(all, t[i + 1], t[i + 3], 0x88);
+    u[i + 3] = _mm512_maskz_shuffle_f64x2(all, t[i + 1], t[i + 3], 0xDD);
+  }
+  out[0] = _mm512_maskz_shuffle_f64x2(all, u[0], u[4], 0x88);
+  out[4] = _mm512_maskz_shuffle_f64x2(all, u[0], u[4], 0xDD);
+  out[2] = _mm512_maskz_shuffle_f64x2(all, u[1], u[5], 0x88);
+  out[6] = _mm512_maskz_shuffle_f64x2(all, u[1], u[5], 0xDD);
+  out[1] = _mm512_maskz_shuffle_f64x2(all, u[2], u[6], 0x88);
+  out[5] = _mm512_maskz_shuffle_f64x2(all, u[2], u[6], 0xDD);
+  out[3] = _mm512_maskz_shuffle_f64x2(all, u[3], u[7], 0x88);
+  out[7] = _mm512_maskz_shuffle_f64x2(all, u[3], u[7], 0xDD);
+}
+
+/// Copies M padded arrays of `cells` values into table rows, zeros after.
+template <std::size_t M>
+CBSIM_AVX512_INLINE void fillTable(CellRow* t, const double* const (&a)[M],
+                                   std::size_t cells) {
+  std::size_t c = 0;
+  for (; c + 8 <= cells; c += 8) {
+    __m512d in[8], out[8];
+    for (std::size_t m = 0; m < 8; ++m) {
+      in[m] = m < M ? _mm512_loadu_pd(a[m] + c) : _mm512_setzero_pd();
+    }
+    transpose8(in, out);
+    for (std::size_t l = 0; l < 8; ++l) _mm512_store_pd(t[c + l].v, out[l]);
+  }
+  for (; c < cells; ++c) {
+    for (std::size_t m = 0; m < 8; ++m) t[c].v[m] = m < M ? a[m][c] : 0.0;
+  }
+}
+
+/// Copies table rows back into the M padded arrays fillTable read.
+template <std::size_t M>
+CBSIM_AVX512_INLINE void drainTable(const CellRow* t, double* const (&a)[M],
+                                    std::size_t cells) {
+  std::size_t c = 0;
+  for (; c + 8 <= cells; c += 8) {
+    __m512d in[8], out[8];
+    for (std::size_t l = 0; l < 8; ++l) in[l] = _mm512_load_pd(t[c + l].v);
+    transpose8(in, out);
+    for (std::size_t m = 0; m < M; ++m) _mm512_storeu_pd(a[m] + c, out[m]);
+  }
+  for (; c < cells; ++c) {
+    for (std::size_t m = 0; m < M; ++m) a[m][c] = t[c].v[m];
+  }
+}
+
+/// kBatch stencils, one per lane: the table row of each lane's base cell
+/// and the weights of its four corners, kept in memory because the cell
+/// kernels read them one lane at a time.
+struct alignas(64) LaneStencils {
+  double w[4][kBatch];  ///< (i, j), (i+1, j), (i, j+1), (i+1, j+1)
+  long long base[kBatch];
+};
+
+/// StencilMap::gather for every value of a table row at lane l's stencil:
+/// the same four products, summed in the same order.
+CBSIM_AVX512_INLINE __m512d interpolateRow(const CellRow* t,
+                                           std::size_t stride,
+                                           const LaneStencils& s,
+                                           std::size_t l) {
+  const CellRow* r = t + s.base[l];
+  return _mm512_set1_pd(s.w[0][l]) * _mm512_load_pd(r[0].v) +
+         _mm512_set1_pd(s.w[1][l]) * _mm512_load_pd(r[1].v) +
+         _mm512_set1_pd(s.w[2][l]) * _mm512_load_pd(r[stride].v) +
+         _mm512_set1_pd(s.w[3][l]) * _mm512_load_pd(r[stride + 1].v);
+}
+
+/// StencilMap::scatter of a table row of values at one corner: row +=
+/// w * values, every value as scalar `a[b] += w * v`.
+CBSIM_AVX512_INLINE void scatterRow(CellRow& r, double w, __m512d values) {
+  _mm512_store_pd(r.v, _mm512_load_pd(r.v) + _mm512_set1_pd(w) * values);
 }
 
 /// wrap() lane by lane.
@@ -109,9 +194,11 @@ class StencilMap {
   }
 
 #ifdef CBSIM_AVX512
-  /// at() for kBatch positions, one per lane.  When a lane leaves the ghost
-  /// ring, at() re-runs over the lanes in order and throws for the first.
-  CBSIM_AVX512_INLINE Stencil8 at8(__m512d x, __m512d y) const {
+  /// at() for kBatch positions, one per lane, into `s`.  Returns false,
+  /// leaving `s` unset, when a lane's stencil leaves the ghost ring; the
+  /// caller hands that batch to the scalar kernel, whose at() throws for
+  /// the lowest such lane.
+  CBSIM_AVX512_INLINE bool at8(__m512d x, __m512d y, LaneStencils& s) const {
     const __m512d gx = x / _mm512_set1_pd(dx_) - _mm512_set1_pd(0.5);
     const __m512d gy = y / _mm512_set1_pd(dy_) - _mm512_set1_pd(0.5);
     const __mmask8 inside =
@@ -119,25 +206,26 @@ class StencilMap {
         _mm512_cmp_pd_mask(gx, _mm512_set1_pd(hiX_), _CMP_LT_OQ) &
         _mm512_cmp_pd_mask(gy, _mm512_set1_pd(loY_), _CMP_GE_OQ) &
         _mm512_cmp_pd_mask(gy, _mm512_set1_pd(hiY_), _CMP_LT_OQ);
-    if (inside != 0xFF) [[unlikely]] {
-      double xs[kBatch], ys[kBatch];
-      _mm512_storeu_pd(xs, x);
-      _mm512_storeu_pd(ys, y);
-      for (std::size_t l = 0; l < kBatch; ++l) (void)at(xs[l], ys[l]);
-    }
-    const __m512d gi = floor8(gx);
-    const __m512d gj = floor8(gy);
+    if (inside != 0xFF) [[unlikely]] return false;
+    // floor() is floorToInt() as a double on the guarded range: both give
+    // the same integer, and the same +0.0 for gx in [0, 1), since
+    // x / dx - 0.5 is never -0.0.
+    constexpr int down = _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC;
+    const __m512d gi = _mm512_maskz_roundscale_pd(0xFF, gx, down);
+    const __m512d gj = _mm512_maskz_roundscale_pd(0xFF, gy, down);
     const __m512d wx = gx - gi;
     const __m512d wy = gy - gj;
-    const __m512i one = _mm512_set1_epi64(1);
-    const __m512i stride = _mm512_set1_epi64(static_cast<long long>(stride_));
-    const __m512i base =
-        (_mm512_cvttpd_epi64(gj) - _mm512_set1_epi64(g_.y0()) + one) * stride +
-        (_mm512_cvttpd_epi64(gi) - _mm512_set1_epi64(g_.x0()) + one);
-    const __m512d oneD = _mm512_set1_pd(1.0);
-    return {base, base + one, base + stride, base + stride + one,
-            (oneD - wx) * (oneD - wy), wx * (oneD - wy), (oneD - wx) * wy,
-            wx * wy};
+    const __m512d one = _mm512_set1_pd(1.0);
+    _mm512_store_pd(s.w[0], (one - wx) * (one - wy));
+    _mm512_store_pd(s.w[1], wx * (one - wy));
+    _mm512_store_pd(s.w[2], (one - wx) * wy);
+    _mm512_store_pd(s.w[3], wx * wy);
+    // The padded index of at(), in doubles: small integers, so exact.
+    const __m512d stride = _mm512_set1_pd(static_cast<double>(stride_));
+    const __m512d base = (gj - _mm512_set1_pd(loY_)) * stride +
+                         (gi - _mm512_set1_pd(loX_));
+    _mm512_store_si512(s.base, _mm512_cvttpd_epi64(base));
+    return true;
   }
 #endif
 
@@ -239,43 +327,81 @@ struct Mover {
   }
 
 #ifdef CBSIM_AVX512
-  /// push<kBatch> over the whole batches of particles [0, n), one particle
-  /// per lane; returns how many particles it pushed.
-  CBSIM_AVX512 std::size_t pushLanes(std::size_t n) const {
+  /// push<kBatch> for the B batches of particles [k, k + B * kBatch), one
+  /// particle per lane, their sweeps interleaved, E and B read from the
+  /// cell table `t`.  Stores nothing and returns false when a sweep takes
+  /// a lane's stencil outside the ghost ring.
+  template <std::size_t B>
+  CBSIM_AVX512 bool pushBatches(const CellRow* t, std::size_t k) const {
     const __m512d q = _mm512_set1_pd(qdt2m), one = _mm512_set1_pd(1.0),
                   two = _mm512_set1_pd(2.0), h = _mm512_set1_pd(halfDt),
                   d = _mm512_set1_pd(dt);
-    std::size_t k = 0;
-    for (; k + kBatch <= n; k += kBatch) {
-      const __m512d x0 = _mm512_loadu_pd(x + k), y0 = _mm512_loadu_pd(y + k);
-      const __m512d u0 = _mm512_loadu_pd(u + k), v0 = _mm512_loadu_pd(v + k),
-                    w0 = _mm512_loadu_pd(w + k);
-      __m512d xb = x0, yb = y0, ub = u0, vb = v0, wb = w0;
-      for (int it = 0; it < iters; ++it) {
-        const Stencil8 s = map.at8(xb, yb);
-        const __m512d fex = gather8(ex, s), fey = gather8(ey, s),
-                      fez = gather8(ez, s);
-        const __m512d fbx = gather8(bx, s), fby = gather8(by, s),
-                      fbz = gather8(bz, s);
-        const __m512d vx = u0 + q * fex;
-        const __m512d vy = v0 + q * fey;
-        const __m512d vz = w0 + q * fez;
-        const __m512d tx = q * fbx, ty = q * fby, tz = q * fbz;
+    const std::size_t stride = map.stride();
+    __m512d x0[B], y0[B], u0[B], v0[B], w0[B];
+    __m512d xb[B], yb[B], ub[B], vb[B], wb[B];
+    for (std::size_t b = 0; b < B; ++b) {
+      const std::size_t i = k + b * kBatch;
+      xb[b] = x0[b] = _mm512_loadu_pd(x + i);
+      yb[b] = y0[b] = _mm512_loadu_pd(y + i);
+      ub[b] = u0[b] = _mm512_loadu_pd(u + i);
+      vb[b] = v0[b] = _mm512_loadu_pd(v + i);
+      wb[b] = w0[b] = _mm512_loadu_pd(w + i);
+    }
+    for (int it = 0; it < iters; ++it) {
+      LaneStencils s[B];
+      for (std::size_t b = 0; b < B; ++b) {
+        if (!map.at8(xb[b], yb[b], s[b])) return false;
+      }
+      for (std::size_t b = 0; b < B; ++b) {
+        // Lane l's interpolated row, transposed: f[0..5] hold E and B.
+        __m512d rows[kBatch], f[kBatch];
+        for (std::size_t l = 0; l < kBatch; ++l) {
+          rows[l] = interpolateRow(t, stride, s[b], l);
+        }
+        transpose8(rows, f);
+        const __m512d vx = u0[b] + q * f[0];
+        const __m512d vy = v0[b] + q * f[1];
+        const __m512d vz = w0[b] + q * f[2];
+        const __m512d tx = q * f[3], ty = q * f[4], tz = q * f[5];
         const __m512d tsq = tx * tx + ty * ty + tz * tz;
         const __m512d vdt = vx * tx + vy * ty + vz * tz;
         const __m512d inv = one / (one + tsq);
-        ub = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
-        vb = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
-        wb = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
-        xb = x0 + h * ub;
-        yb = y0 + h * vb;
+        ub[b] = (vx + (vy * tz - vz * ty) + vdt * tx) * inv;
+        vb[b] = (vy + (vz * tx - vx * tz) + vdt * ty) * inv;
+        wb[b] = (vz + (vx * ty - vy * tx) + vdt * tz) * inv;
+        xb[b] = x0[b] + h * ub[b];
+        yb[b] = y0[b] + h * vb[b];
       }
-      _mm512_storeu_pd(u + k, two * ub - u0);
-      _mm512_storeu_pd(v + k, two * vb - v0);
-      _mm512_storeu_pd(w + k, two * wb - w0);
-      _mm512_storeu_pd(x + k, wrap8(x0 + d * ub, lx));
-      _mm512_storeu_pd(y + k, wrap8(y0 + d * vb, ly));
     }
+    for (std::size_t b = 0; b < B; ++b) {
+      const std::size_t i = k + b * kBatch;
+      _mm512_storeu_pd(u + i, two * ub[b] - u0[b]);
+      _mm512_storeu_pd(v + i, two * vb[b] - v0[b]);
+      _mm512_storeu_pd(w + i, two * wb[b] - w0[b]);
+      _mm512_storeu_pd(x + i, wrap8(x0[b] + d * ub[b], lx));
+      _mm512_storeu_pd(y + i, wrap8(y0[b] + d * vb[b], ly));
+    }
+    return true;
+  }
+
+  /// push<kBatch> over the whole batches of particles [0, n), two batches
+  /// at a time, against a cell table of the `cells` padded E and B values.
+  /// Returns the first particle it did not push: the end of the last whole
+  /// batch, or the start of the first batch that leaves the ghost ring,
+  /// which the scalar kernel then rejects.
+  CBSIM_AVX512 std::size_t pushCells(std::size_t n, std::size_t cells) const {
+    if (n < kBatch) return 0;
+    CellRow* const t = cellTable(cells);
+    fillTable(t, {ex, ey, ez, bx, by, bz}, cells);
+    std::size_t k = 0;
+    for (; k + 2 * kBatch <= n; k += 2 * kBatch) {
+      if (pushBatches<2>(t, k)) continue;
+      // One batch at a time, so that the first batch to fail is the one
+      // the scalar kernel fails in.
+      if (!pushBatches<1>(t, k)) return k;
+      if (!pushBatches<1>(t, k + kBatch)) return k + kBatch;
+    }
+    if (k + kBatch <= n && pushBatches<1>(t, k)) k += kBatch;
     return k;
   }
 #endif
@@ -303,41 +429,42 @@ struct Depositor {
   }
 
 #ifdef CBSIM_AVX512
-  /// deposit<kBatch> over the whole batches of particles [0, n): stencils
-  /// and weight x value products in lanes, the adds into the moment arrays
-  /// scalar, in particle order.  Returns how many particles it deposited.
-  CBSIM_AVX512 std::size_t depositLanes(std::size_t n) const {
-    const __m512d q = _mm512_set1_pd(qw), c = _mm512_set1_pd(chiw);
-    double* const moments[5] = {rho, jx, jy, jz, chi};
+  /// deposit<kBatch> over the whole batches of particles [0, n) into a cell
+  /// table of the `cells` padded moment values: each particle adds one
+  /// weighted row per corner, in particle order, so every moment cell sums
+  /// the scalar kernel's terms in its order.  The table is written back
+  /// before returning the first particle it did not deposit: the end of
+  /// the last whole batch, or the start of the first batch with a lane
+  /// outside the ghost ring, which the scalar kernel then rejects.
+  CBSIM_AVX512 std::size_t depositCells(std::size_t n,
+                                        std::size_t cells) const {
+    if (n < kBatch) return 0;
+    CellRow* const t = cellTable(cells);
+    fillTable(t, {rho, jx, jy, jz, chi}, cells);
+    const __m512d q = _mm512_set1_pd(qw), c = _mm512_set1_pd(chiw),
+                  zero = _mm512_setzero_pd();
     const std::size_t stride = map.stride();
     std::size_t k = 0;
     for (; k + kBatch <= n; k += kBatch) {
-      const Stencil8 s =
-          map.at8(_mm512_loadu_pd(x + k), _mm512_loadu_pd(y + k));
-      const __m512d vals[5] = {q, q * _mm512_loadu_pd(u + k),
-                               q * _mm512_loadu_pd(v + k),
-                               q * _mm512_loadu_pd(w + k), c};
-      // terms[m][c][l]: corner c's share of moment m from particle k + l.
-      alignas(64) double terms[5][4][kBatch];
-      for (std::size_t m = 0; m < 5; ++m) {
-        _mm512_store_pd(terms[m][0], s.w00 * vals[m]);
-        _mm512_store_pd(terms[m][1], s.w10 * vals[m]);
-        _mm512_store_pd(terms[m][2], s.w01 * vals[m]);
-        _mm512_store_pd(terms[m][3], s.w11 * vals[m]);
-      }
-      alignas(64) long long base[kBatch];
-      _mm512_store_si512(base, s.i00);
+      LaneStencils s;
+      if (!map.at8(_mm512_loadu_pd(x + k), _mm512_loadu_pd(y + k), s)) break;
+      // Row l: the five values particle k + l deposits.
+      const __m512d vals[kBatch] = {q,
+                                    q * _mm512_loadu_pd(u + k),
+                                    q * _mm512_loadu_pd(v + k),
+                                    q * _mm512_loadu_pd(w + k),
+                                    c, zero, zero, zero};
+      __m512d rows[kBatch];
+      transpose8(vals, rows);
       for (std::size_t l = 0; l < kBatch; ++l) {
-        const auto b = static_cast<std::size_t>(base[l]);
-        for (std::size_t m = 0; m < 5; ++m) {
-          double* const a = moments[m];
-          a[b] += terms[m][0][l];
-          a[b + 1] += terms[m][1][l];
-          a[b + stride] += terms[m][2][l];
-          a[b + stride + 1] += terms[m][3][l];
-        }
+        CellRow* const r = t + s.base[l];
+        scatterRow(r[0], s.w[0][l], rows[l]);
+        scatterRow(r[1], s.w[1][l], rows[l]);
+        scatterRow(r[stride], s.w[2][l], rows[l]);
+        scatterRow(r[stride + 1], s.w[3][l], rows[l]);
       }
     }
+    drainTable(t, {rho, jx, jy, jz, chi}, cells);
     return k;
   }
 #endif
@@ -458,7 +585,7 @@ void Species::move(const FieldArrays& f, const Grid2D& g,
   const std::size_t n = x_.size();
   std::size_t k = 0;
 #ifdef CBSIM_AVX512
-  if (kernels == ParticleKernels::avx512) k = m.pushLanes(n);
+  if (kernels == ParticleKernels::avx512) k = m.pushCells(n, f.ex.raw().size());
 #endif
   for (; k + kBatch <= n; k += kBatch) m.push<kBatch>(k);
   for (; k < n; ++k) m.push<1>(k);
@@ -480,7 +607,9 @@ void Species::deposit(FieldArrays& f, const Grid2D& g,
   const std::size_t n = x_.size();
   std::size_t k = 0;
 #ifdef CBSIM_AVX512
-  if (kernels == ParticleKernels::avx512) k = d.depositLanes(n);
+  if (kernels == ParticleKernels::avx512) {
+    k = d.depositCells(n, f.rho.raw().size());
+  }
 #endif
   for (; k + kBatch <= n; k += kBatch) d.deposit<kBatch>(k);
   for (; k < n; ++k) d.deposit<1>(k);
@@ -523,12 +652,15 @@ void Species::collectLeavers(const Grid2D& g,
 #ifdef CBSIM_AVX512
     // Skips the batch's leading particles that stay; the first other one
     // takes the scalar path below, so every verdict, throw and swap is the
-    // scalar loop's.
+    // scalar loop's.  A batch that stays whole steps a constant kBatch, so
+    // the next batch's test need not wait for this one's count.
     if (kernels == ParticleKernels::avx512 && k + kBatch <= x_.size()) {
-      const int stay =
-          std::countr_one(home.lanes(x_.data() + k, y_.data() + k));
-      k += static_cast<std::size_t>(stay);
-      if (stay == static_cast<int>(kBatch)) continue;
+      const unsigned stay = home.lanes(x_.data() + k, y_.data() + k);
+      if (stay == 0xFF) {
+        k += kBatch;
+        continue;
+      }
+      k += static_cast<std::size_t>(std::countr_one(stay));
     }
 #endif
     const double cellX = x_[k] / g.dx();

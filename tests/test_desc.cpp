@@ -16,6 +16,8 @@
 
 #include "campaign/builtin.hpp"
 #include "campaign/desc.hpp"
+#include "campaign/report.hpp"
+#include "campaign/runner.hpp"
 #include "desc/json.hpp"
 #include "desc/schema.hpp"
 #include "fault/desc.hpp"
@@ -308,6 +310,12 @@ TEST(DescXpic, RejectsOutOfRangeValues) {
       {R"({"lx": 0})", "desc: xpic: lx must be finite and > 0"},
       {R"({"ly": -25.6})", "desc: xpic: ly must be finite and > 0"},
       {R"({"mass_ratio": 0})", "desc: xpic: mass_ratio must be finite and > 0"},
+      // theta = 0 would otherwise fail the run as a NaN particle position.
+      {R"({"theta": 0})", "desc: xpic: theta must be finite and > 0"},
+      {R"({"theta": -0.5})", "desc: xpic: theta must be finite and > 0"},
+      // A negative interface size would otherwise wrap the simulated clock.
+      {R"({"interface_doubles_per_cell": -1})",
+       "desc: xpic: interface_doubles_per_cell must be finite and >= 0"},
   };
   for (const auto& [text, expected] : cases) {
     const desc::Value v = desc::parse(text);
@@ -315,6 +323,40 @@ TEST(DescXpic, RejectsOutOfRangeValues) {
     EXPECT_EQ(errorOf([&] { (void)xpic::xpicConfigFromDesc(r); }), expected)
         << text;
   }
+  // No padding is a valid interface: the packed arrays alone.
+  const desc::Value zero = desc::parse(R"({"interface_doubles_per_cell": 0})");
+  desc::Reader r(zero, "xpic");
+  EXPECT_EQ(xpic::xpicConfigFromDesc(r).interfaceDoublesPerCell, 0.0);
+}
+
+// An interface size the description accepts can still ask for a wire size
+// past std::size_t once multiplied by a block's cells: each C+B world
+// must fail with that error by name, not convert the size to size_t
+// (undefined behaviour) and run on.
+TEST(DescXpic, InterfaceWireSizeBeyondSizeTFailsByName) {
+  campaign::CampaignSpec spec = campaign::campaignSpecFromDescText(
+      campaign::builtinCampaignText("fig8-tiny"), "fig8-tiny");
+  spec.fig8.xpic.interfaceDoublesPerCell = 1e300;
+  const campaign::CampaignReport rep = campaign::runCampaign(
+      campaign::buildCampaign(spec), campaign::withJobs(2));
+  int failed = 0;
+  for (const auto& s : rep.scenarios) {
+    if (s.name.find("/C+B/") == std::string::npos) {
+      EXPECT_TRUE(s.error.empty()) << s.name << ": " << s.error;
+      continue;
+    }
+    EXPECT_NE(s.error.find("xpic: interface wire size of "), std::string::npos)
+        << s.name << ": " << s.error;
+    EXPECT_NE(s.error.find("(interface_doubles_per_cell 1e+300 x "),
+              std::string::npos)
+        << s.name << ": " << s.error;
+    EXPECT_NE(s.error.find(" cells) does not fit std::size_t"),
+              std::string::npos)
+        << s.name << ": " << s.error;
+    ++failed;
+  }
+  EXPECT_EQ(failed, 4);
+  EXPECT_EQ(rep.failedCount(), 4);
 }
 
 TEST(DescFault, PlanRoundTripsWindows) {

@@ -17,6 +17,7 @@
 #include <numbers>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -378,52 +379,60 @@ TEST(Species, KernelsMatchScalarReferenceBitForBit) {
   for (const ParticleKernels kernels : hostKernels()) {
     XpicConfig cfg = XpicConfig::tiny();
     int cases = 0;
-    for (const int ranks : {1, 4}) {
-      // Rank 3 of a 2x2 decomposition: x0, y0 != 0, touching x = L, y = L.
-      const Grid2D g(cfg, ranks, ranks - 1);
-      for (const int iters : {1, 3}) {
-        cfg.moverIterations = iters;
-        for (const double charge : {-1.0, 1.0}) {
-          for (const std::size_t n : {1u, 7u, 8u, 9u, 1003u}) {
-            SCOPED_TRACE(::testing::Message()
-                         << xpic::kernelsName(kernels) << " ranks=" << ranks
-                         << " iters=" << iters << " charge=" << charge
-                         << " n=" << n);
-            sim::Rng rng(1000 + n);
-            FieldArrays f(g);
-            for (Field2D* e : f.emFields()) {
-              for (double& v : e->raw()) v = 0.4 * (rng.uniform() - 0.5);
-            }
-            for (Field2D* m : f.momentFields()) {
-              for (double& v : m->raw()) v = rng.uniform();
-            }
-            FieldArrays fRef = f;
-            SpeciesParams sp;
-            sp.charge = charge;
-            sp.mass = charge < 0 ? 1.0 : cfg.massRatio;
-            Species s(sp, cfg);
-            RefParticles ref = oracleParticles(g, n, rng);
-            for (std::size_t k = 0; k < n; ++k) {
-              s.addParticle(ref.x[k], ref.y[k], ref.u[k], ref.v[k], ref.w[k]);
-            }
+    // A new thread starts without a cell table: the 8x8 block of the
+    // 4-rank grid sizes it, then the 16x16 block of the 1-rank grid must
+    // grow it.
+    std::thread([&] {
+      for (const int ranks : {4, 1}) {
+        // Rank 3 of a 2x2 decomposition: x0, y0 != 0, touching x = L, y = L.
+        const Grid2D g(cfg, ranks, ranks - 1);
+        for (const int iters : {1, 3}) {
+          cfg.moverIterations = iters;
+          for (const double charge : {-1.0, 1.0}) {
+            // Below one batch, one batch, a batch and a tail, a batch pair
+            // alone, with a tail, with a single batch, with both, and many.
+            for (const std::size_t n :
+                 {1u, 7u, 8u, 9u, 16u, 17u, 24u, 31u, 1003u}) {
+              SCOPED_TRACE(::testing::Message()
+                           << xpic::kernelsName(kernels) << " ranks=" << ranks
+                           << " iters=" << iters << " charge=" << charge
+                           << " n=" << n);
+              sim::Rng rng(1000 + n);
+              FieldArrays f(g);
+              for (Field2D* e : f.emFields()) {
+                for (double& v : e->raw()) v = 0.4 * (rng.uniform() - 0.5);
+              }
+              for (Field2D* m : f.momentFields()) {
+                for (double& v : m->raw()) v = rng.uniform();
+              }
+              FieldArrays fRef = f;
+              SpeciesParams sp;
+              sp.charge = charge;
+              sp.mass = charge < 0 ? 1.0 : cfg.massRatio;
+              Species s(sp, cfg);
+              RefParticles ref = oracleParticles(g, n, rng);
+              for (std::size_t k = 0; k < n; ++k) {
+                s.addParticle(ref.x[k], ref.y[k], ref.u[k], ref.v[k], ref.w[k]);
+              }
 
-            // Deposit on top of non-zero moments, ghost ring included.
-            s.deposit(f, g, kernels);
-            refDeposit(ref, sp, cfg, s.weight(), fRef, g);
-            for (std::size_t m = 0; m < 5; ++m) {
-              EXPECT_TRUE(sameBytes(f.momentFields()[m]->raw(),
-                                    fRef.momentFields()[m]->raw()))
-                  << "moment " << m;
+              // Deposit on top of non-zero moments, ghost ring included.
+              s.deposit(f, g, kernels);
+              refDeposit(ref, sp, cfg, s.weight(), fRef, g);
+              for (std::size_t m = 0; m < 5; ++m) {
+                EXPECT_TRUE(sameBytes(f.momentFields()[m]->raw(),
+                                      fRef.momentFields()[m]->raw()))
+                    << "moment " << m;
+              }
+              s.move(f, g, kernels);
+              refMove(ref, sp, cfg, fRef, g);
+              EXPECT_TRUE(sameBytes(s.packAll(), ref.packed()));
+              ++cases;
             }
-            s.move(f, g, kernels);
-            refMove(ref, sp, cfg, fRef, g);
-            EXPECT_TRUE(sameBytes(s.packAll(), ref.packed()));
-            ++cases;
           }
         }
       }
-    }
-    EXPECT_EQ(cases, 40);
+    }).join();
+    EXPECT_EQ(cases, 72);
   }
 }
 
@@ -471,9 +480,10 @@ TEST(Species, KernelsRejectParticlesOutsideTheGhostRing) {
 
 TEST(Species, KernelsRejectAtEveryLaneLikeTheScalarKernels) {
   // One particle outside the ghost ring at each position of a 16-particle
-  // population (every lane of both batches), sometimes with a second one
-  // further along the same batch: every variant must throw the scalar
-  // kernels' message, naming the lowest such lane, and leave the same
+  // population (every lane of both batches of a pair), sometimes with a
+  // second one three places further, in the same batch or in the other
+  // one: every variant must throw the scalar kernels' message, naming the
+  // lowest such lane of the first batch that fails, and leave the same
   // particle and moment arrays behind.
   XpicConfig cfg = XpicConfig::tiny();
   cfg.lx = cfg.ly = 16.0;
@@ -517,7 +527,7 @@ TEST(Species, KernelsRejectAtEveryLaneLikeTheScalarKernels) {
     return o;
   };
   const std::vector<ParticleKernels> variants = hostKernels();
-  int checked = 0;
+  int checked = 0, lateThenOutside = 0;
   for (const bool deposit : {false, true}) {
     for (std::size_t bad = 0; bad < 16; ++bad) {
       for (const int second : {0, 1}) {
@@ -529,13 +539,22 @@ TEST(Species, KernelsRejectAtEveryLaneLikeTheScalarKernels) {
         packed[5 * bad + 2] = late ? 1000.0 : 0.0;
         const std::size_t other = bad + 3;
         if (second == 1) {
-          if (other / 8 != bad / 8) continue;
+          if (other >= 16) continue;
           packed[5 * other] = 7.0 - static_cast<double>(other);
         }
         const Outcome ref = run(ParticleKernels::scalar, deposit, packed);
         ASSERT_NE(ref.error.find("xpic: particle left the ghost ring"),
                   std::string::npos)
             << ref.error;
+        if (late && second == 1 && other / 8 != bad / 8) {
+          // Batch 0 leaves on its second sweep, batch 1 is outside from
+          // the start: the pair fails on batch 1 first, yet the error must
+          // be batch 0's.
+          EXPECT_EQ(ref.error.find("x=" + std::to_string(packed[5 * other])),
+                    std::string::npos)
+              << ref.error;
+          ++lateThenOutside;
+        }
         for (const ParticleKernels kernels : variants) {
           SCOPED_TRACE(::testing::Message()
                        << xpic::kernelsName(kernels)
@@ -553,7 +572,8 @@ TEST(Species, KernelsRejectAtEveryLaneLikeTheScalarKernels) {
       }
     }
   }
-  EXPECT_EQ(checked, 2 * (16 + 10) * static_cast<int>(variants.size()));
+  EXPECT_EQ(checked, 2 * (16 + 13) * static_cast<int>(variants.size()));
+  EXPECT_EQ(lateThenOutside, 2);  // bad = 5 and 7
 }
 
 // ---- Migration bookkeeping ----------------------------------------------------------
