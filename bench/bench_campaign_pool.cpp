@@ -19,6 +19,8 @@
 // The committed BENCH_campaign.json must come from a multi-core host
 // (EXPERIMENTS.md); the pool-scaling CI job enforces jobs=2 speedup >= 1.
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,10 +31,19 @@
 #include "campaign/builtin.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "harness.hpp"
+#include "desc/json.hpp"
+#include "desc/schema.hpp"
 #include "sim/process.hpp"
 
 namespace {
+
+/// Peak resident set size of this process in MiB, read after the workload
+/// (getrusage reports the high-water mark, in KiB on Linux).
+double peakRssMb() {
+  struct rusage ru {};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -107,7 +118,7 @@ int main(int argc, char** argv) {
 
   std::string reference;
   double wall1 = 0;
-  std::vector<std::string> rows;
+  desc::Value runs = desc::Value::array();
   bool allIdentical = true;
   for (const int jobs : jobsList) {
     const campaign::CampaignReport rep =
@@ -136,32 +147,33 @@ int main(int argc, char** argv) {
                 rep.hostElapsedSec, rep.hostScenarioSecSum(), speedupCol,
                 scenPerSec, identical ? "yes" : "NO");
 
-    bench::JsonObject row;
-    row.integer("jobs", jobs)
-        .num("wall_sec", rep.hostElapsedSec)
-        .num("scenario_host_sec_sum", rep.hostScenarioSecSum())
-        .num("scenarios_per_sec", scenPerSec);
+    desc::Value row = desc::Value::object();
+    row.set("jobs", desc::Value::integer(jobs))
+        .set("wall_sec", desc::Value::number(rep.hostElapsedSec))
+        .set("scenario_host_sec_sum",
+             desc::Value::number(rep.hostScenarioSecSum()))
+        .set("scenarios_per_sec", desc::Value::number(scenPerSec));
     if (oversubscribed) {
-      row.boolean("oversubscribed", true);
+      row.set("oversubscribed", desc::Value::boolean(true));
     } else {
-      row.num("speedup_vs_1", wall1 / rep.hostElapsedSec);
+      row.set("speedup_vs_1", desc::Value::number(wall1 / rep.hostElapsedSec));
     }
-    row.boolean("report_identical_to_jobs1", identical);
-    rows.push_back(row.render(2));
+    row.set("report_identical_to_jobs1", desc::Value::boolean(identical));
+    runs.push(std::move(row));
   }
 
-  bench::JsonObject root;
-  root.str("bench", "campaign_pool")
-      .str("campaign", "fig8-tiny")
-      .integer("scenarios", scenarioCount)
-      .integer("scale", scale)
-      .integer("host_threads", static_cast<long long>(hostThreads))
-      .str("process_backend",
-           sim::toString(sim::defaultProcessBackend()))
-      .boolean("all_reports_identical", allIdentical)
-      .raw("runs", bench::jsonArray(rows, 0))
-      .num("peak_rss_mb", bench::peakRssBytes() / (1024.0 * 1024.0));
-  bench::writeFile(outPath, root.render());
+  desc::Value root = desc::Value::object();
+  root.set("bench", desc::Value::string("campaign_pool"))
+      .set("campaign", desc::Value::string("fig8-tiny"))
+      .set("scenarios", desc::Value::integer(scenarioCount))
+      .set("scale", desc::Value::integer(scale))
+      .set("host_threads", desc::Value::integer(hostThreads))
+      .set("process_backend",
+           desc::Value::string(sim::toString(sim::defaultProcessBackend())))
+      .set("all_reports_identical", desc::Value::boolean(allIdentical))
+      .set("runs", std::move(runs))
+      .set("peak_rss_mb", desc::Value::number(peakRssMb()));
+  desc::writeFile(outPath, desc::dump(root));
   std::printf("\nwrote %s\n", outPath.c_str());
   if (hostThreads < 2) {
     std::printf("NOTE: 1-thread host — every jobs>1 row is oversubscribed; "

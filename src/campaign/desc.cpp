@@ -43,7 +43,7 @@ Fig8Params fig8ParamsFromDesc(desc::Reader& r) {
   if (auto nc = r.tryChild("node_counts")) {
     p.nodeCounts.clear();
     for (std::size_t i = 0; i < nc->size(); ++i) {
-      p.nodeCounts.push_back(static_cast<int>(nc->item(i).asInt()));
+      p.nodeCounts.push_back(nc->item(i).asInt32());
     }
     if (p.nodeCounts.empty()) nc->fail("node_counts must be non-empty");
     for (const int n : p.nodeCounts) {
@@ -83,12 +83,12 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
     });
     if (p.schemes.empty()) r.fail("schemes must be non-empty");
   }
-  p.ranks = static_cast<int>(r.intAt("ranks", p.ranks));
-  p.steps = static_cast<int>(r.intAt("steps", p.steps));
+  p.ranks = r.int32At("ranks", p.ranks);
+  p.steps = r.int32At("steps", p.steps);
   p.stepSec = r.numberAt("step_sec", p.stepSec);
   p.stateBytes = static_cast<std::size_t>(
       r.uintAt("state_bytes", static_cast<std::uint64_t>(p.stateBytes)));
-  p.maxAttempts = static_cast<int>(r.intAt("max_attempts", p.maxAttempts));
+  p.maxAttempts = r.int32At("max_attempts", p.maxAttempts);
   if (auto pr = r.tryChild("protocol")) {
     p.protocol = pmpi::protocolParamsFromDesc(*pr);
   }
@@ -101,7 +101,7 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   p.degradeUntilSec = r.numberAt("degrade_until_sec", p.degradeUntilSec);
   p.flapFromSec = r.numberAt("flap_from_sec", p.flapFromSec);
   p.flapUntilSec = r.numberAt("flap_until_sec", p.flapUntilSec);
-  p.spareNodes = static_cast<int>(r.intAt("spare_nodes", p.spareNodes));
+  p.spareNodes = r.int32At("spare_nodes", p.spareNodes);
   p.repairSec = r.numberAt("repair_sec", p.repairSec);
   p.firstFailureAtSec = r.numberAt("first_failure_at_sec", p.firstFailureAtSec);
   p.restartDelaySec = r.numberAt("restart_delay_sec", p.restartDelaySec);
@@ -170,20 +170,19 @@ HaloParams haloParamsFromDesc(desc::Reader& r) {
   if (auto rc = r.tryChild("rank_counts")) {
     p.rankCounts.clear();
     for (std::size_t i = 0; i < rc->size(); ++i) {
-      p.rankCounts.push_back(static_cast<int>(rc->item(i).asInt()));
+      p.rankCounts.push_back(rc->item(i).asInt32());
     }
     if (p.rankCounts.empty()) rc->fail("rank_counts must be non-empty");
     for (const int n : p.rankCounts) {
       if (n < 1) rc->fail("rank counts must be >= 1");
     }
   }
-  p.steps = static_cast<int>(r.intAt("steps", p.steps));
+  p.steps = r.int32At("steps", p.steps);
   p.haloBytes = static_cast<std::size_t>(
       r.uintAt("halo_bytes", static_cast<std::uint64_t>(p.haloBytes)));
   p.computeSec = r.numberAt("compute_sec", p.computeSec);
-  p.allreduceEvery =
-      static_cast<int>(r.intAt("allreduce_every", p.allreduceEvery));
-  p.fiberStackKb = static_cast<int>(r.intAt("fiber_stack_kb", p.fiberStackKb));
+  p.allreduceEvery = r.int32At("allreduce_every", p.allreduceEvery);
+  p.fiberStackKb = r.int32At("fiber_stack_kb", p.fiberStackKb);
   if (auto pr = r.tryChild("protocol")) {
     p.protocol = pmpi::protocolParamsFromDesc(*pr);
   }

@@ -193,12 +193,16 @@ Campaign fig8Campaign(const Fig8Params& params) {
         valueOf(rs, fig8Name(xpic::Mode::BoosterOnly, n0), "particles_sec");
     if (fc && fb && *fc > 0) d["ratio/fields_cluster_advantage"] = *fb / *fc;
     if (pc && pb && *pb > 0) d["ratio/particles_booster_advantage"] = *pc / *pb;
-    // Inter-module exchange share of the C+B runtime (paper: 3-4%): two
-    // padded interface transfers per step at the fabric's ~10 GB/s goodput.
+    // Inter-module exchange share of the C+B runtime (paper: 3-4%): per
+    // step the moments (5 arrays) go one way and the fields (6) the other,
+    // each padded to interface_doubles_per_cell as src/xpic/driver.cpp's
+    // InterfaceBuffer sends them, at the fabric's ~10 GB/s goodput.
     const auto tcb0 =
         valueOf(rs, fig8Name(xpic::Mode::ClusterBooster, n0), "wall_sec");
     if (tcb0 && *tcb0 > 0) {
-      const double xferSec = 2.0 * steps * cells * ifaceDoubles * 8.0 / 10e9;
+      const double perCell =
+          std::max(5.0, ifaceDoubles) + std::max(6.0, ifaceDoubles);
+      const double xferSec = steps * cells * perCell * 8.0 / 10e9;
       d["ratio/intermodule_exchange_share"] = xferSec / *tcb0;
     }
     return d;

@@ -13,7 +13,7 @@ ChaosSpec chaosSpecFromDesc(desc::Reader& r) {
   ChaosSpec spec;
   spec.name = r.stringAt("name", spec.name);
   spec.seed = r.uintAt("seed", spec.seed);
-  spec.trials = static_cast<int>(r.intAt("trials", spec.trials));
+  spec.trials = r.int32At("trials", spec.trials);
   if (spec.trials < 1) r.fail("trials must be >= 1");
   desc::Reader sc = r.child("scenario");
   if (sc.has("fault")) {

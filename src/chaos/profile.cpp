@@ -8,9 +8,9 @@ void targetsFromDesc(desc::Reader& r, std::string_view key,
                      std::vector<int>& out) {
   if (!r.has(key)) return;
   r.eachIn(key, [&](desc::Reader& t) {
-    const auto v = t.asInt();
+    const int v = t.asInt32();
     if (v < 0) t.fail("target index must be non-negative");
-    out.push_back(static_cast<int>(v));
+    out.push_back(v);
   });
 }
 
@@ -84,8 +84,8 @@ ChaosProfile profileFromDesc(desc::Reader& r) {
       r.numberAt("crash_restart_min_sec", p.crashRestartMinSec);
   p.crashRestartMaxSec =
       r.numberAt("crash_restart_max_sec", p.crashRestartMaxSec);
-  p.stormMinSize = static_cast<int>(r.intAt("storm_min_size", p.stormMinSize));
-  p.stormMaxSize = static_cast<int>(r.intAt("storm_max_size", p.stormMaxSize));
+  p.stormMinSize = r.int32At("storm_min_size", p.stormMinSize);
+  p.stormMaxSize = r.int32At("storm_max_size", p.stormMaxSize);
   p.stormSpanSec = r.numberAt("storm_span_sec", p.stormSpanSec);
   p.dropProbMax = r.numberAt("drop_prob_max", p.dropProbMax);
   p.corruptProbMax = r.numberAt("corrupt_prob_max", p.corruptProbMax);

@@ -1,6 +1,6 @@
 #pragma once
 
-// Minimal aligned-column table printer for the benchmark harnesses.
+// Minimal aligned-column table printer for the examples' console output.
 
 #include <cstdio>
 #include <string>

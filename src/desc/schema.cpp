@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace cbsim::desc {
@@ -125,6 +126,13 @@ std::uint64_t Reader::uintAt(std::string_view key, std::uint64_t def) {
   return uintAt(key);
 }
 
+int Reader::int32At(std::string_view key) { return child(key).asInt32(); }
+
+int Reader::int32At(std::string_view key, int def) {
+  if (!has(key)) return def;
+  return int32At(key);
+}
+
 void Reader::finish() {
   if (!v_->isObject()) return;
   const auto& members = v_->members();
@@ -187,6 +195,15 @@ std::int64_t Reader::asInt() const {
     fail("expected an integer, got " + formatNumber(d));
   }
   return static_cast<std::int64_t>(d);
+}
+
+int Reader::asInt32() const {
+  const std::int64_t v = asInt();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    fail("integer " + std::to_string(v) + " out of int range");
+  }
+  return static_cast<int>(v);
 }
 
 std::uint64_t Reader::asUint() const {

@@ -17,8 +17,8 @@
 //
 //   XpicConfig xpicConfigFromDesc(desc::Reader& r) {
 //     XpicConfig c;
-//     c.nx = r.intAt("nx", c.nx);        // optional, keeps default
-//     c.steps = r.intAt("steps");        // required
+//     c.nx = r.int32At("nx", c.nx);      // optional, keeps default
+//     c.steps = r.int32At("steps");      // required
 //     r.finish();                        // no unknown keys
 //     return c;
 //   }
@@ -68,6 +68,10 @@ class Reader {
   [[nodiscard]] std::int64_t intAt(std::string_view key, std::int64_t def);
   [[nodiscard]] std::uint64_t uintAt(std::string_view key);
   [[nodiscard]] std::uint64_t uintAt(std::string_view key, std::uint64_t def);
+  /// intAt for `int` fields: a value outside int's range fails with the
+  /// key's path instead of wrapping.
+  [[nodiscard]] int int32At(std::string_view key);
+  [[nodiscard]] int int32At(std::string_view key, int def);
 
   /// Rejects keys that were never consumed:
   ///   "machine.groups[0]: unknown key \"node_cuont\"".
@@ -85,6 +89,7 @@ class Reader {
   [[nodiscard]] const std::string& asString() const;
   [[nodiscard]] double asNumber() const;
   [[nodiscard]] std::int64_t asInt() const;
+  [[nodiscard]] int asInt32() const;
   [[nodiscard]] std::uint64_t asUint() const;
   [[nodiscard]] bool asBool() const;
 

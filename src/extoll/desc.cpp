@@ -37,8 +37,7 @@ desc::Value toDesc(const FabricOptions& o) {
   v.set("routing", desc::Value::string(routing));
   v.set("model", desc::Value::string(
                      o.model == CongestionModel::Flow ? "flow" : "packet"));
-  v.set("route_cache_cap",
-        desc::Value::integer(static_cast<std::int64_t>(o.routeCacheCap)));
+  v.set("route_cache_cap", desc::Value::unsignedInt(o.routeCacheCap));
   return v;
 }
 

@@ -1,7 +1,6 @@
 #include "fault/desc.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -37,9 +36,9 @@ int targetAt(desc::Reader& w, std::string_view key,
     }
     return idx;
   }
-  const auto idx = ref.asInt();
+  const int idx = ref.asInt32();
   if (idx < 0) ref.fail("index must be non-negative");
-  return static_cast<int>(idx);
+  return idx;
 }
 
 int resolveNode(const hw::MachineConfig& m, const std::string& name) {
@@ -70,11 +69,8 @@ constexpr WindowKeys kWindows[] = {
 
 /// Reads the optional storm tag and checks out the fault's object.
 void finishFault(desc::Reader& r, Fault& f, FaultPlan& p) {
-  const auto storm = r.intAt("storm", -1);
-  if (storm < -1 || storm > std::numeric_limits<int>::max()) {
-    r.fail("storm must be a non-negative id");
-  }
-  f.storm = static_cast<int>(storm);
+  f.storm = r.int32At("storm", -1);
+  if (f.storm < -1) r.fail("storm must be a non-negative id");
   r.finish();
   p.add(f);
 }

@@ -327,9 +327,9 @@ CpuSpec cpuSpecFromDesc(desc::Reader& r) {
   if (r.has("preset")) s = cpuPreset(r.stringAt("preset"));
   s.model = r.stringAt("model", s.model);
   s.microarchitecture = r.stringAt("microarchitecture", s.microarchitecture);
-  s.sockets = static_cast<int>(r.intAt("sockets", s.sockets));
-  s.cores = static_cast<int>(r.intAt("cores", s.cores));
-  s.threadsPerCore = static_cast<int>(r.intAt("threads_per_core", s.threadsPerCore));
+  s.sockets = r.int32At("sockets", s.sockets);
+  s.cores = r.int32At("cores", s.cores);
+  s.threadsPerCore = r.int32At("threads_per_core", s.threadsPerCore);
   s.freqGHz = r.numberAt("freq_ghz", s.freqGHz);
   s.flopsPerCyclePerCore =
       r.numberAt("flops_per_cycle_per_core", s.flopsPerCyclePerCore);
@@ -408,8 +408,8 @@ SwitchSpec switchSpecFromDesc(desc::Reader& r) {
 
 TrunkSpec trunkSpecFromDesc(desc::Reader& r) {
   TrunkSpec s;
-  s.switchA = static_cast<int>(r.intAt("switch_a"));
-  s.switchB = static_cast<int>(r.intAt("switch_b"));
+  s.switchA = r.int32At("switch_a");
+  s.switchB = r.int32At("switch_b");
   s.bandwidthGBs = r.numberAt("bandwidth_gbs", s.bandwidthGBs);
   s.latency = timeFromNs(r.numberAt("latency_ns", nsFromTime(s.latency)));
   r.finish();
@@ -422,7 +422,7 @@ NodeGroupSpec nodeGroupSpecFromDesc(desc::Reader& r) {
     desc::Reader kind = r.child("kind");
     g.kind = nodeKindFromKey(kind);
   }
-  g.count = static_cast<int>(r.intAt("count"));
+  g.count = r.int32At("count");
   g.namePrefix = r.stringAt("name_prefix");
   {
     desc::Reader cpu = r.child("cpu");
@@ -430,7 +430,7 @@ NodeGroupSpec nodeGroupSpecFromDesc(desc::Reader& r) {
   }
   if (auto nvme = r.tryChild("nvme")) g.nvme = nvmeSpecFromDesc(*nvme);
   if (auto disk = r.tryChild("disk")) g.disk = diskSpecFromDesc(*disk);
-  g.switchId = static_cast<int>(r.intAt("switch_id", g.switchId));
+  g.switchId = r.int32At("switch_id", g.switchId);
   g.mpiSwOverhead =
       timeFromNs(r.numberAt("mpi_sw_overhead_ns", nsFromTime(g.mpiSwOverhead)));
   g.activeWatts = r.numberAt("active_watts", g.activeWatts);
@@ -453,7 +453,7 @@ TopologySpec topologySpecFromDesc(desc::Reader& r) {
   }
   if (t.kind == TopologySpec::Kind::FatTree) {
     if (r.has("radix")) {
-      const int k = static_cast<int>(r.intAt("radix"));
+      const int k = r.int32At("radix");
       if (k < 2 || k % 2 != 0) {
         r.fail("topology.radix must be an even switch port count >= 2 (got " +
                std::to_string(k) + "); a k-port fat-tree splits ports k/2 "
@@ -463,16 +463,13 @@ TopologySpec topologySpecFromDesc(desc::Reader& r) {
       t.spines = k / 2;
       t.nodesPerPod = k / 2;
     }
-    t.pods = static_cast<int>(r.intAt("pods", t.pods));
-    t.spines = static_cast<int>(r.intAt("spines", t.spines));
-    t.nodesPerPod = static_cast<int>(r.intAt("nodes_per_pod", t.nodesPerPod));
+    t.pods = r.int32At("pods", t.pods);
+    t.spines = r.int32At("spines", t.spines);
+    t.nodesPerPod = r.int32At("nodes_per_pod", t.nodesPerPod);
   } else {
-    t.routersPerGroup =
-        static_cast<int>(r.intAt("routers_per_group", t.routersPerGroup));
-    t.nodesPerRouter =
-        static_cast<int>(r.intAt("nodes_per_router", t.nodesPerRouter));
-    t.globalPerRouter =
-        static_cast<int>(r.intAt("global_per_router", t.globalPerRouter));
+    t.routersPerGroup = r.int32At("routers_per_group", t.routersPerGroup);
+    t.nodesPerRouter = r.int32At("nodes_per_router", t.nodesPerRouter);
+    t.globalPerRouter = r.int32At("global_per_router", t.globalPerRouter);
   }
   if (r.has("node_kind")) {
     desc::Reader kind = r.child("node_kind");
@@ -524,11 +521,11 @@ MachineConfig machineConfigFromDesc(desc::Reader& r) {
     };
     for (const auto& [key, kind] : kCountKeys) {
       if (!r.has(key)) continue;
-      const std::int64_t count = r.intAt(key);
+      const int count = r.int32At(key);
       // setGroupCount reads any count <= 0 as "remove the group"; only 0
       // says that on purpose.
       if (count < 0) r.fail(std::string(key) + " must be >= 0");
-      setGroupCount(cfg, kind, static_cast<int>(count));
+      setGroupCount(cfg, kind, count);
     }
     r.finish();
     cfg.validate();
@@ -567,7 +564,7 @@ MachineConfig machineConfigFromDesc(desc::Reader& r) {
   if (r.has("nams")) {
     r.eachIn("nams", [&](desc::Reader& el) {
       NamAttachment na;
-      na.switchId = static_cast<int>(el.intAt("switch_id", na.switchId));
+      na.switchId = el.int32At("switch_id", na.switchId);
       // Remaining keys describe the NAM device itself.
       na.spec = namSpecFromDesc(el);
       cfg.nams.push_back(na);

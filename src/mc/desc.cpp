@@ -32,33 +32,35 @@ McScenario scenarioFromDesc(desc::Reader& r) {
   }
   if (auto b = r.tryChild("budget")) {
     s.budget.maxSchedules = b->intAt("max_schedules", s.budget.maxSchedules);
-    s.budget.maxDepth =
-        static_cast<int>(b->intAt("max_depth", s.budget.maxDepth));
+    s.budget.maxDepth = b->int32At("max_depth", s.budget.maxDepth);
     s.budget.sleepSets = b->boolAt("sleep_sets", s.budget.sleepSets);
     b->finish();
     if (s.budget.maxSchedules < 1) b->fail("max_schedules must be >= 1");
     if (s.budget.maxDepth < 1) b->fail("max_depth must be >= 1");
   }
-  s.senders = static_cast<int>(r.intAt("senders", s.senders));
-  s.messages = static_cast<int>(r.intAt("messages", s.messages));
-  s.recvWarmupUs = r.numberAt("recv_warmup_us", s.recvWarmupUs);
-  s.recvWorkUs = r.numberAt("recv_work_us", s.recvWorkUs);
-  if (s.recvWarmupUs < 0 || s.recvWorkUs < 0) {
-    r.fail("recv_warmup_us/recv_work_us must be >= 0");
-  }
-  s.ranks = static_cast<int>(r.intAt("ranks", s.ranks));
-  s.steps = static_cast<int>(r.intAt("steps", s.steps));
-  s.stepSec = r.numberAt("step_sec", s.stepSec);
-  s.stateBytes =
-      static_cast<std::size_t>(r.uintAt("state_bytes", s.stateBytes));
-  s.spareNodes = static_cast<int>(r.intAt("spare_nodes", s.spareNodes));
-  s.repairSec = r.numberAt("repair_sec", s.repairSec);
-  s.failAtSec = r.numberAt("fail_at_sec", s.failAtSec);
-  s.faultQuantumSec = r.numberAt("fault_quantum_sec", s.faultQuantumSec);
-  s.maxAttempts = static_cast<int>(r.intAt("max_attempts", s.maxAttempts));
-  s.restartDelaySec = r.numberAt("restart_delay_sec", s.restartDelaySec);
-  if (auto c = r.tryChild("scr")) {
-    s.scr = scr::scrConfigFromDesc(*c);
+  // Only the family's own keys are read, as toDesc writes only those: the
+  // other family's keys fail in finish() as unknown.
+  if (s.family == "message-race") {
+    s.senders = r.int32At("senders", s.senders);
+    s.messages = r.int32At("messages", s.messages);
+    s.recvWarmupUs = r.numberAt("recv_warmup_us", s.recvWarmupUs);
+    s.recvWorkUs = r.numberAt("recv_work_us", s.recvWorkUs);
+    if (s.recvWarmupUs < 0 || s.recvWorkUs < 0) {
+      r.fail("recv_warmup_us/recv_work_us must be >= 0");
+    }
+  } else {
+    s.ranks = r.int32At("ranks", s.ranks);
+    s.steps = r.int32At("steps", s.steps);
+    s.stepSec = r.numberAt("step_sec", s.stepSec);
+    s.stateBytes =
+        static_cast<std::size_t>(r.uintAt("state_bytes", s.stateBytes));
+    s.spareNodes = r.int32At("spare_nodes", s.spareNodes);
+    s.repairSec = r.numberAt("repair_sec", s.repairSec);
+    s.failAtSec = r.numberAt("fail_at_sec", s.failAtSec);
+    s.faultQuantumSec = r.numberAt("fault_quantum_sec", s.faultQuantumSec);
+    s.maxAttempts = r.int32At("max_attempts", s.maxAttempts);
+    s.restartDelaySec = r.numberAt("restart_delay_sec", s.restartDelaySec);
+    if (auto c = r.tryChild("scr")) s.scr = scr::scrConfigFromDesc(*c);
   }
   r.finish();
   return s;

@@ -53,7 +53,7 @@ Trace parseTrace(const std::string& text, const std::string& origin) {
   {
     desc::Reader arr = r.child("choices");
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      t.choices.push_back(static_cast<int>(arr.item(i).asInt()));
+      t.choices.push_back(arr.item(i).asInt32());
     }
   }
   if (r.has("decisions")) {
@@ -61,8 +61,8 @@ Trace parseTrace(const std::string& text, const std::string& origin) {
       Decision dec;
       dec.site = siteFromString(d.stringAt("site"), d);
       dec.locus = d.uintAt("locus");
-      dec.chosen = static_cast<int>(d.intAt("chosen"));
-      dec.alternatives = static_cast<int>(d.intAt("alternatives"));
+      dec.chosen = d.int32At("chosen");
+      dec.alternatives = d.int32At("alternatives");
       dec.key = d.uintAt("key");
       d.finish();
       t.decisions.push_back(dec);

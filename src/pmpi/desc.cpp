@@ -32,8 +32,7 @@ ProtocolParams protocolParamsFromDesc(desc::Reader& r) {
   p.retransmitBackoff = r.numberAt("retransmit_backoff", p.retransmitBackoff);
   p.retransmitCap =
       timeFromUs(r.numberAt("retransmit_cap_us", usFromTime(p.retransmitCap)));
-  p.retransmitBudget =
-      static_cast<int>(r.intAt("retransmit_budget", p.retransmitBudget));
+  p.retransmitBudget = r.int32At("retransmit_budget", p.retransmitBudget);
   r.finish();
   if (p.retransmitBudget < 0) r.fail("retransmit_budget must be >= 0");
   if (p.retransmitBackoff < 1.0) r.fail("retransmit_backoff must be >= 1");

@@ -4,10 +4,10 @@ namespace cbsim::scr {
 
 ScrConfig scrConfigFromDesc(desc::Reader& r) {
   ScrConfig c;
-  c.localEvery = static_cast<int>(r.intAt("local_every", c.localEvery));
-  c.buddyEvery = static_cast<int>(r.intAt("buddy_every", c.buddyEvery));
-  c.globalEvery = static_cast<int>(r.intAt("global_every", c.globalEvery));
-  c.namEvery = static_cast<int>(r.intAt("nam_every", c.namEvery));
+  c.localEvery = r.int32At("local_every", c.localEvery);
+  c.buddyEvery = r.int32At("buddy_every", c.buddyEvery);
+  c.globalEvery = r.int32At("global_every", c.globalEvery);
+  c.namEvery = r.int32At("nam_every", c.namEvery);
   c.prefix = r.stringAt("prefix", c.prefix);
   r.finish();
   if (c.localEvery < 0 || c.buddyEvery < 0 || c.globalEvery < 0 ||

@@ -18,26 +18,25 @@ XpicConfig xpicConfigFromDesc(desc::Reader& r) {
   if (r.value().isString()) return xpicPreset(r.asString());
   XpicConfig c;
   if (r.has("preset")) c = xpicPreset(r.stringAt("preset"));
-  c.nx = static_cast<int>(r.intAt("nx", c.nx));
-  c.ny = static_cast<int>(r.intAt("ny", c.ny));
+  c.nx = r.int32At("nx", c.nx);
+  c.ny = r.int32At("ny", c.ny);
   c.lx = r.numberAt("lx", c.lx);
   c.ly = r.numberAt("ly", c.ly);
-  c.nspec = static_cast<int>(r.intAt("nspec", c.nspec));
-  c.ppcReal = static_cast<int>(r.intAt("ppc_real", c.ppcReal));
-  c.ppcModeled = static_cast<int>(r.intAt("ppc_modeled", c.ppcModeled));
+  c.nspec = r.int32At("nspec", c.nspec);
+  c.ppcReal = r.int32At("ppc_real", c.ppcReal);
+  c.ppcModeled = r.int32At("ppc_modeled", c.ppcModeled);
   c.vthElectron = r.numberAt("vth_electron", c.vthElectron);
   c.vthIon = r.numberAt("vth_ion", c.vthIon);
   c.massRatio = r.numberAt("mass_ratio", c.massRatio);
   c.driftElectron = r.numberAt("drift_electron", c.driftElectron);
-  c.steps = static_cast<int>(r.intAt("steps", c.steps));
+  c.steps = r.int32At("steps", c.steps);
   c.dt = r.numberAt("dt", c.dt);
   c.theta = r.numberAt("theta", c.theta);
-  c.cgMaxIter = static_cast<int>(r.intAt("cg_max_iter", c.cgMaxIter));
+  c.cgMaxIter = r.int32At("cg_max_iter", c.cgMaxIter);
   c.cgTol = r.numberAt("cg_tol", c.cgTol);
-  c.moverIterations =
-      static_cast<int>(r.intAt("mover_iterations", c.moverIterations));
+  c.moverIterations = r.int32At("mover_iterations", c.moverIterations);
   c.outputStagingUs = r.numberAt("output_staging_us", c.outputStagingUs);
-  c.historyEvery = static_cast<int>(r.intAt("history_every", c.historyEvery));
+  c.historyEvery = r.int32At("history_every", c.historyEvery);
   c.overlapAux = r.boolAt("overlap_aux", c.overlapAux);
   c.interfaceDoublesPerCell =
       r.numberAt("interface_doubles_per_cell", c.interfaceDoublesPerCell);

@@ -205,6 +205,26 @@ TEST(Runner, Fig8EfficiencyIsRelativeToTheFirstSweepPoint) {
   }
 }
 
+// Below 6 interface doubles per cell the C+B exchange still sends its
+// packed arrays, 5 moments one way and 6 fields the other, so the exchange
+// share stays positive at no padding.
+TEST(Runner, Fig8ExchangeShareCountsThePackedArrays) {
+  campaign::Fig8Params p;
+  p.xpic = xpic::XpicConfig::tiny();
+  p.xpic.interfaceDoublesPerCell = 0;
+  p.nodeCounts = {1};
+  const CampaignReport rep =
+      campaign::runCampaign(fig8Campaign(p), campaign::withJobs(2));
+  ASSERT_EQ(rep.failedCount(), 0);
+  const auto cb = std::find_if(
+      rep.scenarios.begin(), rep.scenarios.end(),
+      [](const auto& s) { return s.name == "fig8/C+B/n1"; });
+  ASSERT_NE(cb, rep.scenarios.end());
+  EXPECT_DOUBLE_EQ(rep.derived.at("ratio/intermodule_exchange_share"),
+                   p.xpic.steps * p.xpic.cells() * (5 + 6) * 8.0 / 10e9 /
+                       cb->values.at("wall_sec"));
+}
+
 // The headline guarantee: running the same campaign on 1 worker and on 8
 // produces byte-identical JSON and CSV reports.  This is simultaneously
 // the engine-isolation audit — 8 workers means up to 8 fully independent

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,10 +19,17 @@
 #include "campaign/desc.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "chaos/fuzz.hpp"
+#include "chaos/profile.hpp"
 #include "desc/json.hpp"
 #include "desc/schema.hpp"
+#include "extoll/desc.hpp"
 #include "fault/desc.hpp"
 #include "hw/desc.hpp"
+#include "mc/desc.hpp"
+#include "mc/trace.hpp"
+#include "pmpi/desc.hpp"
+#include "scr/desc.hpp"
 #include "xpic/desc.hpp"
 
 namespace {
@@ -172,6 +180,57 @@ TEST(DescSchema, IntegerAccessorsRejectFractionsAndOverflow) {
   EXPECT_THROW((void)desc::Reader(r).uintAt("neg"), desc::SchemaError);
   desc::Reader r2(v, "");
   EXPECT_EQ(r2.uintAt("u64"), 18446744073709551615ULL);
+}
+
+/// Binds `text` at the root with `FromDesc`.
+template <auto FromDesc>
+void bindText(const std::string& text) {
+  const desc::Value v = desc::parse(text);
+  desc::Reader r(v, "");
+  (void)FromDesc(r);
+}
+
+// An integer key of an int field used to wrap silently: "ranks": 4294967298
+// (2^32 + 2) validated as 2 ranks.  Every binder now fails naming the key.
+TEST(DescSchema, IntKeysBeyondIntRangeFailByName) {
+  const std::tuple<void (*)(const std::string&), const char*, const char*>
+      cases[] = {
+          {bindText<hw::machineConfigFromDesc>,
+           R"({"preset": "deep-er", "cluster_nodes": 4294967298})",
+           "cluster_nodes"},
+          {bindText<campaign::campaignSpecFromDesc>,
+           R"({"campaign": "fig8", "fig8": {"node_counts": [4294967298]}})",
+           "fig8.node_counts[0]"},
+          {bindText<xpic::xpicConfigFromDesc>, R"({"steps": 4294967298})",
+           "steps"},
+          {bindText<scr::scrConfigFromDesc>, R"({"local_every": 4294967298})",
+           "local_every"},
+          {bindText<pmpi::protocolParamsFromDesc>,
+           R"({"retransmit_budget": 4294967298})", "retransmit_budget"},
+          {[](const std::string& t) {
+             const desc::Value v = desc::parse(t);
+             desc::Reader r(v, "");
+             (void)fault::faultPlanFromDesc(r);
+           },
+           R"({"node_crashes": [{"node": 4294967298}]})",
+           "node_crashes[0].node"},
+          {bindText<mc::scenarioFromDesc>,
+           R"({"family": "message-race", "senders": 4294967298})", "senders"},
+          {[](const std::string& t) { (void)mc::parseTrace(t, "trace"); },
+           R"({"version": 1, "scenario": "s", "choices": [4294967298]})",
+           "trace.choices[0]"},
+          {bindText<chaos::profileFromDesc>,
+           R"({"storm_min_size": 4294967298})", "storm_min_size"},
+          {[](const std::string& t) { (void)chaos::chaosSpecFromDescText(t, "c"); },
+           R"({"chaos": {"trials": 4294967298}})", "c.chaos.trials"},
+      };
+  for (const auto& [bind, text, path] : cases) {
+    const std::string msg = errorOf([&] { bind(text); });
+    EXPECT_NE(msg.find(std::string("desc: ") + path +
+                       ": integer 4294967298 out of int range"),
+              std::string::npos)
+        << msg;
+  }
 }
 
 // ---- hw bindings: presets and validation -----------------------------------
@@ -386,6 +445,21 @@ TEST(DescFault, RejectsInvalidWindows) {
           ]})");
   desc::Reader r(v, "fault_plan");
   EXPECT_THROW((void)fault::faultPlanFromDesc(r), desc::SchemaError);
+}
+
+// route_cache_cap is a std::size_t: at 2^64 - 1 its dump must read back as
+// itself, not as -1.
+TEST(DescExtoll, RouteCacheCapDumpRoundTripsAtItsMaximum) {
+  const auto redump = [](const std::string& text) {
+    const desc::Value v = desc::parse(text);
+    desc::Reader r(v, "fabric");
+    return desc::dump(extoll::toDesc(extoll::fabricOptionsFromDesc(r)));
+  };
+  const std::string once = redump(R"({"route_cache_cap": 18446744073709551615})");
+  EXPECT_NE(once.find("\"route_cache_cap\": 18446744073709551615"),
+            std::string::npos)
+      << once;
+  EXPECT_EQ(redump(once), once);
 }
 
 // ---- Campaign layer --------------------------------------------------------

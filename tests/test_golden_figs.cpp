@@ -1,10 +1,12 @@
 // Golden-reference regression suite: pins the key numbers of the paper
 // reproduction — Table I (machine peaks), Fig. 3 (fabric latency/bandwidth),
 // Fig. 7 (single-node solver ratios), Fig. 8 (strong scaling), the recovery
-// loop and ablations A1-A4 and A11 — against snapshots in tests/golden/*.txt.
-// Every number comes from a campaign report or a campaign description: a
-// builtin (fig3, fig8, resilience-tiny) or an examples/desc/ablation-*.json
-// file.  Each ablation's claim is also asserted structurally.
+// loop and ablations A1-A9 and A11 — against snapshots in tests/golden/*.txt.
+// The numbers of A1-A4 come from campaign reports: a builtin (fig3, fig8,
+// resilience-tiny) or an examples/desc/ablation-*.json file.  A5-A9 need
+// worlds no campaign kind builds (I/O, spawn, offload, three modules), so
+// they build their own through pmpi::World.  Each ablation's claim is also
+// asserted structurally.
 //
 // Each golden file holds `key value abs_tolerance` lines.  A drift in the
 // hardware models, fabric timing, or xPic kernels beyond the recorded
@@ -13,15 +15,17 @@
 //
 //     ./build/tests/test_golden_figs --update-golden
 //
-// This binary is registered as two ctest entries (not per-TEST discovery):
-// golden_figs runs the Golden suite, whose Fig. 7, Fig. 8, A1 and A11 checks
-// share one fig8 campaign run, and golden_ablations the Ablation suite
-// (A2-A4), which needs no fig8 run.
+// This binary is registered as three ctest entries (not per-TEST
+// discovery): golden_figs runs the Golden suite, whose Fig. 7, Fig. 8, A1
+// and A11 checks share one fig8 campaign run, and golden_ablations (A2-A4)
+// and golden_ablation_worlds (A5-A9) split the Ablation suite, which needs
+// no fig8 run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -32,8 +36,15 @@
 #include "campaign/builtin.hpp"
 #include "campaign/desc.hpp"
 #include "campaign/runner.hpp"
+#include "core/planner.hpp"
 #include "desc/schema.hpp"
 #include "hw/machine.hpp"
+#include "io/beegfs.hpp"
+#include "io/beeond.hpp"
+#include "io/sion.hpp"
+#include "omps/task_runtime.hpp"
+#include "world_fixture.hpp"
+#include "xpic/driver.hpp"
 
 #if !defined(CBSIM_GOLDEN_DIR) || !defined(CBSIM_EXAMPLES_DESC_DIR)
 #error "build must define CBSIM_GOLDEN_DIR and CBSIM_EXAMPLES_DESC_DIR"
@@ -451,6 +462,289 @@ TEST(Ablation, A4CheckpointLevels) {
     EXPECT_GT(ms.at("global-fs"), 10 * ms.at("local-nvme")) << mib << " MiB";
   }
   checkOrUpdate("a4_checkpoint", entries);
+}
+
+// ---- A5: SIONlib container vs task-local files -------------------------------
+
+struct IoRun {
+  double ms;
+  std::uint64_t metaOps;
+};
+
+/// `ranks` Cluster ranks each write one `bytes` stream: to task-local BeeGFS
+/// files, or bundled into one SION container (paper section III-C).
+IoRun ioRun(int ranks, std::size_t bytes, bool sion) {
+  cbsim::testing::World w(hw::MachineConfig::deepEr(16, 8));
+  io::BeeGfs fs(w.machine, w.fabric);
+  double sec = 0;
+  w.runRanks(ranks, [&](pmpi::Env& env) {
+    const std::vector<std::byte> data(bytes, std::byte{0x11});
+    env.barrier(env.world());
+    const double t0 = env.wtime();
+    if (sion) {
+      auto sf = io::SionFile::createCollective(env, env.world(), fs,
+                                               "/out.sion", bytes);
+      sf.write(env, pmpi::ConstBytes(data));
+      sf.close(env, env.world());
+    } else {
+      auto f = fs.create(env, "/task." + std::to_string(env.rank()));
+      fs.write(env, f, 0, pmpi::ConstBytes(data));
+      fs.close(env, f);
+    }
+    env.barrier(env.world());
+    if (env.rank() == 0) sec = env.wtime() - t0;
+  });
+  return {sec * 1e3, fs.stats().metaOps};
+}
+
+TEST(Ablation, A5SionContainer) {
+  std::vector<Entry> entries;
+  double speedup = 1;
+  for (const int n : {2, 4, 8, 16}) {
+    const IoRun local = ioRun(n, 64 << 10, false);
+    const IoRun sion = ioRun(n, 64 << 10, true);
+    // Small streams are metadata-bound: task-local files cost the serialized
+    // metadata server a create and a close per task, the container two for
+    // the job, so bundling gains more the more tasks there are.
+    EXPECT_EQ(local.metaOps, 2u * n);
+    EXPECT_EQ(sion.metaOps, 2u);
+    EXPECT_GT(local.ms / sion.ms, speedup) << n;
+    speedup = local.ms / sion.ms;
+    const std::string at = "64KiB_n" + std::to_string(n);
+    entries.push_back({at + "_local_ms", local.ms});
+    entries.push_back({at + "_sion_ms", sion.ms});
+    entries.push_back({at + "_speedup", speedup});
+  }
+  EXPECT_GT(speedup, 1.7);  // 16 tasks
+  for (const int n : {4, 16}) {
+    // Large streams are disk-bound: both paths run at the targets' rate.
+    const IoRun local = ioRun(n, 8 << 20, false);
+    const IoRun sion = ioRun(n, 8 << 20, true);
+    EXPECT_NEAR(local.ms / sion.ms, 1.0, 0.05) << n;
+    const std::string at = "8MiB_n" + std::to_string(n);
+    entries.push_back({at + "_local_ms", local.ms});
+    entries.push_back({at + "_sion_ms", sion.ms});
+  }
+  checkOrUpdate("a5_sion", entries);
+}
+
+// ---- A6: BeeOND cache domain -------------------------------------------------
+
+enum class IoPath { Direct, Sync, Async };
+
+/// 8 Cluster ranks write 6 rounds of 16 MiB with compute between rounds:
+/// to the global file system, or through the BeeOND cache in sync or
+/// async mode (async drains at the end).
+double beeondSec(IoPath path) {
+  cbsim::testing::World w(hw::MachineConfig::deepEr(8, 8));
+  io::BeeGfs fs(w.machine, w.fabric);
+  io::BeeondCache cache(w.machine, fs,
+                        path == IoPath::Async ? io::BeeondCache::Mode::Async
+                                              : io::BeeondCache::Mode::Sync);
+  const std::size_t bytes = 16 << 20;
+  double sec = 0;
+  w.runRanks(8, [&](pmpi::Env& env) {
+    const std::vector<std::byte> data(bytes, std::byte{0x3C});
+    const std::string file = "/out." + std::to_string(env.rank());
+    env.barrier(env.world());
+    const double t0 = env.wtime();
+    for (int r = 0; r < 6; ++r) {
+      if (path == IoPath::Direct) {
+        auto f = fs.exists(file) ? fs.open(env, file) : fs.create(env, file);
+        fs.write(env, f, r * bytes, pmpi::ConstBytes(data));
+        fs.close(env, f);
+      } else {
+        cache.write(env, file, r * bytes, pmpi::ConstBytes(data));
+      }
+      hw::Work work;
+      work.flops = 3e11;
+      env.compute(work);
+    }
+    if (path == IoPath::Async) cache.drain(env);
+    env.barrier(env.world());
+    if (env.rank() == 0) sec = env.wtime() - t0;
+  });
+  return sec;
+}
+
+TEST(Ablation, A6BeeondCache) {
+  const double direct = beeondSec(IoPath::Direct);
+  const double sync = beeondSec(IoPath::Sync);
+  const double async = beeondSec(IoPath::Async);
+  // Sync staging still pays the spinning-disk flush; async staging hides it
+  // behind the compute between rounds.
+  EXPECT_GE(sync, direct);
+  EXPECT_GT(direct / async, 1.15);
+  checkOrUpdate("a6_beeond", {{"direct_sec", direct},
+                              {"sync_sec", sync},
+                              {"async_sec", async},
+                              {"async_speedup", direct / async}});
+}
+
+// ---- A7: MPI_Comm_spawn cost -------------------------------------------------
+
+/// Time one Cluster rank spends spawning `procs` Booster processes.
+double spawnMs(int procs) {
+  cbsim::testing::World w(hw::MachineConfig::deepEr(16, 8));
+  w.registry.add("child", [](pmpi::Env&) {});
+  double sec = 0;
+  w.runRanks(1, [&](pmpi::Env& env) {
+    const double t0 = env.wtime();
+    pmpi::SpawnOptions opts;
+    opts.partition = hw::NodeKind::Booster;
+    (void)env.commSpawn("child", procs, opts);
+    sec = env.wtime() - t0;
+  });
+  return sec * 1e3;
+}
+
+TEST(Ablation, A7SpawnCost) {
+  std::vector<Entry> entries;
+  double ms = 0;
+  for (const int n : {1, 2, 4, 8}) {
+    const double prev = ms;
+    ms = spawnMs(n);
+    EXPECT_GT(ms, prev) << n;  // grows with the spawned job
+    entries.push_back({"spawn_ms_n" + std::to_string(n), ms});
+  }
+  // A one-time price: a few percent of even the short C+B run at 8 nodes
+  // per solver.
+  const double runSec = xpic::runXpic(xpic::Mode::ClusterBooster, 8,
+                                      xpic::XpicConfig::tableII())
+                            .wallSec;
+  const double share = ms / 1e3 / runSec;
+  EXPECT_LT(share, 0.05);
+  entries.push_back({"xpic_cb_n8_wall_sec", runSec});
+  entries.push_back({"spawn_n8_share", share});
+  checkOrUpdate("a7_spawn", entries);
+}
+
+// ---- A8: OmpSs offload crossover ---------------------------------------------
+
+/// Runs 8 tasks of `flops` each on 64 KiB regions, on the Cluster rank that
+/// submits them or offloaded to a Booster worker.
+double tasksMs(double flops, bool offload) {
+  cbsim::testing::World w;
+  omps::KernelRegistry kernels;
+  hw::Work work;
+  work.flops = flops;
+  work.vectorEfficiency = 0.9;  // wide, regular SIMD kernel
+  kernels.add("k", [](pmpi::ConstBytes in) {
+    return std::vector<std::byte>(in.begin(), in.end());
+  }, work);
+  omps::TaskRuntime::registerWorker(w.registry, kernels);
+  double sec = 0;
+  w.runRanks(1, [&](pmpi::Env& env) {
+    omps::TaskRuntime rt(env, kernels);
+    for (int i = 0; i < 8; ++i) {
+      rt.createRegion("r" + std::to_string(i), std::size_t{1 << 16});
+    }
+    const double t0 = env.wtime();
+    for (int i = 0; i < 8; ++i) {
+      const std::string r = "r" + std::to_string(i);
+      if (offload) {
+        rt.submitOffload("k", {omps::inout(r)}, hw::NodeKind::Booster);
+      } else {
+        rt.submit("k", {omps::inout(r)});
+      }
+    }
+    rt.wait();
+    sec = env.wtime() - t0;
+  });
+  return sec * 1e3;
+}
+
+TEST(Ablation, A8OffloadCrossover) {
+  std::vector<Entry> entries;
+  for (const double flops : {1e8, 1e9, 1e10, 1e11, 1e12}) {
+    const double local = tasksMs(flops, false);
+    const double offload = tasksMs(flops, true);
+    // Small tasks drown in spawn and transfer latency; from 1e9 flops on,
+    // the KNL's vector throughput pays for the offload (paper III-B).
+    EXPECT_EQ(offload < local, flops >= 1e9) << flops;
+    char at[16];
+    std::snprintf(at, sizeof at, "%.0e", flops);
+    entries.push_back({std::string(at) + "_local_ms", local});
+    entries.push_back({std::string(at) + "_offload_ms", offload});
+  }
+  checkOrUpdate("a8_offload", entries);
+}
+
+// ---- A9: Modular Supercomputing (DEEP-EST) -----------------------------------
+
+/// Work of the workflow's stages: 0 ingest, 1 simulate, 2 analyze.
+hw::Work stageWork(int stage) {
+  hw::Work w;
+  if (stage == 0) {
+    w.serialOps = 2e9;  // branchy parsing: scalar, latency-bound
+  } else if (stage == 1) {
+    w.flops = 2e12;  // wide stencil sweeps
+    w.vectorEfficiency = 0.85;
+  } else {
+    w.bytes = 3e11;  // big in-memory reduction: bandwidth-bound
+    w.fitsFastMemory = false;
+  }
+  return w;
+}
+
+/// A pilot on one Cluster node spawns the three stages in turn, each on one
+/// node of the Cluster or, when `modular`, of the stage's own module.
+double workflowSec(bool modular) {
+  cbsim::testing::World w(hw::MachineConfig::deepEst(4, 4, 2));
+  w.registry.add("stage", [](pmpi::Env& env) {
+    const pmpi::Comm up = env.parent();
+    const int stage = env.recvValue<int>(up, 0, 1);
+    env.compute(stageWork(stage));
+    env.sendValue(up, 0, 2, stage);
+  });
+  const hw::NodeKind target[3] = {
+      hw::NodeKind::Cluster,
+      modular ? hw::NodeKind::Booster : hw::NodeKind::Cluster,
+      modular ? hw::NodeKind::Analytics : hw::NodeKind::Cluster};
+  double sec = 0;
+  w.runRanks(1, [&](pmpi::Env& env) {
+    const double t0 = env.wtime();
+    for (int stage = 0; stage < 3; ++stage) {
+      pmpi::SpawnOptions opts;
+      opts.partition = target[stage];
+      const pmpi::Comm inter = env.commSpawn("stage", 1, opts);
+      env.sendValue(inter, 0, 1, stage);
+      (void)env.recvValue<int>(inter, 0, 2);
+    }
+    sec = env.wtime() - t0;
+  });
+  return sec;
+}
+
+TEST(Ablation, A9ModularWorkflow) {
+  sim::Engine engine;
+  const hw::Machine machine(engine, hw::MachineConfig::deepEst(4, 4, 2));
+  const std::vector<core::CodeRegion> stages = {
+      {"ingest", stageWork(0), 0, 0, 0, 1.0},
+      {"simulate", stageWork(1), 0, 0, 0, 8.0},
+      {"analyze", stageWork(2), 0, 0, 0, 300.0},  // needs big memory
+  };
+  const hw::NodeKind best[3] = {hw::NodeKind::Cluster, hw::NodeKind::Booster,
+                                hw::NodeKind::Analytics};
+  const auto plan = core::PartitionPlanner(machine).plan(stages);
+  ASSERT_EQ(plan.size(), 3u);
+  std::vector<Entry> entries;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(plan[i].module, best[i]) << plan[i].region;
+    for (const auto& [kind, sec] : plan[i].perModule) {
+      if (std::isinf(sec)) continue;  // does not fit the module's memory
+      entries.push_back(
+          {"plan_" + plan[i].region + "_" + hw::toString(kind) + "_sec", sec});
+    }
+  }
+  // Each stage on the module it needs beats the Cluster alone.
+  const double mono = workflowSec(false);
+  const double modular = workflowSec(true);
+  EXPECT_GT(mono / modular, 1.5);
+  entries.push_back({"cluster_only_sec", mono});
+  entries.push_back({"modular_sec", modular});
+  entries.push_back({"modular_speedup", mono / modular});
+  checkOrUpdate("a9_modular", entries);
 }
 
 }  // namespace

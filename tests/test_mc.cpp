@@ -331,6 +331,31 @@ TEST(McDesc, UnknownKeysAreRejected) {
       std::runtime_error);
 }
 
+// Each family reads only its own keys, the ones toDesc writes: the other
+// family's keys are unknown keys, not ignored and then dropped by the dump.
+TEST(McDesc, OtherFamilysKeysAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"explore": {"family": "message-race", "ranks": 3}})", "ranks"},
+      {R"({"explore": {"family": "message-race", "state_bytes": 99}})",
+       "state_bytes"},
+      {R"({"explore": {"family": "checkpoint-restart", "senders": 3}})",
+       "senders"},
+      {R"({"explore": {"family": "checkpoint-restart", "recv_work_us": 5}})",
+       "recv_work_us"},
+  };
+  for (const auto& [doc, key] : cases) {
+    try {
+      (void)mc::scenarioFromDoc(desc::parse(doc, "inline"), "inline");
+      ADD_FAILURE() << "accepted " << doc;
+    } catch (const desc::SchemaError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::string("inline.explore: unknown key \"") + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(McDesc, BrokenDedupIsNotExpressibleInDescriptions) {
   // The defect switch must stay a code-level flag: description files are
   // shipped configuration, and shipped configuration must not be able to
