@@ -132,7 +132,7 @@ struct ResilienceParams {
 
 struct HaloParams {
   /// Platform under test; any machine works, generated topologies are the
-  /// point (structural routing engages automatically on them).
+  /// point (structural routing engages automatically on fat-trees).
   hw::MachineConfig machine = defaultHaloMachine();
   /// Fabric routing mode and congestion model for every scenario.
   extoll::FabricOptions fabric;

@@ -5,36 +5,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/tracer.hpp"
+
 namespace cbsim::campaign {
 
 namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void appendNumber(std::string& out, double v) {
-  char buf[48];
-  // %.17g round-trips doubles exactly and is locale-independent for the
-  // finite values campaigns produce.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
 
 void appendValues(std::string& out, const Values& vs, const char* indent) {
   out += '{';
@@ -45,9 +20,9 @@ void appendValues(std::string& out, const Values& vs, const char* indent) {
     out += '\n';
     out += indent;
     out += '"';
-    appendEscaped(out, k);
+    obs::appendJsonEscaped(out, k);
     out += "\": ";
-    appendNumber(out, v);
+    obs::appendJsonNumber(out, v);
   }
   if (!first) {
     out += '\n';
@@ -63,23 +38,23 @@ void writeJson(const CampaignReport& rep, std::ostream& os) {
   std::string out;
   out.reserve(1024 + rep.scenarios.size() * 512);
   out += "{\n  \"campaign\": \"";
-  appendEscaped(out, rep.campaign);
+  obs::appendJsonEscaped(out, rep.campaign);
   out += "\",\n  \"description\": \"";
-  appendEscaped(out, rep.description);
+  obs::appendJsonEscaped(out, rep.description);
   out += "\",\n  \"scenarios\": [";
   bool first = true;
   for (const ScenarioResult& s : rep.scenarios) {
     if (!first) out += ',';
     first = false;
     out += "\n    {\n      \"name\": \"";
-    appendEscaped(out, s.name);
+    obs::appendJsonEscaped(out, s.name);
     out += "\",\n      \"seed\": ";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%" PRIu64, s.seed);
     out += buf;
     if (!s.error.empty()) {
       out += ",\n      \"error\": \"";
-      appendEscaped(out, s.error);
+      obs::appendJsonEscaped(out, s.error);
       out += '"';
     }
     out += ",\n      \"values\": ";
@@ -126,7 +101,7 @@ void appendCsvRows(std::string& out, std::string_view scenario,
     out += ',';
     appendCsvString(out, k);
     out += ',';
-    appendNumber(out, v);
+    obs::appendJsonNumber(out, v);
     out += '\n';
   }
 }

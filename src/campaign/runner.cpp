@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 
 namespace cbsim::campaign {
 
@@ -135,41 +134,6 @@ ScenarioResult runOne(const Scenario& s, std::uint64_t baseSeed,
   return r;
 }
 
-/// Splits the LPT order into cost-aware dispatch batches.  One shared-
-/// counter fetch per *batch* instead of per scenario: with hundreds of
-/// tiny scenarios the counter cache line and the worker wakeups stop
-/// being the bottleneck, while expensive scenarios still ship alone so
-/// LPT balancing is preserved.  Batch count stays >= kBatchesPerJob per
-/// worker (when there are enough scenarios) so the pool drains evenly.
-std::vector<std::vector<std::size_t>> makeBatches(
-    const Campaign& campaign, const std::vector<std::size_t>& order,
-    int jobs) {
-  constexpr double kBatchesPerJob = 4.0;
-  // Cost floor: zero/negative hints still occupy dispatch budget, else a
-  // campaign of all-zero hints would collapse into one giant batch.
-  const auto costOf = [&](std::size_t k) {
-    return std::max(campaign.scenarios[k].costHint, 0.0) + 1.0;
-  };
-  double total = 0;
-  for (const std::size_t k : order) total += costOf(k);
-  const double target = total / (static_cast<double>(jobs) * kBatchesPerJob);
-
-  std::vector<std::vector<std::size_t>> batches;
-  std::vector<std::size_t> cur;
-  double acc = 0;
-  for (const std::size_t k : order) {
-    cur.push_back(k);
-    acc += costOf(k);
-    if (acc >= target) {
-      batches.push_back(std::move(cur));
-      cur.clear();
-      acc = 0;
-    }
-  }
-  if (!cur.empty()) batches.push_back(std::move(cur));
-  return batches;
-}
-
 }  // namespace
 
 std::uint64_t scenarioSeed(std::uint64_t baseSeed, std::string_view name) {
@@ -249,43 +213,26 @@ CampaignReport runCampaign(const Campaign& campaign,
   };
 
   const double t0 = monotonicSeconds();
-  // Workers claim cost-aware batches of the LPT order from one shared
-  // counter and collect results into their own buffer; the buffers are
-  // merged by scenario index after the join.  Each index is produced by
-  // exactly one worker, so the merged report — like the old write-your-
-  // own-slot scheme — is interleaving-free, but tiny scenarios no longer
-  // pay one counter fetch + potential wakeup each.
-  const std::vector<std::vector<std::size_t>> batches =
-      makeBatches(campaign, order, jobs);
-  std::atomic<std::size_t> nextBatch{0};
-  using IndexedResult = std::pair<std::size_t, ScenarioResult>;
-  std::vector<std::vector<IndexedResult>> buffers(
-      static_cast<std::size_t>(jobs));
-  const auto worker = [&](std::size_t w) {
+  // Workers claim the next scenario of the LPT order from one shared
+  // counter and write its result into its own slot of the report.  Each
+  // index is run by exactly one worker, so the report is interleaving-free.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
     for (;;) {
-      const std::size_t b = nextBatch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= batches.size()) return;
-      for (const std::size_t k : batches[b]) {
-        buffers[w].emplace_back(
-            k, runOne(campaign.scenarios[k], campaign.baseSeed, opts.traceDir,
-                      traceFileOf(k)));
-      }
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      const std::size_t k = order[i];
+      rep.scenarios[k] = runOne(campaign.scenarios[k], campaign.baseSeed,
+                                opts.traceDir, traceFileOf(k));
     }
   };
   if (jobs == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) {
-      pool.emplace_back(worker, static_cast<std::size_t>(j));
-    }
+    for (int j = 0; j < jobs; ++j) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
-  }
-  for (std::vector<IndexedResult>& buf : buffers) {
-    for (IndexedResult& ir : buf) {
-      rep.scenarios[ir.first] = std::move(ir.second);
-    }
   }
   rep.hostElapsedSec = monotonicSeconds() - t0;
 

@@ -5,16 +5,13 @@
 // whose content — and hence every serialization of it — is independent of
 // the worker count and of thread interleaving.
 //
-// Dispatch: scenarios are sorted expensive-first (LPT) and split into
-// cost-aware batches; workers claim whole batches from one shared counter
-// (one fetch + one potential wakeup per batch, not per scenario — the
-// difference between positive and negative scaling when scenarios are
-// tiny) and collect results into per-worker buffers.
+// Dispatch: scenarios are sorted expensive-first (LPT); workers claim
+// them one at a time from one shared counter, in that order.
 //
 // Determinism contract:
-//   * each scenario index is executed by exactly one worker; the
-//     per-worker buffers are merged into the definition-order result
-//     vector by scenario index after the join,
+//   * each scenario index is executed by exactly one worker, which writes
+//     its result into that index's slot of the definition-order result
+//     vector,
 //   * per-scenario seeds derive from (baseSeed, name), not from scheduling,
 //   * host timing is recorded for diagnostics only — it is a difference of
 //     monotonic (steady_clock) readings, never wall-clock time — and is

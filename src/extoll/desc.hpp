@@ -7,8 +7,8 @@
 //     "routing": "auto" | "enumerated" | "structural",
 //     "model": "packet" | "flow"
 //   }
-// "auto" resolves to structural routing on machines generated from a
-// topology spec and to the enumerated reference otherwise.  toDesc()
+// "auto" resolves to structural routing on generated fat-trees and to
+// the enumerated reference otherwise.  toDesc()
 // emits every field, so dumps are canonical.
 
 #include "desc/schema.hpp"

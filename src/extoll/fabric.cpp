@@ -60,7 +60,9 @@ Fabric::Fabric(hw::Machine& machine, FabricOptions options)
   }
   routing_ = options_.routing;
   if (routing_ == RoutingMode::Auto) {
-    routing_ = cfg.topology ? RoutingMode::Structural : RoutingMode::Enumerated;
+    const bool fatTree =
+        cfg.topology && cfg.topology->kind == hw::TopologySpec::Kind::FatTree;
+    routing_ = fatTree ? RoutingMode::Structural : RoutingMode::Enumerated;
   }
   if (options_.model == CongestionModel::Flow) {
     linkFlows_.resize(static_cast<std::size_t>(nLinks));
@@ -127,105 +129,17 @@ const std::vector<std::vector<Fabric::Hop>>& Fabric::switchPaths(
 bool Fabric::structuralPath(int s1, int s2, int selector,
                             std::vector<Hop>& hops) const {
   const hw::TopologySpec* topo = machine_.config().topology.get();
-  if (topo == nullptr) return false;
+  if (topo == nullptr || topo->kind != hw::TopologySpec::Kind::FatTree) {
+    return false;
+  }
+  const hw::FatTreeLayout ft = topo->fatTree();
+  if (!ft.isLeaf(s1) || !ft.isLeaf(s2)) return false;
+  // `spines` equal-cost up/down paths; the tie-break below matches the
+  // enumerated order because trunk(l, s) indices are spine-minor.
+  const int k = selector % topo->spines;
   hops.clear();
-  if (topo->kind == hw::TopologySpec::Kind::FatTree) {
-    const hw::FatTreeLayout ft = topo->fatTree();
-    if (!ft.isLeaf(s1) || !ft.isLeaf(s2)) return false;
-    // `spines` equal-cost up/down paths; the tie-break below matches the
-    // enumerated order because trunk(l, s) indices are spine-minor.
-    const int k = selector % topo->spines;
-    hops.push_back({ft.trunk(s1, k), true});
-    hops.push_back({ft.trunk(s2, k), false});
-    return true;
-  }
-  const hw::DragonflyLayout d = topo->dragonfly();
-  const auto localHop = [&](int group, int ra, int rb) -> Hop {
-    return {d.localTrunk(group, std::min(ra, rb), std::max(ra, rb)), ra < rb};
-  };
-  const auto globalHop = [&](int ga, int gb) -> Hop {
-    return {d.globalTrunk(ga, gb), ga < gb};
-  };
-  const auto gw = [&](int group, int peer) {
-    return d.gatewayRouter(group, peer);
-  };
-  const int g1 = d.groupOf(s1);
-  const int r1 = d.routerOf(s1);
-  const int g2 = d.groupOf(s2);
-  const int r2 = d.routerOf(s2);
-  if (g1 == g2) {
-    hops.push_back(localHop(g1, r1, r2));  // full in-group mesh: one hop
-    return true;
-  }
-  // The canonical minimal route is local -> the (unique) global channel ->
-  // local, but when gateway routers happen to line up, a detour through
-  // one or two intermediate groups crosses the same number of trunks — and
-  // the enumerated reference collects *every* shortest trunk sequence.  The
-  // direct route bounds the distance at 3, which leaves exactly three path
-  // shapes to enumerate (longer group sequences cross >= 4 trunks):
-  //   k=1  [local] global12 [local]                   length 1..3
-  //   k=2  [local] global13 [local] global32 [local]  length 2 + number of
-  //        non-degenerate locals; competitive at length 2 and 3
-  //   k=3  global13 global34 global42                 length 3; needs all
-  //        four gateway alignments
-  std::vector<Hop> direct;
-  {
-    const int a = gw(g1, g2);
-    const int b = gw(g2, g1);
-    if (r1 != a) direct.push_back(localHop(g1, r1, a));
-    direct.push_back(globalHop(g1, g2));
-    if (b != r2) direct.push_back(localHop(g2, b, r2));
-  }
-  const int g = d.groups();
-  std::size_t best = direct.size();
-  for (int g3 = 0; g3 < g && best > 2; ++g3) {
-    if (g3 == g1 || g3 == g2) continue;
-    const std::size_t len = 2 +
-                            static_cast<std::size_t>(r1 != gw(g1, g3)) +
-                            static_cast<std::size_t>(gw(g3, g1) != gw(g3, g2)) +
-                            static_cast<std::size_t>(gw(g2, g3) != r2);
-    best = std::min(best, len);
-  }
-  std::vector<std::vector<Hop>> cands;
-  if (direct.size() == best) cands.push_back(std::move(direct));
-  for (int g3 = 0; g3 < g; ++g3) {
-    if (g3 == g1 || g3 == g2) continue;
-    std::vector<Hop> h;
-    if (r1 != gw(g1, g3)) h.push_back(localHop(g1, r1, gw(g1, g3)));
-    h.push_back(globalHop(g1, g3));
-    if (gw(g3, g1) != gw(g3, g2)) {
-      h.push_back(localHop(g3, gw(g3, g1), gw(g3, g2)));
-    }
-    h.push_back(globalHop(g3, g2));
-    if (gw(g2, g3) != r2) h.push_back(localHop(g2, gw(g2, g3), r2));
-    if (h.size() == best) cands.push_back(std::move(h));
-  }
-  if (best == 3) {
-    // Three pure global hops tie with the 3-trunk direct route only when
-    // every gateway lines up; O(g^2) checks, paid once per cached pair.
-    for (int g3 = 0; g3 < g; ++g3) {
-      if (g3 == g1 || g3 == g2 || r1 != gw(g1, g3)) continue;
-      for (int g4 = 0; g4 < g; ++g4) {
-        if (g4 == g1 || g4 == g2 || g4 == g3) continue;
-        if (gw(g3, g1) != gw(g3, g4) || gw(g4, g3) != gw(g4, g2) ||
-            gw(g2, g4) != r2) {
-          continue;
-        }
-        cands.push_back({globalHop(g1, g3), globalHop(g3, g4),
-                         globalHop(g4, g2)});
-      }
-    }
-  }
-  // The enumerated DFS explores edges in ascending trunk order, so its
-  // candidate list is lexicographic in the trunk-index sequence; sort to
-  // match before applying the shared tie-break.
-  std::sort(cands.begin(), cands.end(),
-            [](const std::vector<Hop>& x, const std::vector<Hop>& y) {
-              return std::lexicographical_compare(
-                  x.begin(), x.end(), y.begin(), y.end(),
-                  [](const Hop& a, const Hop& b) { return a.trunk < b.trunk; });
-            });
-  hops = cands[static_cast<std::size_t>(selector) % cands.size()];
+  hops.push_back({ft.trunk(s1, k), true});
+  hops.push_back({ft.trunk(s2, k), false});
   return true;
 }
 

@@ -15,15 +15,17 @@
 // Routing.  Two interchangeable routers compute the same paths:
 //   * Enumerated (the reference): breadth-first shortest-path search over
 //     the switch graph, all equal-cost candidates collected in
-//     lexicographic trunk-index order.
-//   * Structural: for machines generated from a hw::TopologySpec, the
-//     path comes from pod/group/router coordinate arithmetic in O(1) —
-//     no graph search, no per-switch state.  Because the generators emit
-//     trunks in exactly the order the reference's enumeration visits
-//     them (hw/topology.hpp), the two routers are byte-identical; a
-//     property test pins this.
+//     lexicographic trunk-index order.  Every paper machine and every
+//     generated dragonfly routes here.
+//   * Structural: for generated fat-trees, the leaf -> spine -> leaf
+//     path comes from pod/spine coordinate arithmetic in O(1) — no graph
+//     search, no per-switch state.  Because the generator emits trunks
+//     in exactly the order the reference's enumeration visits them
+//     (hw/topology.hpp), the two routers are byte-identical; a property
+//     test pins this.  On any other machine Structural defers to the
+//     reference.
 // Equal-cost candidates are tie-broken deterministically by
-// (srcEp + dstEp) % count, which both routers compute without
+// (srcEp + dstEp) % count, which the structural router computes without
 // enumerating anything at runtime.  Either way the chosen path is
 // memoized in a per-(src,dst) cache — the topology is static after
 // construction, so route() is pure (bridged gen-1 paths, whose bridge
@@ -56,8 +58,8 @@
 
 namespace cbsim::extoll {
 
-/// Path computation strategy; Auto resolves to Structural for machines
-/// generated from a hw::TopologySpec and Enumerated otherwise.
+/// Path computation strategy; Auto resolves to Structural for generated
+/// fat-trees and Enumerated otherwise.
 enum class RoutingMode { Auto, Enumerated, Structural };
 
 /// Packet = per-message link occupancy (busy-until clocks, the paper
@@ -191,9 +193,9 @@ class Fabric {
   /// the switches are disconnected.
   [[nodiscard]] const std::vector<std::vector<Hop>>& switchPaths(
       int s1, int s2) const;
-  /// O(1) coordinate routing on generated topologies.  Returns false when
-  /// the machine has no topology or the switches fall outside the
-  /// generated pattern (then the enumerated reference takes over).
+  /// O(1) coordinate routing between the leaves of a generated fat-tree.
+  /// Returns false on any other machine or switch pair (then the
+  /// enumerated reference takes over).
   [[nodiscard]] bool structuralPath(int s1, int s2, int selector,
                                     std::vector<Hop>& hops) const;
 

@@ -285,10 +285,19 @@ std::vector<T> parsePresets(const PresetEntry (&table)[N], const char* what,
 
 }  // namespace
 
-// ---- SimTime <-> nanosecond numbers ----------------------------------------
+// ---- SimTime <-> description numbers ---------------------------------------
 
-sim::SimTime timeFromNs(double ns) {
-  return sim::SimTime::ps(std::llround(ns * 1000.0));
+sim::SimTime timeAt(desc::Reader& r, std::string_view key, double picosPerUnit,
+                    sim::SimTime def) {
+  if (!r.has(key)) return def;
+  const desc::Reader v = r.child(key);
+  const double ps = v.asNumber() * picosPerUnit;
+  // 2^63 ps is the first count int64_t cannot hold.
+  if (!(ps >= 0.0 && ps < 0x1p63)) {
+    v.fail("time " + desc::formatNumber(v.asNumber()) +
+           " out of range (must be >= 0 and below 2^63 picoseconds)");
+  }
+  return sim::SimTime::ps(std::llround(ps));
 }
 
 double nsFromTime(sim::SimTime t) {
@@ -353,11 +362,9 @@ NetClassSpec netClassSpecFromDesc(desc::Reader& r) {
   s.name = r.stringAt("name", s.name);
   s.linkBandwidthGBs = r.numberAt("link_bandwidth_gbs", s.linkBandwidthGBs);
   s.protocolEfficiency = r.numberAt("protocol_efficiency", s.protocolEfficiency);
-  s.nicLatency = timeFromNs(r.numberAt("nic_latency_ns", nsFromTime(s.nicLatency)));
-  s.switchLatency =
-      timeFromNs(r.numberAt("switch_latency_ns", nsFromTime(s.switchLatency)));
-  s.wireLatency =
-      timeFromNs(r.numberAt("wire_latency_ns", nsFromTime(s.wireLatency)));
+  s.nicLatency = timeAt(r, "nic_latency_ns", kPsPerNs, s.nicLatency);
+  s.switchLatency = timeAt(r, "switch_latency_ns", kPsPerNs, s.switchLatency);
+  s.wireLatency = timeAt(r, "wire_latency_ns", kPsPerNs, s.wireLatency);
   r.finish();
   return s;
 }
@@ -368,7 +375,7 @@ NvmeSpec nvmeSpecFromDesc(desc::Reader& r) {
   s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
   s.readBwGBs = r.numberAt("read_bw_gbs", s.readBwGBs);
   s.writeBwGBs = r.numberAt("write_bw_gbs", s.writeBwGBs);
-  s.latency = timeFromNs(r.numberAt("latency_ns", nsFromTime(s.latency)));
+  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
   r.finish();
   return s;
 }
@@ -379,7 +386,7 @@ DiskSpec diskSpecFromDesc(desc::Reader& r) {
   s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
   s.readBwGBs = r.numberAt("read_bw_gbs", s.readBwGBs);
   s.writeBwGBs = r.numberAt("write_bw_gbs", s.writeBwGBs);
-  s.latency = timeFromNs(r.numberAt("latency_ns", nsFromTime(s.latency)));
+  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
   r.finish();
   return s;
 }
@@ -389,8 +396,7 @@ NamSpec namSpecFromDesc(desc::Reader& r) {
   s.model = r.stringAt("model", s.model);
   s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
   s.bandwidthGBs = r.numberAt("bandwidth_gbs", s.bandwidthGBs);
-  s.accessLatency =
-      timeFromNs(r.numberAt("access_latency_ns", nsFromTime(s.accessLatency)));
+  s.accessLatency = timeAt(r, "access_latency_ns", kPsPerNs, s.accessLatency);
   r.finish();
   return s;
 }
@@ -411,7 +417,7 @@ TrunkSpec trunkSpecFromDesc(desc::Reader& r) {
   s.switchA = r.int32At("switch_a");
   s.switchB = r.int32At("switch_b");
   s.bandwidthGBs = r.numberAt("bandwidth_gbs", s.bandwidthGBs);
-  s.latency = timeFromNs(r.numberAt("latency_ns", nsFromTime(s.latency)));
+  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
   r.finish();
   return s;
 }
@@ -431,8 +437,7 @@ NodeGroupSpec nodeGroupSpecFromDesc(desc::Reader& r) {
   if (auto nvme = r.tryChild("nvme")) g.nvme = nvmeSpecFromDesc(*nvme);
   if (auto disk = r.tryChild("disk")) g.disk = diskSpecFromDesc(*disk);
   g.switchId = r.int32At("switch_id", g.switchId);
-  g.mpiSwOverhead =
-      timeFromNs(r.numberAt("mpi_sw_overhead_ns", nsFromTime(g.mpiSwOverhead)));
+  g.mpiSwOverhead = timeAt(r, "mpi_sw_overhead_ns", kPsPerNs, g.mpiSwOverhead);
   g.activeWatts = r.numberAt("active_watts", g.activeWatts);
   r.finish();
   return g;
@@ -478,10 +483,8 @@ TopologySpec topologySpecFromDesc(desc::Reader& r) {
   if (auto cpu = r.tryChild("cpu")) t.cpu = cpuSpecFromDesc(*cpu);
   if (auto net = r.tryChild("net")) t.net = netClassSpecFromDesc(*net);
   t.trunkBandwidthGBs = r.numberAt("trunk_bandwidth_gbs", t.trunkBandwidthGBs);
-  t.trunkLatency =
-      timeFromNs(r.numberAt("trunk_latency_ns", nsFromTime(t.trunkLatency)));
-  t.mpiSwOverhead =
-      timeFromNs(r.numberAt("mpi_sw_overhead_ns", nsFromTime(t.mpiSwOverhead)));
+  t.trunkLatency = timeAt(r, "trunk_latency_ns", kPsPerNs, t.trunkLatency);
+  t.mpiSwOverhead = timeAt(r, "mpi_sw_overhead_ns", kPsPerNs, t.mpiSwOverhead);
   t.activeWatts = r.numberAt("active_watts", t.activeWatts);
   r.finish();
   try {

@@ -77,8 +77,15 @@ void setGroupCount(MachineConfig& cfg, NodeKind kind, int count);
 [[nodiscard]] const char* nodeKindKey(NodeKind k);
 [[nodiscard]] NodeKind nodeKindFromKey(desc::Reader& r);
 
-// ---- SimTime <-> nanosecond numbers ----------------------------------------
-[[nodiscard]] sim::SimTime timeFromNs(double ns);
+// ---- SimTime <-> description numbers ---------------------------------------
+/// Picoseconds per unit of the `_ns` and `_us` keys.
+inline constexpr double kPsPerNs = 1e3;
+inline constexpr double kPsPerUs = 1e6;
+/// Optional time key `key` of `r`, in units of `picosPerUnit` picoseconds;
+/// `def` when absent.  A negative value, or one whose picosecond count
+/// does not fit int64_t, fails with the key's path.
+[[nodiscard]] sim::SimTime timeAt(desc::Reader& r, std::string_view key,
+                                  double picosPerUnit, sim::SimTime def);
 [[nodiscard]] double nsFromTime(sim::SimTime t);
 
 }  // namespace cbsim::hw

@@ -73,8 +73,8 @@ struct MachineConfig {
   bool bridgeBetweenSwitches = false;
   /// Set when this config was generated from a TopologySpec
   /// (TopologySpec::materialize): switches/groups/trunks are the spec's
-  /// deterministic expansion.  Enables O(1) structural routing in
-  /// extoll::Fabric and the compact `topology` form of the canonical
+  /// deterministic expansion.  Enables O(1) structural fat-tree routing
+  /// in extoll::Fabric and the compact `topology` form of the canonical
   /// description dump.  Immutable and shared across config copies.
   std::shared_ptr<const TopologySpec> topology;
 

@@ -8,14 +8,18 @@
 // — plus the node/net technology every element shares.  materialize()
 // expands the spec into an ordinary MachineConfig (switches, groups,
 // trunks) deterministically, and the spec rides along on the config so
-// the fabric can route *structurally*: a path between two endpoints is
-// pure coordinate arithmetic instead of a graph search.
+// the fabric can route a fat-tree *structurally*: a path between two
+// endpoints is pure coordinate arithmetic instead of a graph search.
+// Dragonflies route through the enumerated reference, like the paper
+// machines.
 //
-// The element-numbering contract below is load-bearing: the structural
-// router (extoll/fabric.cpp) and the enumerated reference router must
-// pick byte-identical paths, which works because the generator emits
-// trunks in the exact lexicographic order the reference's shortest-path
-// enumeration visits them.
+// The element-numbering contract below is load-bearing.  The fat-tree
+// structural router (extoll/fabric.cpp) and the enumerated reference
+// router must pick byte-identical paths, which works because the
+// generator emits trunks in the exact lexicographic order the
+// reference's shortest-path enumeration visits them.  The trunk order
+// also fixes the reference's equal-cost tie-breaks, so it decides every
+// generated machine's routes.
 //
 //   fat-tree:  switches = [leaf 0..pods) ++ [spine 0..spines);
 //              trunk(leaf l, spine s) has index l*spines + s with
@@ -28,11 +32,7 @@
 //              lexicographic order), then global trunks in (G, q) order
 //              where port q of group G connects to group (G + q + 1)
 //              mod g and router q / h hosts the port; only the G < peer
-//              direction is emitted.  Shortest paths are NOT always unique:
-//              when gateway routers line up, detours through one or two
-//              intermediate groups tie with the direct local-global-local
-//              route, so the structural router enumerates the full
-//              equal-cost set from coordinates (extoll/fabric.cpp).
+//              direction is emitted.
 
 #include <string>
 
@@ -54,33 +54,19 @@ struct FatTreeLayout {
   }
 };
 
-/// Dragonfly coordinate helpers.  g = a*h + 1 groups; one global channel
-/// per group pair.
+/// Dragonfly coordinate helpers for the generator.  g = a*h + 1 groups;
+/// one global channel per group pair.
 struct DragonflyLayout {
   int a = 0;  ///< routers per group
   int h = 0;  ///< global ports per router
   [[nodiscard]] int groups() const { return a * h + 1; }
-  [[nodiscard]] int groupOf(int switchId) const { return switchId / a; }
-  [[nodiscard]] int routerOf(int switchId) const { return switchId % a; }
   [[nodiscard]] int switchOf(int group, int router) const {
     return group * a + router;
   }
   [[nodiscard]] int localTrunksPerGroup() const { return a * (a - 1) / 2; }
-  /// Trunk index of the in-group mesh cable between routers ra < rb.
-  [[nodiscard]] int localTrunk(int group, int ra, int rb) const {
-    return group * localTrunksPerGroup() + ra * a - ra * (ra + 1) / 2 +
-           (rb - ra - 1);
-  }
-  /// Global port q of group G lands on group (G + q + 1) mod g; router
-  /// q / h hosts the port.  Emitted (and indexed) only for G < peer.
-  [[nodiscard]] int globalTrunk(int g1, int g2) const {
-    const int g = groups();
-    const int lo = g1 < g2 ? g1 : g2;
-    const int q = (g1 < g2 ? g2 : g1) - lo - 1;
-    const int before = lo * (g - 1) - lo * (lo - 1) / 2;
-    return groups() * localTrunksPerGroup() + before + q;
-  }
-  /// Router of `group` that hosts the global channel towards `peer`.
+  /// Router of `group` that hosts the global channel towards `peer`:
+  /// global port q of group G lands on group (G + q + 1) mod g, and
+  /// router q / h hosts the port.
   [[nodiscard]] int gatewayRouter(int group, int peer) const {
     const int g = groups();
     const int q = ((peer - group - 1) % g + g) % g;
@@ -126,8 +112,9 @@ struct TopologySpec {
 
   /// Expands the spec into a full MachineConfig (deterministic: equal
   /// specs produce byte-identical configs).  The spec itself is stored on
-  /// the returned config, which is what enables structural routing and
-  /// the compact `topology` form of the canonical description dump.
+  /// the returned config, which is what enables structural fat-tree
+  /// routing and the compact `topology` form of the canonical description
+  /// dump.
   [[nodiscard]] MachineConfig materialize(std::string name = "") const;
 
   // Convenience builders for tests and benches.

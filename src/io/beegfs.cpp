@@ -67,7 +67,7 @@ void BeeGfs::remove(pmpi::Env& env, const std::string& path) {
 }
 
 void BeeGfs::writeAsync(int clientNode, const std::string& path,
-                        std::size_t offset, std::vector<std::byte> data,
+                        std::size_t offset, pmpi::ConstBytes data,
                         std::function<void()> onDone) {
   auto& content = files_[path];
   if (content.size() < offset + data.size()) content.resize(offset + data.size());
@@ -106,8 +106,7 @@ void BeeGfs::write(pmpi::Env& env, const File& f, std::size_t offset,
   if (!exists(f.path())) throw std::logic_error("BeeGfs::write: file was removed");
   const double t0 = env.wtime();
   const auto done = std::make_shared<Completion>(env);
-  writeAsync(env.node().id, f.path(), offset,
-             std::vector<std::byte>(data.begin(), data.end()),
+  writeAsync(env.node().id, f.path(), offset, data,
              [done] { done->arrive(); });
   done->wait(env);
   env.noteIo(env.wtime() - t0);

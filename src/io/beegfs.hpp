@@ -65,10 +65,11 @@ class BeeGfs {
   void write(pmpi::Env& env, const File& f, std::size_t offset,
              pmpi::ConstBytes data);
   /// Fire-and-forget striped write from `clientNode` (no calling process
-  /// blocked); `onDone` runs when the last chunk is on disk.  Used by the
-  /// BeeOND asynchronous flush path.
+  /// blocked); `onDone` runs when the last chunk is on disk.  `data` is
+  /// stored before the call returns.  Used by the BeeOND asynchronous
+  /// flush path.
   void writeAsync(int clientNode, const std::string& path, std::size_t offset,
-                  std::vector<std::byte> data, std::function<void()> onDone);
+                  pmpi::ConstBytes data, std::function<void()> onDone);
   std::size_t read(pmpi::Env& env, const File& f, std::size_t offset,
                    pmpi::Bytes out);
 

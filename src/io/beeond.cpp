@@ -36,15 +36,14 @@ void BeeondCache::write(pmpi::Env& env, const std::string& path,
   }
   // Asynchronous flush: runs in the background; the application continues.
   ++pending_;
-  fs_.writeAsync(node, path, offset,
-                 std::vector<std::byte>(data.begin(), data.end()), [this] {
-                   if (--pending_ == 0) {
-                     for (sim::Process* p : drainWaiters_) {
-                       machine_.engine().wake(*p);
-                     }
-                     drainWaiters_.clear();
-                   }
-                 });
+  fs_.writeAsync(node, path, offset, data, [this] {
+    if (--pending_ == 0) {
+      for (sim::Process* p : drainWaiters_) {
+        machine_.engine().wake(*p);
+      }
+      drainWaiters_.clear();
+    }
+  });
 }
 
 std::size_t BeeondCache::read(pmpi::Env& env, const std::string& path,

@@ -12,7 +12,20 @@ namespace {
 constexpr const char* kGroupNames[] = {"counters", "ranks", "fabric links",
                                        "devices"};
 
-void appendEscaped(std::string& out, std::string_view s) {
+/// Chrome trace timestamps are microseconds; render the integer-picosecond
+/// simulated time as a fixed-point decimal so no float formatting ambiguity
+/// can creep into the file.
+void appendMicros(std::string& out, std::int64_t ps) {
+  const std::int64_t abs = ps < 0 ? -ps : ps;
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%s%" PRId64 ".%06" PRId64,
+                ps < 0 ? "-" : "", abs / 1'000'000, abs % 1'000'000);
+  out += buf;
+}
+
+}  // namespace
+
+void appendJsonEscaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,26 +44,11 @@ void appendEscaped(std::string& out, std::string_view s) {
   }
 }
 
-/// Chrome trace timestamps are microseconds; render the integer-picosecond
-/// simulated time as a fixed-point decimal so no float formatting ambiguity
-/// can creep into the file.
-void appendMicros(std::string& out, std::int64_t ps) {
-  const std::int64_t abs = ps < 0 ? -ps : ps;
+void appendJsonNumber(std::string& out, double v) {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%s%" PRId64 ".%06" PRId64,
-                ps < 0 ? "-" : "", abs / 1'000'000, abs % 1'000'000);
-  out += buf;
-}
-
-void appendNumber(std::string& out, double v) {
-  char buf[48];
-  // %.17g round-trips doubles exactly and is locale-independent for the
-  // values cbsim emits (no infinities/NaNs reach the tracer).
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
 }
-
-}  // namespace
 
 Tracer::Tracer() : nextTid_(4, 0) {}
 
@@ -104,7 +102,7 @@ void Tracer::writeJson(std::ostream& os) const {
     out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
     out += std::to_string(pid);
     out += ",\"tid\":0,\"args\":{\"name\":\"";
-    appendEscaped(out, kGroupNames[pid]);
+    appendJsonEscaped(out, kGroupNames[pid]);
     out += "\"}}";
   }
   for (const Row& r : rows_) {
@@ -114,7 +112,7 @@ void Tracer::writeJson(std::ostream& os) const {
     out += ",\"tid\":";
     out += std::to_string(r.tid);
     out += ",\"args\":{\"name\":\"";
-    appendEscaped(out, r.name);
+    appendJsonEscaped(out, r.name);
     out += "\"}}";
   }
 
@@ -123,11 +121,11 @@ void Tracer::writeJson(std::ostream& os) const {
     out += "{\"ph\":\"";
     out += e.ph;
     out += "\",\"name\":\"";
-    appendEscaped(out, e.name);
+    appendJsonEscaped(out, e.name);
     out += '"';
     if (!e.cat.empty()) {
       out += ",\"cat\":\"";
-      appendEscaped(out, e.cat);
+      appendJsonEscaped(out, e.cat);
       out += '"';
     }
     out += ",\"pid\":";
@@ -148,9 +146,9 @@ void Tracer::writeJson(std::ostream& os) const {
         if (!firstArg) out += ',';
         firstArg = false;
         out += '"';
-        appendEscaped(out, k);
+        appendJsonEscaped(out, k);
         out += "\":";
-        appendNumber(out, v);
+        appendJsonNumber(out, v);
       }
       out += '}';
     }

@@ -110,4 +110,11 @@ class Tracer {
   Metrics metrics_;
 };
 
+/// JSON text helpers shared by the trace writer and the campaign report
+/// writers.  Appends `s` JSON-escaped, without the surrounding quotes.
+void appendJsonEscaped(std::string& out, std::string_view s);
+/// Appends `v` as `%.17g`, which round-trips doubles exactly and is
+/// locale-independent for the finite values cbsim emits.
+void appendJsonNumber(std::string& out, double v);
+
 }  // namespace cbsim::obs

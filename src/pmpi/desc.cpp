@@ -1,14 +1,10 @@
 #include "pmpi/desc.hpp"
 
-#include <cmath>
+#include "hw/desc.hpp"
 
 namespace cbsim::pmpi {
 
 namespace {
-
-sim::SimTime timeFromUs(double us) {
-  return sim::SimTime::ps(std::llround(us * 1e6));
-}
 
 double usFromTime(sim::SimTime t) {
   return static_cast<double>(t.picos()) / 1e6;
@@ -22,16 +18,16 @@ ProtocolParams protocolParamsFromDesc(desc::Reader& r) {
       static_cast<std::size_t>(r.uintAt("eager_threshold", p.eagerThreshold));
   p.headerBytes = r.numberAt("header_bytes", p.headerBytes);
   p.ctrlMsgBytes = r.numberAt("ctrl_msg_bytes", p.ctrlMsgBytes);
-  p.spawnBase = timeFromUs(r.numberAt("spawn_base_us", usFromTime(p.spawnBase)));
+  p.spawnBase = hw::timeAt(r, "spawn_base_us", hw::kPsPerUs, p.spawnBase);
   p.spawnPerProc =
-      timeFromUs(r.numberAt("spawn_per_proc_us", usFromTime(p.spawnPerProc)));
+      hw::timeAt(r, "spawn_per_proc_us", hw::kPsPerUs, p.spawnPerProc);
   p.reliable = r.boolAt("reliable", p.reliable);
   p.ackBytes = r.numberAt("ack_bytes", p.ackBytes);
-  p.retransmitTimeout = timeFromUs(
-      r.numberAt("retransmit_timeout_us", usFromTime(p.retransmitTimeout)));
+  p.retransmitTimeout = hw::timeAt(r, "retransmit_timeout_us", hw::kPsPerUs,
+                                   p.retransmitTimeout);
   p.retransmitBackoff = r.numberAt("retransmit_backoff", p.retransmitBackoff);
   p.retransmitCap =
-      timeFromUs(r.numberAt("retransmit_cap_us", usFromTime(p.retransmitCap)));
+      hw::timeAt(r, "retransmit_cap_us", hw::kPsPerUs, p.retransmitCap);
   p.retransmitBudget = r.int32At("retransmit_budget", p.retransmitBudget);
   r.finish();
   if (p.retransmitBudget < 0) r.fail("retransmit_budget must be >= 0");

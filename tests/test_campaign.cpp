@@ -287,9 +287,9 @@ TEST(Resilience, FaultPlanCrashesAreInjected) {
 }
 
 TEST(Runner, BatchedDispatchCoversEveryScenarioExactlyOnce) {
-  // Many tiny scenarios with mixed (including zero) cost hints: the
-  // cost-aware batching must still execute each exactly once and merge
-  // the per-worker buffers back into definition order.
+  // Many tiny scenarios with mixed (including zero) cost hints, claimed
+  // in LPT order by five workers: each must run exactly once and land in
+  // its definition-order slot.
   Campaign c;
   c.name = "batch";
   for (int i = 0; i < 41; ++i) {

@@ -233,6 +233,91 @@ TEST(DescSchema, IntKeysBeyondIntRangeFailByName) {
   }
 }
 
+/// Binds each case's text, with `%` replaced by every value of `bad`, and
+/// expects the error to name the case's key path and the rejected value.
+void expectTimeKeysFailByName(
+    void (*bind)(const std::string&),
+    const std::vector<std::pair<std::string, std::string>>& cases,
+    const std::vector<std::string>& bad) {
+  for (const auto& [text, path] : cases) {
+    for (const std::string& v : bad) {
+      std::string t = text;
+      t.replace(t.find('%'), 1, v);
+      const std::string msg = errorOf([&] { bind(t); });
+      EXPECT_NE(msg.find("desc: " + path + ": time " +
+                         desc::formatNumber(std::stod(v)) + " out of range"),
+                std::string::npos)
+          << t << ": " << msg;
+    }
+  }
+}
+
+// A time key used to wrap silently: 1e300 ns rounded to INT64_MIN ps and
+// validated, and a negative latency validated, then failed every scenario
+// with an engine error.  Each of hw's ten time keys now fails naming the
+// key, past 2^63 ps (9.2e15 ns) as below zero.
+TEST(DescHw, TimeKeysOutOfRangeFailByName) {
+  expectTimeKeysFailByName(
+      [](const std::string& t) {
+        const desc::Value v = desc::parse(t);
+        desc::Reader r(v, "");
+        (void)hw::machineConfigFromDesc(r);
+      },
+      {
+          {R"({"switches": [{"net": {"nic_latency_ns": %}}], "groups": []})",
+           "switches[0].net.nic_latency_ns"},
+          {R"({"switches": [{"net": {"switch_latency_ns": %}}], "groups": []})",
+           "switches[0].net.switch_latency_ns"},
+          {R"({"switches": [{"net": {"wire_latency_ns": %}}], "groups": []})",
+           "switches[0].net.wire_latency_ns"},
+          {R"({"switches": [], "groups": [{"kind": "cluster", "count": 1,
+               "name_prefix": "n", "cpu": "xeon-haswell",
+               "nvme": {"latency_ns": %}}]})",
+           "groups[0].nvme.latency_ns"},
+          {R"({"switches": [], "groups": [{"kind": "cluster", "count": 1,
+               "name_prefix": "n", "cpu": "xeon-haswell",
+               "disk": {"latency_ns": %}}]})",
+           "groups[0].disk.latency_ns"},
+          {R"({"switches": [], "groups": [{"kind": "cluster", "count": 1,
+               "name_prefix": "n", "cpu": "xeon-haswell",
+               "mpi_sw_overhead_ns": %}]})",
+           "groups[0].mpi_sw_overhead_ns"},
+          {R"({"switches": [], "groups": [],
+               "trunks": [{"switch_a": 0, "switch_b": 1, "latency_ns": %}]})",
+           "trunks[0].latency_ns"},
+          {R"({"switches": [], "groups": [], "nams": [{"access_latency_ns": %}]})",
+           "nams[0].access_latency_ns"},
+          {R"({"topology": {"kind": "dragonfly", "trunk_latency_ns": %}})",
+           "topology.trunk_latency_ns"},
+          {R"({"topology": {"kind": "dragonfly", "mpi_sw_overhead_ns": %}})",
+           "topology.mpi_sw_overhead_ns"},
+      },
+      {"1e300", "-1000", "-1e-9", "9.3e15"});
+
+  // Just below 2^63 ps still reads exactly.
+  const desc::Value v = desc::parse(R"({"nic_latency_ns": 9.2e15})");
+  desc::Reader r(v, "");
+  EXPECT_EQ(hw::netClassSpecFromDesc(r).nicLatency.picos(),
+            std::int64_t{9'200'000'000'000'000'000});
+}
+
+// The pmpi binder's four `_us` keys: `"retransmit_timeout_us": 1e300`
+// failed every resilience scenario at run time, and `"retransmit_cap_us":
+// -1` ran silently.
+TEST(DescPmpi, TimeKeysOutOfRangeFailByName) {
+  expectTimeKeysFailByName(bindText<pmpi::protocolParamsFromDesc>,
+                           {
+                               {R"({"spawn_base_us": %})", "spawn_base_us"},
+                               {R"({"spawn_per_proc_us": %})",
+                                "spawn_per_proc_us"},
+                               {R"({"retransmit_timeout_us": %})",
+                                "retransmit_timeout_us"},
+                               {R"({"retransmit_cap_us": %})",
+                                "retransmit_cap_us"},
+                           },
+                           {"1e300", "-1", "-1e-9", "9.3e12"});
+}
+
 // ---- hw bindings: presets and validation -----------------------------------
 
 TEST(DescHw, MachinePresetMatchesAccessor) {

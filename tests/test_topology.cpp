@@ -1,15 +1,15 @@
 // Tests for the generated scale-out topologies (hw/topology.hpp) and the
-// structural router built on them (extoll/fabric.cpp):
+// structural fat-tree router built on them (extoll/fabric.cpp):
 //
 //   * generator shape: element counts and the trunk-numbering contract the
-//     structural router depends on,
+//     structural router and the reference's tie-breaks depend on,
 //   * validate() / description-layer diagnostics naming the offending
 //     `topology.*` field,
 //   * the central equivalence property: the structural router and the
 //     enumerated reference pick byte-identical routes — on randomized
-//     small fat-trees and dragonflies, and on every builtin machine
-//     preset (where Structural falls back to the reference for machines
-//     without a topology),
+//     small fat-trees, and on randomized dragonflies and every builtin
+//     machine preset (where Auto picks the reference and a forced
+//     Structural falls back to it),
 //   * cross-model campaign reports: the halo campaign renders the exact
 //     same JSON under both routing modes,
 //   * flow-level congestion semantics: link-fair sharing halves the rate
@@ -97,26 +97,28 @@ TEST(Topology, DragonflyShapeAndTrunkOrder) {
   ASSERT_EQ(cfg.trunks.size(), 6u);
 
   // Local trunks first, per group, router pairs in (ra < rb) order.
+  std::size_t idx = 0;
   for (int g = 0; g < d.groups(); ++g) {
     for (int ra = 0; ra < d.a; ++ra) {
       for (int rb = ra + 1; rb < d.a; ++rb) {
-        const hw::TrunkSpec& trunk =
-            cfg.trunks[static_cast<std::size_t>(d.localTrunk(g, ra, rb))];
+        const hw::TrunkSpec& trunk = cfg.trunks[idx++];
         EXPECT_EQ(trunk.switchA, d.switchOf(g, ra));
         EXPECT_EQ(trunk.switchB, d.switchOf(g, rb));
       }
     }
   }
-  // Then one global channel per group pair, anchored at the gateway
-  // routers, with switch_a in the lower-numbered group.
+  // Then one global channel per group pair, (g1, g2) pairs in
+  // lexicographic order, anchored at the gateway routers, with switch_a
+  // in the lower-numbered group.  This order sets the enumerated
+  // reference's equal-cost tie-breaks.
   for (int g1 = 0; g1 < d.groups(); ++g1) {
     for (int g2 = g1 + 1; g2 < d.groups(); ++g2) {
-      const hw::TrunkSpec& trunk =
-          cfg.trunks[static_cast<std::size_t>(d.globalTrunk(g1, g2))];
+      const hw::TrunkSpec& trunk = cfg.trunks[idx++];
       EXPECT_EQ(trunk.switchA, d.switchOf(g1, d.gatewayRouter(g1, g2)));
       EXPECT_EQ(trunk.switchB, d.switchOf(g2, d.gatewayRouter(g2, g1)));
     }
   }
+  EXPECT_EQ(idx, cfg.trunks.size());
 }
 
 // ---- validation diagnostics ----------------------------------------------
@@ -233,6 +235,14 @@ TEST(Topology, StructuralMatchesEnumeratedOnRandomFatTrees) {
 }
 
 TEST(Topology, StructuralMatchesEnumeratedOnRandomDragonflies) {
+  // Dragonflies have no structural router: Auto resolves to the
+  // enumerated reference, and forcing Structural defers to it.
+  const auto check = [](const hw::MachineConfig& cfg) {
+    FabricFixture autoMode(cfg);
+    EXPECT_EQ(autoMode.fabric.routingMode(), RoutingMode::Enumerated)
+        << cfg.name;
+    expectRoutersAgree(cfg);
+  };
   std::mt19937 rng(20260810u);
   for (int i = 0; i < 6; ++i) {
     int a = 1 + static_cast<int>(rng() % 3);  // 1..3
@@ -240,13 +250,11 @@ TEST(Topology, StructuralMatchesEnumeratedOnRandomDragonflies) {
     if (a * h + 1 < 3) h = 2;                 // need a global level
     const int p = 1 + static_cast<int>(rng() % 2);
     const TopologySpec t = TopologySpec::dragonflySpec(a, p, h);
-    expectRoutersAgree(
-        t.materialize("rand-df-" + std::to_string(i)), true);
+    check(t.materialize("rand-df-" + std::to_string(i)));
   }
   // A larger instance (9 groups, 36 switches) where 3-global detours
   // through two intermediate groups tie with the direct route.
-  expectRoutersAgree(
-      TopologySpec::dragonflySpec(4, 1, 2).materialize("df-9g"), true);
+  check(TopologySpec::dragonflySpec(4, 1, 2).materialize("df-9g"));
 }
 
 TEST(Topology, StructuralMatchesEnumeratedOnEveryMachinePreset) {
