@@ -85,7 +85,7 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   }
   p.ranks = r.int32At("ranks", p.ranks);
   p.steps = r.int32At("steps", p.steps);
-  p.stepSec = r.numberAt("step_sec", p.stepSec);
+  p.stepSec = hw::secondsAt(r, "step_sec", p.stepSec);
   p.stateBytes = static_cast<std::size_t>(
       r.uintAt("state_bytes", static_cast<std::uint64_t>(p.stateBytes)));
   p.maxAttempts = r.int32At("max_attempts", p.maxAttempts);
@@ -97,14 +97,17 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   p.dropProb = r.numberAt("drop_prob", p.dropProb);
   p.corruptProb = r.numberAt("corrupt_prob", p.corruptProb);
   p.degradeFactor = r.numberAt("degrade_factor", p.degradeFactor);
-  p.degradeFromSec = r.numberAt("degrade_from_sec", p.degradeFromSec);
-  p.degradeUntilSec = r.numberAt("degrade_until_sec", p.degradeUntilSec);
-  p.flapFromSec = r.numberAt("flap_from_sec", p.flapFromSec);
-  p.flapUntilSec = r.numberAt("flap_until_sec", p.flapUntilSec);
+  p.degradeFromSec = hw::secondsAt(r, "degrade_from_sec", p.degradeFromSec);
+  p.degradeUntilSec =
+      hw::secondsAt(r, "degrade_until_sec", p.degradeUntilSec);
+  p.flapFromSec = hw::secondsAt(r, "flap_from_sec", p.flapFromSec);
+  p.flapUntilSec = hw::secondsAt(r, "flap_until_sec", p.flapUntilSec);
   p.spareNodes = r.int32At("spare_nodes", p.spareNodes);
-  p.repairSec = r.numberAt("repair_sec", p.repairSec);
-  p.firstFailureAtSec = r.numberAt("first_failure_at_sec", p.firstFailureAtSec);
-  p.restartDelaySec = r.numberAt("restart_delay_sec", p.restartDelaySec);
+  p.repairSec = hw::secondsAt(r, "repair_sec", p.repairSec);
+  p.firstFailureAtSec =
+      hw::secondsAt(r, "first_failure_at_sec", p.firstFailureAtSec);
+  p.restartDelaySec =
+      hw::secondsAt(r, "restart_delay_sec", p.restartDelaySec);
   r.finish();
   if (p.ranks < 1) r.fail("ranks must be >= 1");
   if (p.steps < 1) r.fail("steps must be >= 1");
@@ -180,7 +183,7 @@ HaloParams haloParamsFromDesc(desc::Reader& r) {
   p.steps = r.int32At("steps", p.steps);
   p.haloBytes = static_cast<std::size_t>(
       r.uintAt("halo_bytes", static_cast<std::uint64_t>(p.haloBytes)));
-  p.computeSec = r.numberAt("compute_sec", p.computeSec);
+  p.computeSec = hw::secondsAt(r, "compute_sec", p.computeSec);
   p.allreduceEvery = r.int32At("allreduce_every", p.allreduceEvery);
   p.fiberStackKb = r.int32At("fiber_stack_kb", p.fiberStackKb);
   if (auto pr = r.tryChild("protocol")) {

@@ -62,8 +62,10 @@ struct CampaignReport {
   /// Worker threads actually used (diagnostic; not serialized).
   int jobsUsed = 1;
 
-  /// Sum of per-scenario host times — the serial-execution estimate the
-  /// CLI reports speedup against.
+  /// Sum of per-scenario host times.  Workers that share a core each
+  /// count the time they wait for it, so this is not what one worker
+  /// would take: the CLI prints it next to the wall time, not as a
+  /// speedup.
   [[nodiscard]] double hostScenarioSecSum() const;
   [[nodiscard]] int failedCount() const;
   /// Scenarios that completed but could not write their trace file.

@@ -221,15 +221,12 @@ int campaignCommand(const Args& a) {
                    s.name.c_str(), s.traceWarning.c_str());
     }
   }
-  const double serial = rep.hostScenarioSecSum();
   std::fprintf(stderr,
                "campaign %-12s %3zu scenarios  jobs=%d  backend=%s  "
-               "wall %.2fs  (scenario sum %.2fs, speedup %.2fx)  "
-               "failures=%d\n",
+               "wall %.2fs  (scenario sum %.2fs)  failures=%d\n",
                rep.campaign.c_str(), rep.scenarios.size(), rep.jobsUsed,
                sim::toString(sim::defaultProcessBackend()),
-               rep.hostElapsedSec, serial,
-               rep.hostElapsedSec > 0 ? serial / rep.hostElapsedSec : 1.0,
+               rep.hostElapsedSec, rep.hostScenarioSecSum(),
                rep.failedCount());
   return rep.failedCount() == 0 ? 0 : 1;
 }

@@ -300,6 +300,17 @@ sim::SimTime timeAt(desc::Reader& r, std::string_view key, double picosPerUnit,
   return sim::SimTime::ps(std::llround(ps));
 }
 
+double secondsAt(desc::Reader& r, std::string_view key, double def) {
+  if (!r.has(key)) return def;
+  const desc::Reader v = r.child(key);
+  const double s = v.asNumber();
+  if (!(s * 1e12 < 0x1p63)) {
+    v.fail("time " + desc::formatNumber(s) +
+           " out of range (must be below 2^63 picoseconds)");
+  }
+  return s;
+}
+
 double nsFromTime(sim::SimTime t) {
   return static_cast<double>(t.picos()) / 1000.0;
 }

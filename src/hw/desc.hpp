@@ -86,6 +86,13 @@ inline constexpr double kPsPerUs = 1e6;
 /// does not fit int64_t, fails with the key's path.
 [[nodiscard]] sim::SimTime timeAt(desc::Reader& r, std::string_view key,
                                   double picosPerUnit, sim::SimTime def);
+/// Optional seconds key `key` of `r`, kept as a double (the `_sec` times
+/// of campaigns and mc scenarios); `def` when absent.  A value whose
+/// picosecond count is not below 2^63 (about 9.22e6 s) fails with the
+/// key's path.  Each key keeps its own lower bound, checked by its caller
+/// (`repair_sec` <= 0, for one, disables repair).
+[[nodiscard]] double secondsAt(desc::Reader& r, std::string_view key,
+                               double def);
 [[nodiscard]] double nsFromTime(sim::SimTime t);
 
 }  // namespace cbsim::hw

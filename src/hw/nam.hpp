@@ -6,14 +6,16 @@
 // time + device service time, but no endpoint software overhead.
 //
 // The device stores real bytes (keyed blobs), because the SCR checkpointing
-// stack round-trips actual checkpoint data through it in tests.
+// stack round-trips actual checkpoint data through it in tests.  A blob
+// holds only its payload's non-zero head (hw/blob.hpp); capacity and
+// service time charge its full size.
 
 #include <cstddef>
 #include <map>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "hw/blob.hpp"
 #include "sim/time.hpp"
 
 namespace cbsim::hw {
@@ -45,12 +47,12 @@ class NamDevice {
     const std::size_t existing = (it != blobs_.end()) ? it->second.size() : 0;
     if (usedBytes_ - existing + data.size() > capacityBytes()) return false;
     usedBytes_ = usedBytes_ - existing + data.size();
-    blobs_[key].assign(data.begin(), data.end());
+    blobs_[key].assign(data);
     return true;
   }
 
   /// Fetches a blob; nullptr if absent.
-  [[nodiscard]] const std::vector<std::byte>* get(const std::string& key) const {
+  [[nodiscard]] const Blob* get(const std::string& key) const {
     const auto it = blobs_.find(key);
     return it == blobs_.end() ? nullptr : &it->second;
   }
@@ -70,7 +72,7 @@ class NamDevice {
 
  private:
   NamSpec spec_;
-  std::map<std::string, std::vector<std::byte>> blobs_;
+  std::map<std::string, Blob> blobs_;
   std::size_t usedBytes_ = 0;
 };
 

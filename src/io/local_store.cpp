@@ -20,7 +20,7 @@ bool LocalStore::read(pmpi::Env& env, const std::string& key,
   if (it == blobs_.end()) return false;
   const sim::SimTime done =
       machine_.nvme(node).reserve(static_cast<double>(it->second.size()), false);
-  out = it->second;
+  it->second.copyTo(out);
   awaitUntil(env, done);
   return true;
 }
@@ -46,7 +46,7 @@ bool LocalStore::readFrom(pmpi::Env& env, int srcNode, const std::string& key,
   const int me = machine_.endpointOfNode(env.node().id);
   const int src = machine_.endpointOfNode(srcNode);
   awaitTransfer(env, fabric_, src, me, static_cast<double>(it->second.size()));
-  out = it->second;
+  it->second.copyTo(out);
   return true;
 }
 

@@ -5,12 +5,16 @@
 // remote ("buddy") writes: data crosses the fabric and lands on a partner
 // node's NVMe, the redundancy scheme SCR's level-2 checkpoints use.
 // dropNode() simulates losing a node (and everything on its NVMe).
+// A blob holds only its payload's non-zero head (hw/blob.hpp): reads
+// rebuild the zero tail, and NVMe time, fabric time and bytesOn() charge
+// the full size.
 
 #include <map>
 #include <string>
 #include <vector>
 
 #include "extoll/fabric.hpp"
+#include "hw/blob.hpp"
 #include "pmpi/env.hpp"
 
 namespace cbsim::io {
@@ -43,12 +47,12 @@ class LocalStore {
 
  private:
   void store(int node, const std::string& key, pmpi::ConstBytes data) {
-    blobs_[{node, key}].assign(data.begin(), data.end());
+    blobs_[{node, key}].assign(data);
   }
 
   hw::Machine& machine_;
   extoll::Fabric& fabric_;
-  std::map<std::pair<int, std::string>, std::vector<std::byte>> blobs_;
+  std::map<std::pair<int, std::string>, hw::Blob> blobs_;
 };
 
 }  // namespace cbsim::io

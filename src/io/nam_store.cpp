@@ -23,7 +23,7 @@ bool NamStore::get(pmpi::Env& env, int namIdx, const std::string& key,
   const int me = machine_.endpointOfNode(env.node().id);
   const int dev = machine_.endpointOfNam(namIdx);
   awaitTransfer(env, fabric_, dev, me, static_cast<double>(blob->size()));
-  out = *blob;
+  blob->copyTo(out);
   return true;
 }
 

@@ -16,7 +16,7 @@ McScenario scenarioFromDesc(desc::Reader& r) {
   }
   s.name = r.stringAt("name", s.family);
   s.seed = r.uintAt("seed", s.seed);
-  s.drainSec = r.numberAt("drain_sec", s.drainSec);
+  s.drainSec = hw::secondsAt(r, "drain_sec", s.drainSec);
   if (s.drainSec <= 0) r.fail("drain_sec must be positive");
   if (auto p = r.tryChild("protocol")) {
     s.protocol = pmpi::protocolParamsFromDesc(*p);
@@ -51,15 +51,17 @@ McScenario scenarioFromDesc(desc::Reader& r) {
   } else {
     s.ranks = r.int32At("ranks", s.ranks);
     s.steps = r.int32At("steps", s.steps);
-    s.stepSec = r.numberAt("step_sec", s.stepSec);
+    s.stepSec = hw::secondsAt(r, "step_sec", s.stepSec);
     s.stateBytes =
         static_cast<std::size_t>(r.uintAt("state_bytes", s.stateBytes));
     s.spareNodes = r.int32At("spare_nodes", s.spareNodes);
-    s.repairSec = r.numberAt("repair_sec", s.repairSec);
-    s.failAtSec = r.numberAt("fail_at_sec", s.failAtSec);
-    s.faultQuantumSec = r.numberAt("fault_quantum_sec", s.faultQuantumSec);
+    s.repairSec = hw::secondsAt(r, "repair_sec", s.repairSec);
+    s.failAtSec = hw::secondsAt(r, "fail_at_sec", s.failAtSec);
+    s.faultQuantumSec =
+        hw::secondsAt(r, "fault_quantum_sec", s.faultQuantumSec);
     s.maxAttempts = r.int32At("max_attempts", s.maxAttempts);
-    s.restartDelaySec = r.numberAt("restart_delay_sec", s.restartDelaySec);
+    s.restartDelaySec =
+        hw::secondsAt(r, "restart_delay_sec", s.restartDelaySec);
     if (auto c = r.tryChild("scr")) s.scr = scr::scrConfigFromDesc(*c);
   }
   r.finish();

@@ -318,6 +318,59 @@ TEST(DescPmpi, TimeKeysOutOfRangeFailByName) {
                            {"1e300", "-1", "-1e-9", "9.3e12"});
 }
 
+// The `_sec` keys of campaigns and mc scenarios stay doubles, but were
+// unchecked above: `"step_sec": 1e300` validated, then failed every
+// scenario at run time with an engine error naming neither key nor value.
+// Each now fails naming its path once its picosecond count reaches 2^63
+// (9.3e6 s).  Just below that every key still reads as written, and each
+// keeps its own lower bound (`repair_sec` <= 0 still disables repair).
+// `mtbf_sec` is left out: an MTBF is the mean of a failure draw, not a
+// time the run schedules, and the A4 ablations' 1e9 s means "no failure".
+TEST(DescSchema, SecondsKeysOutOfRangeFailByName) {
+  using Cases = std::vector<std::pair<std::string, std::string>>;
+  const std::pair<void (*)(const std::string&), Cases> groups[] = {
+      {bindText<campaign::haloParamsFromDesc>,
+       {{R"({"compute_sec": %})", "compute_sec"}}},
+      {bindText<campaign::resilienceParamsFromDesc>,
+       {{R"({"step_sec": %})", "step_sec"},
+        {R"({"degrade_from_sec": %})", "degrade_from_sec"},
+        {R"({"degrade_until_sec": %})", "degrade_until_sec"},
+        {R"({"flap_from_sec": %})", "flap_from_sec"},
+        {R"({"flap_until_sec": %})", "flap_until_sec"},
+        {R"({"repair_sec": %})", "repair_sec"},
+        {R"({"first_failure_at_sec": %})", "first_failure_at_sec"},
+        {R"({"restart_delay_sec": %})", "restart_delay_sec"}}},
+      {bindText<mc::scenarioFromDesc>,
+       {{R"({"family": "checkpoint-restart", "drain_sec": %})", "drain_sec"},
+        {R"({"family": "checkpoint-restart", "step_sec": %})", "step_sec"},
+        {R"({"family": "checkpoint-restart", "repair_sec": %})", "repair_sec"},
+        {R"({"family": "checkpoint-restart", "fail_at_sec": %})",
+         "fail_at_sec"},
+        {R"({"family": "checkpoint-restart", "fault_quantum_sec": %})",
+         "fault_quantum_sec"},
+        {R"({"family": "checkpoint-restart", "restart_delay_sec": %})",
+         "restart_delay_sec"}}},
+  };
+  for (const auto& [bind, cases] : groups) {
+    expectTimeKeysFailByName(bind, cases, {"1e300", "9.3e6"});
+    for (const auto& [text, path] : cases) {
+      std::string t = text;
+      t.replace(t.find('%'), 1, "9.2e6");
+      EXPECT_NO_THROW(bind(t)) << path;
+    }
+  }
+
+  const desc::Value v = desc::parse(R"({"step_sec": 9.2e6, "repair_sec": -1})");
+  desc::Reader r(v, "");
+  const campaign::ResilienceParams p = campaign::resilienceParamsFromDesc(r);
+  EXPECT_EQ(p.stepSec, 9.2e6);
+  EXPECT_EQ(p.repairSec, -1.0);
+  EXPECT_NE(errorOf([] {
+              bindText<campaign::resilienceParamsFromDesc>(R"({"step_sec": 0})");
+            }).find("step_sec must be > 0"),
+            std::string::npos);
+}
+
 // ---- hw bindings: presets and validation -----------------------------------
 
 TEST(DescHw, MachinePresetMatchesAccessor) {

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "hw/blob.hpp"
 #include "hw/machine.hpp"
 #include "sim/engine.hpp"
 
@@ -155,6 +157,45 @@ TEST(BlockDevice, DiskIsSlowerThanNvme) {
   EXPECT_GT(disk.serviceTime(1e9, true), nvme.serviceTime(1e9, true) * 5);
 }
 
+// ------------------------------------------------------------------- Blob
+
+// A blob holds its payload up to the last non-zero byte and rebuilds the
+// rest as zeros.  One blob and one output vector go through every case in
+// turn, so each case also overwrites what the one before left.
+TEST(Blob, HoldsNonZeroHeadAndRebuildsZeroTail) {
+  const auto withBytes = [](std::size_t n,
+                            std::initializer_list<std::pair<std::size_t, int>> set) {
+    std::vector<std::byte> v(n);
+    for (const auto& [at, value] : set) v[at] = static_cast<std::byte>(value);
+    return v;
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::byte> data;
+    std::size_t held;
+  };
+  const std::vector<Case> cases = {
+      {"dense", std::vector<std::byte>(5000, std::byte{0xAB}), 5000},
+      {"empty", {}, 0},
+      {"all zero", std::vector<std::byte>(65536), 0},
+      {"zero tail", withBytes(65536, {{0, 7}}), 1},
+      {"tail ends mid-word", withBytes(10000, {{4100, 3}}), 4101},
+      {"interior zeros", withBytes(6, {{0, 1}, {3, 2}}), 4},
+      {"non-zero last byte", withBytes(4097, {{4096, 5}}), 4097},
+  };
+  hw::Blob b;
+  std::vector<std::byte> out(3, std::byte{0xFF});
+  for (const Case& c : cases) {
+    b.assign(c.data);
+    EXPECT_EQ(b.size(), c.data.size()) << c.name;
+    EXPECT_TRUE(std::ranges::equal(
+        b.head(), std::span<const std::byte>(c.data).first(c.held)))
+        << c.name << ": holds " << b.head().size() << " bytes";
+    b.copyTo(out);
+    EXPECT_EQ(out, c.data) << c.name;
+  }
+}
+
 // -------------------------------------------------------------------- NAM
 
 std::vector<std::byte> blob(std::size_t n, int fill) {
@@ -167,7 +208,9 @@ TEST(NamDevice, PutGetRoundtrip) {
   ASSERT_TRUE(nam.put("ckpt/rank0", data));
   const auto* back = nam.get("ckpt/rank0");
   ASSERT_NE(back, nullptr);
-  EXPECT_EQ(*back, data);
+  std::vector<std::byte> bytes;
+  back->copyTo(bytes);
+  EXPECT_EQ(bytes, data);
   EXPECT_EQ(nam.usedBytes(), 1024u);
 }
 
@@ -182,6 +225,23 @@ TEST(NamDevice, CapacityEnforced) {
   // Overwriting an existing key releases its old allocation first.
   EXPECT_TRUE(nam.put("a", blob(900, 3)));
   EXPECT_EQ(nam.usedBytes(), 900u);
+}
+
+// An all-zero blob holds no bytes but still fills its full size of the
+// device.
+TEST(NamDevice, CapacityChargesLogicalSize) {
+  hw::NamSpec spec;
+  spec.capacityGB = 1e-6;  // 1000 bytes
+  hw::NamDevice nam(spec);
+  ASSERT_TRUE(nam.put("zeros", blob(600, 0)));
+  const hw::Blob* back = nam.get("zeros");
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->head().size(), 0u);
+  EXPECT_EQ(back->size(), 600u);
+  EXPECT_EQ(nam.usedBytes(), 600u);
+  EXPECT_FALSE(nam.put("more", blob(600, 0)));
+  EXPECT_TRUE(nam.erase("zeros"));
+  EXPECT_EQ(nam.usedBytes(), 0u);
 }
 
 TEST(NamDevice, EraseReleasesSpace) {

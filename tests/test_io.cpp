@@ -226,6 +226,46 @@ TEST(LocalStore, DropNodeLosesData) {
   EXPECT_FALSE(store.has(node, "a"));
 }
 
+// A checkpoint that is zero past its first byte comes back whole, locally
+// and from a buddy, and costs the NVMe and bytesOn() its full size, as a
+// dense payload of that size does.
+TEST(LocalStore, ZeroTailedPayloadRoundTripsAtFullSize) {
+  World w;
+  io::LocalStore store(w.machine, w.fabric);
+  std::vector<std::byte> data(64 << 10);
+  data[0] = std::byte{7};
+  std::vector<int> nodes(2, -1);
+  sim::SimTime zeroTail, dense;
+  w.runRanks(2, [&](Env& env) {
+    nodes[static_cast<std::size_t>(env.rank())] = env.node().id;
+    env.barrier(env.world());
+    if (env.rank() == 0) {
+      sim::SimTime t0 = env.ctx().now();
+      store.write(env, "ckpt", pmpi::ConstBytes(data));
+      zeroTail = env.ctx().now() - t0;
+      t0 = env.ctx().now();
+      store.write(env, "dense", pmpi::ConstBytes(pattern(data.size(), 1)));
+      dense = env.ctx().now() - t0;
+      std::vector<std::byte> back(16, std::byte{0xFF});
+      ASSERT_TRUE(store.read(env, "ckpt", back));
+      EXPECT_EQ(back, data);
+      store.writeTo(env, nodes[1], "ckpt+buddy", pmpi::ConstBytes(data));
+    }
+    env.barrier(env.world());
+    if (env.rank() == 1) {
+      std::vector<std::byte> back;
+      ASSERT_TRUE(store.readFrom(env, nodes[0], "ckpt", back));
+      EXPECT_EQ(back, data);
+      ASSERT_TRUE(store.read(env, "ckpt+buddy", back));
+      EXPECT_EQ(back, data);
+    }
+  });
+  EXPECT_GT(zeroTail, sim::SimTime::zero());
+  EXPECT_EQ(zeroTail, dense);
+  EXPECT_EQ(store.bytesOn(nodes[0]), 2u * (64u << 10));
+  EXPECT_EQ(store.bytesOn(nodes[1]), 64u << 10);
+}
+
 TEST(LocalStore, NvmeIsFasterThanGlobalFs) {
   World w;
   io::BeeGfs fs(w.machine, w.fabric);
