@@ -311,12 +311,16 @@ Values runResilienceScenario(const ResilienceParams& p,
         // completes first (FailureInjector contract).  The first one is
         // pinned to a deterministic mid-run time so every scenario
         // exercises the recovery loop; later ones are exponentially
-        // distributed.
-        const sim::SimTime at =
-            attempt == 1 && p.firstFailureAtSec > 0
-                ? sim::SimTime::seconds(p.firstFailureAtSec)
-                : w.engine.now() +
-                      scr::FailureInjector::sampleFailureTime(rng, mtbf);
+        // distributed.  A draw near SimTime's range saturates the sum at
+        // SimTime::max(), where a draw at t = 0 already lands.
+        sim::SimTime at = sim::SimTime::seconds(p.firstFailureAtSec);
+        if (attempt != 1 || p.firstFailureAtSec <= 0) {
+          const sim::SimTime now = w.engine.now();
+          const sim::SimTime draw =
+              scr::FailureInjector::sampleFailureTime(rng, mtbf);
+          at = draw > sim::SimTime::max() - now ? sim::SimTime::max()
+                                                : now + draw;
+        }
         const int victim =
             static_cast<int>(rng.below(static_cast<std::uint64_t>(p.ranks)));
         const int victimNode =

@@ -1,6 +1,8 @@
 #include "extoll/fabric.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -267,7 +269,7 @@ SimTime Fabric::occupy(const Path& path, double bytes, double bwFactor) {
 }
 
 void Fabric::deliverLeg(int srcEp, int dstEp, double bytes,
-                        std::function<void()> onArrive) {
+                        sim::EventFn onArrive) {
   const Path& p = route(srcEp, dstEp);
   if (p.bridgeNode >= 0) {
     const int bridgeNode = p.bridgeNode;
@@ -323,7 +325,7 @@ void Fabric::deliverLeg(int srcEp, int dstEp, double bytes,
 }
 
 void Fabric::deliverViaBridge(int bridgeNode, int srcEp, int dstEp,
-                              double bytes, std::function<void()> onArrive) {
+                              double bytes, sim::EventFn onArrive) {
   const int bridgeEp = machine_.endpointOfNode(bridgeNode);
   const hw::Node& bridge = machine_.node(bridgeNode);
   // Store-and-forward: receive fully, CPU forwards (software + memcpy),
@@ -385,7 +387,7 @@ void Fabric::flowsReshare(std::vector<std::uint64_t> ids) {
 }
 
 void Fabric::flowStart(const Path& path, double bytes, double bwFactor,
-                       std::function<void()> onArrive) {
+                       sim::EventFn onArrive) {
   const std::uint64_t id = nextFlowId_++;
   Flow f;
   f.dstEp = path.links.back() / 2;
@@ -444,7 +446,7 @@ void Fabric::flowComplete(std::uint64_t id, std::uint64_t gen) {
   }
   const std::vector<int> links = std::move(f.links);
   const SimTime latency = f.latency;
-  std::function<void()> cb = std::move(f.onArrive);
+  sim::EventFn cb = std::move(f.onArrive);
   flows_.erase(it);
   flowsReshare(flowsOnLinks(links));  // survivors speed back up immediately
   // Transmission just ended; the last byte still has to propagate.
@@ -502,7 +504,7 @@ void Fabric::dropMessage(DropReason reason, int link) {
 }
 
 void Fabric::sendReliable(int srcEp, int dstEp, double bytes,
-                          std::function<void()> onArrive) {
+                          sim::EventFn onArrive) {
   if (faultPlan_ == nullptr || !faultPlan_->active() || srcEp == dstEp) {
     send(srcEp, dstEp, bytes, std::move(onArrive));
     return;
@@ -516,7 +518,7 @@ void Fabric::sendReliable(int srcEp, int dstEp, double bytes,
     bool arrived = false;
   };
   auto st = std::make_shared<Rc>();
-  auto cb = std::make_shared<std::function<void()>>(std::move(onArrive));
+  auto cb = std::make_shared<sim::EventFn>(std::move(onArrive));
   auto attempt = std::make_shared<std::function<void(SimTime)>>();
   const SimTime base =
       (pathLatency(srcEp, dstEp) +
@@ -548,7 +550,7 @@ void Fabric::noteRetransmit() {
 }
 
 void Fabric::send(int srcEp, int dstEp, double bytes,
-                  std::function<void()> onArrive) {
+                  sim::EventFn onArrive) {
   ++stats_.messages;
   stats_.bytes += bytes;
   if (obs::Tracer* tr = engine_.tracer()) {

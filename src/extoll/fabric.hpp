@@ -46,7 +46,6 @@
 // messages store-and-forward through a bridge node's CPU.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -95,8 +94,7 @@ class Fabric {
   /// destination NIC.  Endpoint software costs (MPI stack) are NOT charged
   /// here — that is the pmpi layer's job; RDMA targets like the NAM have
   /// none, which is exactly the paper's point about the NAM.
-  void send(int srcEp, int dstEp, double bytes,
-            std::function<void()> onArrive);
+  void send(int srcEp, int dstEp, double bytes, sim::EventFn onArrive);
 
   /// Zero-byte end-to-end latency of the path (no queueing).  Pure query:
   /// never perturbs link state or the gen-1 bridge round-robin.
@@ -122,7 +120,7 @@ class Fabric {
   /// plain send().  The pmpi layer does NOT use this — it runs its own
   /// end-to-end ack/retransmit protocol with an error budget.
   void sendReliable(int srcEp, int dstEp, double bytes,
-                    std::function<void()> onArrive);
+                    sim::EventFn onArrive);
 
   /// Reliable-transport hook (pmpi): counts a resend caused by loss on
   /// this fabric, so drop and recovery totals live side by side in Stats.
@@ -203,12 +201,11 @@ class Fabric {
   /// scales the path's bottleneck bandwidth (fault-plan degradation,
   /// sampled once at injection time).
   sim::SimTime occupy(const Path& path, double bytes, double bwFactor = 1.0);
-  void deliverLeg(int srcEp, int dstEp, double bytes,
-                  std::function<void()> onArrive);
+  void deliverLeg(int srcEp, int dstEp, double bytes, sim::EventFn onArrive);
   /// Store-and-forward hop over a gen-1 bridge node (shared by bridged
   /// routes and trunk-down detours).
   void deliverViaBridge(int bridgeNode, int srcEp, int dstEp, double bytes,
-                        std::function<void()> onArrive);
+                        sim::EventFn onArrive);
   /// Fault-plan bandwidth factor of one link at time `t` (1.0 without a plan).
   [[nodiscard]] double linkFaultFactor(int link, sim::SimTime t) const;
   /// Why a message was lost in flight; each reason has its own
@@ -265,11 +262,11 @@ class Fabric {
     sim::SimTime latency;      ///< fixed path latency, added at completion
     std::uint64_t gen = 0;     ///< invalidates superseded completion events
     std::vector<int> links;
-    std::function<void()> onArrive;
+    sim::EventFn onArrive;
   };
 
   void flowStart(const Path& path, double bytes, double bwFactor,
-                 std::function<void()> onArrive);
+                 sim::EventFn onArrive);
   void flowComplete(std::uint64_t id, std::uint64_t gen);
   /// Settles progress, recomputes the fair rate, and reschedules the
   /// completion event of every flow in `ids` (sorted, deduplicated).

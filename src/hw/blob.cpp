@@ -5,10 +5,6 @@
 
 namespace cbsim::hw {
 
-namespace {
-
-/// Length of `data` up to and including its last non-zero byte; 0 when it
-/// is empty or all zero.
 std::size_t nonZeroLength(std::span<const std::byte> data) {
   const std::byte* p = data.data();
   std::size_t n = data.size();
@@ -27,8 +23,6 @@ std::size_t nonZeroLength(std::span<const std::byte> data) {
   while (n > 0 && p[n - 1] == std::byte{0}) --n;
   return n;
 }
-
-}  // namespace
 
 void Blob::assign(std::span<const std::byte> data) {
   const std::span<const std::byte> head = data.first(nonZeroLength(data));

@@ -15,12 +15,16 @@
 
 namespace cbsim::hw {
 
+/// Length of `data` up to and including its last non-zero byte; 0 when it
+/// is empty or all zero.  A payload whose last byte is non-zero costs one
+/// check; a zero tail is scanned a page, then a word, then a byte at a
+/// time, from the end.
+[[nodiscard]] std::size_t nonZeroLength(std::span<const std::byte> data);
+
 class Blob {
  public:
-  /// Replaces the held payload with `data`, reusing the head's capacity.
-  /// A payload whose last byte is non-zero costs one check more than a
-  /// copy; a zero tail is scanned a page, then a word, then a byte at a
-  /// time.
+  /// Replaces the held payload with `data`, reusing the head's capacity
+  /// (the head is found by nonZeroLength()).
   void assign(std::span<const std::byte> data);
 
   /// The payload's full (logical) size.

@@ -300,15 +300,31 @@ sim::SimTime timeAt(desc::Reader& r, std::string_view key, double picosPerUnit,
   return sim::SimTime::ps(std::llround(ps));
 }
 
-double secondsAt(desc::Reader& r, std::string_view key, double def) {
+namespace {
+
+/// Optional key `key` of `r` counting units of `picosPerUnit` picoseconds,
+/// kept as a double; fails with the key's path once the picosecond count
+/// is not below 2^63.
+double unitsAt(desc::Reader& r, std::string_view key, double picosPerUnit,
+               double def) {
   if (!r.has(key)) return def;
   const desc::Reader v = r.child(key);
-  const double s = v.asNumber();
-  if (!(s * 1e12 < 0x1p63)) {
-    v.fail("time " + desc::formatNumber(s) +
+  const double n = v.asNumber();
+  if (!(n * picosPerUnit < 0x1p63)) {
+    v.fail("time " + desc::formatNumber(n) +
            " out of range (must be below 2^63 picoseconds)");
   }
-  return s;
+  return n;
+}
+
+}  // namespace
+
+double secondsAt(desc::Reader& r, std::string_view key, double def) {
+  return unitsAt(r, key, 1e12, def);
+}
+
+double microsAt(desc::Reader& r, std::string_view key, double def) {
+  return unitsAt(r, key, kPsPerUs, def);
 }
 
 double nsFromTime(sim::SimTime t) {

@@ -93,6 +93,10 @@ inline constexpr double kPsPerUs = 1e6;
 /// (`repair_sec` <= 0, for one, disables repair).
 [[nodiscard]] double secondsAt(desc::Reader& r, std::string_view key,
                                double def);
+/// The same for a microseconds key kept as a double (mc's message-race
+/// delays): it fails past about 9.22e12 us.
+[[nodiscard]] double microsAt(desc::Reader& r, std::string_view key,
+                              double def);
 [[nodiscard]] double nsFromTime(sim::SimTime t);
 
 }  // namespace cbsim::hw

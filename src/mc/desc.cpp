@@ -43,8 +43,8 @@ McScenario scenarioFromDesc(desc::Reader& r) {
   if (s.family == "message-race") {
     s.senders = r.int32At("senders", s.senders);
     s.messages = r.int32At("messages", s.messages);
-    s.recvWarmupUs = r.numberAt("recv_warmup_us", s.recvWarmupUs);
-    s.recvWorkUs = r.numberAt("recv_work_us", s.recvWorkUs);
+    s.recvWarmupUs = hw::microsAt(r, "recv_warmup_us", s.recvWarmupUs);
+    s.recvWorkUs = hw::microsAt(r, "recv_work_us", s.recvWorkUs);
     if (s.recvWarmupUs < 0 || s.recvWorkUs < 0) {
       r.fail("recv_warmup_us/recv_work_us must be >= 0");
     }

@@ -12,19 +12,25 @@
 // scanning the pool.
 //
 // PayloadArena — per-destination-rank storage for in-flight eager
-// payloads.  A payload is copied in at send time and referenced by
-// (offset, length); blocks are recycled by exact size while traffic is in
-// flight and the whole arena resets to offset zero whenever it drains,
-// so the arena's size tracks peak concurrent eager bytes, not cumulative
-// traffic.
+// payloads.  A payload reserves its full length at send time and is
+// referenced by (offset, length), but only its non-zero head is copied in:
+// the receiver rebuilds the zero tail.  Blocks are recycled by exact size
+// while traffic is in flight and the whole arena resets to offset zero
+// whenever it drains, so the arena's size tracks peak concurrent eager
+// bytes, not cumulative traffic.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "hw/blob.hpp"
 #include "pmpi/types.hpp"
 
 namespace cbsim::pmpi {
@@ -149,29 +155,49 @@ class RequestPool {
   std::uint32_t freeHead_ = kNone;
 };
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// growing a byte vector with resize() writes nothing into the new bytes.
+/// Capacity still follows the standard library's own growth rule.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class PayloadArena {
  public:
-  /// Copies `data` into the arena and returns its offset.  Prefers an
-  /// exact-size recycled block (the homogeneous-message common case);
-  /// otherwise bump-extends.  An empty payload holds nothing and is never
-  /// released, so it is not counted as outstanding either.
-  std::uint32_t store(ConstBytes data) {
-    if (data.empty()) return 0;
+  /// Where store() put a payload.
+  struct Stored {
+    std::uint32_t off = 0;
+    std::uint32_t head = 0;  ///< bytes written: up to the last non-zero one
+  };
+
+  /// Reserves `data.size()` bytes and copies in `data`'s non-zero head
+  /// only; the rest of the block holds whatever it held before, so the
+  /// reader writes the zero tail itself.  Prefers an exact-size recycled
+  /// block (the homogeneous-message common case); otherwise bump-extends.
+  /// An empty payload holds nothing and is never released, so it is not
+  /// counted as outstanding either.
+  Stored store(ConstBytes data) {
+    if (data.empty()) return {};
     const auto len = static_cast<std::uint32_t>(data.size());
-    ++outstanding_;
-    for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {
-      if (freeBlocks_[i].len != len) continue;
-      const std::uint32_t off = freeBlocks_[i].off;
-      freeBlocks_[i] = freeBlocks_.back();
-      freeBlocks_.pop_back();
-      std::copy(data.begin(), data.end(),
-                buf_.begin() + static_cast<std::ptrdiff_t>(off));
-      return off;
-    }
-    const auto off = static_cast<std::uint32_t>(buf_.size());
-    buf_.insert(buf_.end(), data.begin(), data.end());
-    peakBytes_ = buf_.size() > peakBytes_ ? buf_.size() : peakBytes_;
-    return off;
+    const Stored out{reserve(len),
+                     static_cast<std::uint32_t>(hw::nonZeroLength(data))};
+    std::memcpy(buf_.data() + out.off, data.data(), out.head);
+    return out;
   }
 
   [[nodiscard]] const std::byte* at(std::uint32_t off) const {
@@ -190,7 +216,9 @@ class PayloadArena {
     freeBlocks_.push_back(Block{off, len});
   }
 
-  /// Drops all storage (rank drain; nothing will be consumed again).
+  /// Forgets every payload (rank drain; nothing will be consumed again).
+  /// `= {}` picks the initializer-list assignment, so both vectors keep
+  /// their capacity, and capacityBytes() still counts it.
   void reset() {
     buf_ = {};
     freeBlocks_ = {};
@@ -207,7 +235,24 @@ class PayloadArena {
     std::uint32_t len;
   };
 
-  std::vector<std::byte> buf_;
+  /// Offset of a `len`-byte block: a recycled one of exactly that size,
+  /// else a new one at the end (grown without writing its bytes).
+  std::uint32_t reserve(std::uint32_t len) {
+    ++outstanding_;
+    for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {
+      if (freeBlocks_[i].len != len) continue;
+      const std::uint32_t off = freeBlocks_[i].off;
+      freeBlocks_[i] = freeBlocks_.back();
+      freeBlocks_.pop_back();
+      return off;
+    }
+    const auto off = static_cast<std::uint32_t>(buf_.size());
+    buf_.resize(buf_.size() + len);
+    peakBytes_ = std::max(peakBytes_, buf_.size());
+    return off;
+  }
+
+  std::vector<std::byte, DefaultInitAllocator<std::byte>> buf_;
   std::vector<Block> freeBlocks_;
   std::size_t outstanding_ = 0;
   std::size_t peakBytes_ = 0;

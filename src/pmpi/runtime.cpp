@@ -223,10 +223,13 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
                   });
   } else {
     // Eager: the payload is copied into the *destination* rank's arena at
-    // send time (the simulated copy-out), so the message itself stays a
-    // 48-byte ticket and the send buffer is free immediately.
-    msg.payloadOff = procs_[static_cast<std::size_t>(dstIdx)]
-                         .eagerPayloads.store(data);
+    // send time (the simulated copy-out; only its non-zero head is
+    // written), so the message itself stays a 48-byte ticket and the send
+    // buffer is free immediately.
+    const PayloadArena::Stored stored =
+        procs_[static_cast<std::size_t>(dstIdx)].eagerPayloads.store(data);
+    msg.payloadOff = stored.off;
+    msg.payloadHead = stored.head;
     reqState.done = true;
     transportSend(src.idx, dstIdx,
                   static_cast<double>(wireBytes) + params_.headerBytes,
@@ -250,14 +253,16 @@ Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf) {
     return matches(reqState, m);
   };
   std::optional<Proc::UnexpectedMsg> hit;
-  if (chooser_ == nullptr) {
+  if (chooser_ == nullptr || srcRank != AnySource) {
     hit = dst.unexpected.extractFirst(pred);
   } else {
     // Choice point: enumerate the per-source FIFO heads among the eligible
     // messages.  MPI's non-overtaking rule fixes the order *within* each
     // source, so the only legitimate freedom is which source a wildcard
-    // receive drains first; alternative 0 is the overall-first eligible
-    // message, i.e. exactly what extractFirst would have taken.
+    // receive drains first (a named source has one alternative, which
+    // extractFirst takes without enumerating); alternative 0 is the
+    // overall-first eligible message, i.e. exactly what extractFirst would
+    // have taken.
     std::vector<std::size_t> slots;
     std::vector<std::uint64_t> keys;
     dst.unexpected.forEachMatch(
@@ -375,8 +380,11 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
       throw std::runtime_error("pmpi: eager message truncates receive buffer");
     }
     if (msg.payloadLen > 0) {
-      std::memcpy(rs->recvBuf.data(), owner.eagerPayloads.at(msg.payloadOff),
-                  msg.payloadLen);
+      // The arena holds only the non-zero head; the block past it and the
+      // receive buffer may hold older bytes, so the zeros are written here.
+      std::byte* out = rs->recvBuf.data();
+      std::memcpy(out, owner.eagerPayloads.at(msg.payloadOff), msg.payloadHead);
+      std::memset(out + msg.payloadHead, 0, msg.payloadLen - msg.payloadHead);
       owner.eagerPayloads.release(msg.payloadOff, msg.payloadLen);
     }
     completeRequest(owner, req, msg.srcRank, msg.tag, msg.payloadLen);
@@ -466,14 +474,8 @@ Runtime::TransportChannel& Runtime::channel(int srcIdx, int dstIdx) {
   return channelSlab_[slot];
 }
 
-void Runtime::transportSend(int srcIdx, int dstIdx, double bytes,
-                            std::function<void()> deliver) {
-  if (!params_.reliable) {
-    const int srcEp = machine_.endpointOfNode(proc(srcIdx).nodeId);
-    const int dstEp = machine_.endpointOfNode(proc(dstIdx).nodeId);
-    fabric_.send(srcEp, dstEp, bytes, std::move(deliver));
-    return;
-  }
+void Runtime::transportSendReliable(int srcIdx, int dstIdx, double bytes,
+                                    std::function<void()> deliver) {
   TransportChannel& ch = channel(srcIdx, dstIdx);
   const std::uint32_t seq = ch.nextSendSeq++;
   TransportChannel::Inflight inf;

@@ -61,11 +61,13 @@ struct Proc {
 
   /// Compact enough (48 bytes) that the transport closures carrying one
   /// stay inside sim::EventFn's inline buffer — the eager payload lives in
-  /// the destination's PayloadArena, referenced by (offset, length).
+  /// the destination's PayloadArena, referenced by (offset, length), and
+  /// only its first payloadHead bytes are stored there (the rest is zero).
   struct UnexpectedMsg {
     int commId;
     int srcRank;
     int tag;
+    std::uint32_t payloadHead = 0;  ///< eager: stored non-zero head
     std::size_t bytes;             ///< wire size: what the fabric carries
     std::uint32_t payloadOff = 0;  ///< into the dst proc's eagerPayloads
     std::uint32_t payloadLen = 0;  ///< host payload, <= bytes (both paths)
@@ -286,6 +288,8 @@ class Runtime {
   // arrival, de-duplicates spurious retransmits, and releases frames to the
   // matching engine strictly in send order (a reorder buffer bridges gaps
   // left by dropped frames), preserving MPI's non-overtaking guarantee.
+  // The reliable path keeps deliveries as std::function: `mem.channel_bytes`
+  // counts window entries by their size, and brokenDedupForTest copies one.
   struct TransportChannel {
     struct Inflight {
       double bytes = 0.0;
@@ -300,10 +304,23 @@ class Runtime {
   };
 
   /// Sends `bytes` from proc `srcIdx` to proc `dstIdx` and runs `deliver`
-  /// at the destination.  Plain fabric send when reliable mode is off;
+  /// at the destination.  Plain fabric send when reliable mode is off, the
+  /// closure travelling as a sim::EventFn (inline up to 64 bytes);
   /// otherwise exactly-once, in-order delivery via the channel machinery.
-  void transportSend(int srcIdx, int dstIdx, double bytes,
-                     std::function<void()> deliver);
+  template <typename Deliver>
+  void transportSend(int srcIdx, int dstIdx, double bytes, Deliver&& deliver) {
+    if (params_.reliable) {
+      transportSendReliable(
+          srcIdx, dstIdx, bytes,
+          std::function<void()>(std::forward<Deliver>(deliver)));
+      return;
+    }
+    fabric_.send(machine_.endpointOfNode(proc(srcIdx).nodeId),
+                 machine_.endpointOfNode(proc(dstIdx).nodeId), bytes,
+                 sim::EventFn(std::forward<Deliver>(deliver)));
+  }
+  void transportSendReliable(int srcIdx, int dstIdx, double bytes,
+                             std::function<void()> deliver);
   TransportChannel& channel(int srcIdx, int dstIdx);
   void transmitFrame(int srcIdx, int dstIdx, std::uint32_t seq);
   void onFrameArrive(int srcIdx, int dstIdx, std::uint32_t seq);

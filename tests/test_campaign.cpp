@@ -147,6 +147,24 @@ TEST(Runner, SaturatedDelayIsReportedBeyondTheRange) {
   }
 }
 
+// An MTBF near SimTime's range draws a failure time of SimTime::max().
+// After the first attempt now() was added to it, which overflowed and put
+// the failure in the simulated past: 2 of these 6 worlds failed.  The sum
+// now saturates at SimTime::max(), where a draw at t = 0 already lands.
+TEST(Runner, FailureDrawNearTheTimeRangeSaturates) {
+  const CampaignReport rep = campaign::runCampaign(
+      campaign::buildCampaign(campaign::campaignSpecFromDescText(
+          R"({"campaign": "resilience",
+              "resilience": {"mtbf_sec": [1e9, 5e6], "ranks": 2}})",
+          "long-mtbf")),
+      campaign::withJobs(2));
+  ASSERT_EQ(rep.scenarios.size(), 6u);
+  EXPECT_EQ(rep.failedCount(), 0);
+  for (const auto& s : rep.scenarios) {
+    EXPECT_EQ(s.values.at("done"), 1.0) << s.name << ": " << s.error;
+  }
+}
+
 TEST(Runner, JobsZeroMeansHardwareConcurrency) {
   Campaign c;
   c.name = "jobs0";

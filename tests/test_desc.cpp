@@ -371,6 +371,25 @@ TEST(DescSchema, SecondsKeysOutOfRangeFailByName) {
             std::string::npos);
 }
 
+// mc's message-race delays are microseconds kept as doubles, and were read
+// unchecked: `"recv_warmup_us": 1e300` validated, then the run failed with
+// a negative delay naming neither key nor value.  Both keys now fail by
+// path once their picosecond count reaches 2^63 (about 9.22e12 us); just
+// below that they read as written.
+TEST(DescSchema, McMicrosKeysOutOfRangeFailByName) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"family": "message-race", "recv_warmup_us": %})", "recv_warmup_us"},
+      {R"({"family": "message-race", "recv_work_us": %})", "recv_work_us"},
+  };
+  expectTimeKeysFailByName(bindText<mc::scenarioFromDesc>, cases,
+                           {"1e300", "9.3e12"});
+  for (const auto& [text, path] : cases) {
+    std::string t = text;
+    t.replace(t.find('%'), 1, "9.2e12");
+    EXPECT_NO_THROW(bindText<mc::scenarioFromDesc>(t)) << path;
+  }
+}
+
 // ---- hw bindings: presets and validation -----------------------------------
 
 TEST(DescHw, MachinePresetMatchesAccessor) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "fault/plan.hpp"
 #include "obs/tracer.hpp"
+#include "pmpi/request_pool.hpp"
 #include "sim/rng.hpp"
 #include "world_fixture.hpp"
 
@@ -961,6 +964,188 @@ TEST(PmpiMemory, EmptyEagerPayloadDoesNotPinTheArena) {
   const std::size_t paced = arenaPeak(false);
   EXPECT_LE(paced, 2 * 100u);  // two ranks, 100 B each at most
   EXPECT_EQ(arenaPeak(true), paced);
+}
+
+/// The eager arena's bookkeeping as it was when every payload byte was
+/// copied in with std::vector::insert: the reference for the offsets,
+/// capacity and peak that PayloadArena must keep now that it writes only
+/// each payload's non-zero head.
+class InsertArena {
+ public:
+  std::uint32_t store(pmpi::ConstBytes data) {
+    if (data.empty()) return 0;
+    const auto len = static_cast<std::uint32_t>(data.size());
+    ++outstanding_;
+    for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {
+      if (freeBlocks_[i].len != len) continue;
+      const std::uint32_t off = freeBlocks_[i].off;
+      freeBlocks_[i] = freeBlocks_.back();
+      freeBlocks_.pop_back();
+      std::copy(data.begin(), data.end(),
+                buf_.begin() + static_cast<std::ptrdiff_t>(off));
+      return off;
+    }
+    const auto off = static_cast<std::uint32_t>(buf_.size());
+    buf_.insert(buf_.end(), data.begin(), data.end());
+    peakBytes_ = buf_.size() > peakBytes_ ? buf_.size() : peakBytes_;
+    return off;
+  }
+  void release(std::uint32_t off, std::uint32_t len) {
+    if (outstanding_ > 0) --outstanding_;
+    if (outstanding_ == 0) {
+      buf_.clear();
+      freeBlocks_.clear();
+      return;
+    }
+    freeBlocks_.push_back(Block{off, len});
+  }
+  void reset() {
+    buf_ = {};
+    freeBlocks_ = {};
+    outstanding_ = 0;
+  }
+  [[nodiscard]] std::size_t capacityBytes() const { return buf_.capacity(); }
+  [[nodiscard]] std::size_t peakBytes() const { return peakBytes_; }
+
+ private:
+  struct Block {
+    std::uint32_t off;
+    std::uint32_t len;
+  };
+  std::vector<std::byte> buf_;
+  std::vector<Block> freeBlocks_;
+  std::size_t outstanding_ = 0;
+  std::size_t peakBytes_ = 0;
+};
+
+// mem.payload_arena_bytes and mem.payload_arena_peak_bytes are report
+// keys, so the head-only arena must grow exactly like the old one: over a
+// seeded mix of stores (lengths that recycle and lengths that do not,
+// dense, zero-tailed and all-zero), releases in any order and drain
+// resets, every offset, capacity and peak equals the reference's.
+TEST(PmpiMemory, HeadOnlyArenaKeepsOffsetsCapacityAndPeak) {
+  static constexpr std::uint32_t kLens[] = {0, 1, 7, 8, 64, 64, 100, 1000,
+                                            4096, 5000, 8192, 8192};
+  pmpi::PayloadArena arena;
+  InsertArena ref;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> live;  // (off, len)
+  sim::Rng rng(31);
+  std::vector<std::byte> data;
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t pick = rng.below(100);
+    if (pick < 55) {
+      data.assign(kLens[rng.below(std::size(kLens))], std::byte{0});
+      const std::size_t head = data.empty() ? 0 : rng.below(data.size() + 1);
+      for (std::size_t i = 0; i < head; ++i) {
+        data[i] = static_cast<std::byte>(rng.below(256));
+      }
+      const pmpi::PayloadArena::Stored got = arena.store(data);
+      ASSERT_EQ(got.off, ref.store(data)) << "op " << op;
+      ASSERT_LE(got.head, data.size());
+      if (!data.empty()) {
+        live.emplace_back(got.off, static_cast<std::uint32_t>(data.size()));
+      }
+    } else if (pick < 99 && !live.empty()) {
+      const std::size_t i = rng.below(live.size());
+      const auto [off, len] = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      arena.release(off, len);
+      ref.release(off, len);
+    } else if (pick == 99) {
+      arena.reset();
+      ref.reset();
+      live.clear();
+    }
+    ASSERT_EQ(arena.capacityBytes(), ref.capacityBytes()) << "op " << op;
+    ASSERT_EQ(arena.peakBytes(), ref.peakBytes()) << "op " << op;
+  }
+  EXPECT_GT(ref.peakBytes(), 8192u);
+}
+
+/// Rank 0 sends each payload in turn and waits for an empty reply, so
+/// rank 1's arena drains before the next store and every payload lands on
+/// bytes an earlier one left behind.  Each is received into a buffer 8
+/// bytes longer than itself, pre-filled with 0xAA.
+std::vector<std::vector<std::byte>> receivePaced(
+    const std::vector<std::vector<std::byte>>& payloads) {
+  std::vector<std::vector<std::byte>> got(payloads.size());
+  World w;
+  w.runRanks(2, [&](Env& env) {
+    const Comm c = env.world();
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      if (env.rank() == 0) {
+        env.send(c, 1, 1, pmpi::ConstBytes(payloads[i]));
+        env.recv(c, 1, 2, pmpi::Bytes{});
+      } else {
+        got[i].assign(payloads[i].size() + 8, std::byte{0xAA});
+        const pmpi::Status st = env.recv(c, 0, 1, pmpi::Bytes(got[i]));
+        EXPECT_EQ(st.bytes, payloads[i].size());
+        env.send(c, 0, 2, pmpi::ConstBytes{});
+      }
+    }
+  });
+  return got;
+}
+
+// The arena holds only a payload's non-zero head, so the receiver writes
+// the zero tail: an empty payload, an all-zero one, one whose zeros start
+// inside a word, one that crosses the page-sized zero scan, and a dense
+// one arrive byte-exact over stale arena bytes, and the receive buffer
+// past the payload keeps its 0xAA.
+TEST(PmpiMemory, EagerPayloadsArriveByteExactOverStaleBytes) {
+  const auto bytes = [](std::size_t n, std::size_t head, unsigned char v) {
+    std::vector<std::byte> b(n, std::byte{0});
+    for (std::size_t i = 0; i < head; ++i) b[i] = std::byte{v};
+    return b;
+  };
+  const std::vector<std::vector<std::byte>> payloads = {
+      bytes(6000, 6000, 0x5A),  // dense: fills the arena with stale bytes
+      {},                       // empty
+      bytes(64, 0, 0),          // all zero
+      bytes(64, 13, 0x11),      // zero tail from byte 13, inside a word
+      bytes(6000, 4100, 0x22),  // zero tail past one 4 KiB scan step
+      bytes(61, 61, 0x33),      // non-zero last byte, odd length
+  };
+  const std::vector<std::vector<std::byte>> got = receivePaced(payloads);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    std::vector<std::byte> want = payloads[i];
+    want.resize(want.size() + 8, std::byte{0xAA});
+    EXPECT_EQ(got[i], want) << "payload " << i;
+  }
+}
+
+// A block recycled while another payload is outstanding still holds the
+// bytes of the payload it carried before: a dense 64 B payload, then a
+// 64 B payload that is zero past byte 3 in the same block, arrive exact.
+TEST(PmpiMemory, RecycledBlockArrivesByteExact) {
+  std::vector<std::byte> dense(64, std::byte{0x77});
+  std::vector<std::byte> sparse(64, std::byte{0});
+  sparse[0] = sparse[1] = sparse[2] = std::byte{0x44};
+  const std::vector<std::byte> pending(32, std::byte{0x66});
+  std::vector<std::byte> gotDense(64, std::byte{0xAA});
+  std::vector<std::byte> gotSparse(64, std::byte{0xAA});
+  std::vector<std::byte> gotPending(32, std::byte{0xAA});
+  World w;
+  w.runRanks(2, [&](Env& env) {
+    const Comm c = env.world();
+    if (env.rank() == 0) {
+      env.send(c, 1, 1, pmpi::ConstBytes(dense));
+      env.send(c, 1, 2, pmpi::ConstBytes(pending));  // keeps the arena busy
+      env.recv(c, 1, 9, pmpi::Bytes{});              // dense was consumed
+      env.send(c, 1, 3, pmpi::ConstBytes(sparse));   // reuses dense's block
+    } else {
+      env.recv(c, 0, 1, pmpi::Bytes(gotDense));
+      env.send(c, 0, 9, pmpi::ConstBytes{});
+      env.recv(c, 0, 3, pmpi::Bytes(gotSparse));
+      env.recv(c, 0, 2, pmpi::Bytes(gotPending));
+    }
+  });
+  EXPECT_EQ(gotDense, dense);
+  EXPECT_EQ(gotSparse, sparse);
+  EXPECT_EQ(gotPending, pending);
+  // 64 + 32 bytes: the sparse payload took the recycled block.
+  EXPECT_EQ(w.rt.memoryStats().payloadArenaPeakBytes, 96u);
 }
 
 TEST(PmpiMatchOrder, ReverseDrainSurvivesQueueCompaction) {
