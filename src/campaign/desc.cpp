@@ -1,5 +1,7 @@
 #include "campaign/desc.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -181,8 +183,15 @@ HaloParams haloParamsFromDesc(desc::Reader& r) {
     }
   }
   p.steps = r.int32At("steps", p.steps);
-  p.haloBytes = static_cast<std::size_t>(
-      r.uintAt("halo_bytes", static_cast<std::uint64_t>(p.haloBytes)));
+  if (r.has("halo_bytes")) {
+    const desc::Reader hb = r.child("halo_bytes");
+    const std::uint64_t n = hb.asUint();
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      hb.fail(std::to_string(n) + " bytes exceeds pmpi's 4 GiB message "
+              "limit (at most 4294967295)");
+    }
+    p.haloBytes = static_cast<std::size_t>(n);
+  }
   p.computeSec = hw::secondsAt(r, "compute_sec", p.computeSec);
   p.allreduceEvery = r.int32At("allreduce_every", p.allreduceEvery);
   p.fiberStackKb = r.int32At("fiber_stack_kb", p.fiberStackKb);

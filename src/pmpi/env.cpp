@@ -56,7 +56,7 @@ void Env::traceWait(SimTime start) {
            "pmpi", start, now);
 }
 
-void Env::wait(const Request& r) { waitTracked(r); }
+Status Env::wait(const Request& r) { return waitTracked(r); }
 
 void Env::waitAll(std::span<const Request> rs) {
   for (const Request& r : rs) waitTracked(r);
@@ -96,18 +96,25 @@ bool Env::iprobe(Comm c, int src, int tag, Status* st) {
   return true;
 }
 
-Request Env::postSend(Comm c, int dst, int tag, ConstBytes data,
-                      std::size_t wireBytes, Runtime::SendMode mode) {
+Request Env::postSend(Comm c, int dst, int tag, ConstBytes head,
+                      std::size_t len, std::size_t wireBytes,
+                      Runtime::SendMode mode) {
   checkUserTag(tag);
   // Injection: the sending CPU runs the MPI stack before returning.
   const SimTime ov = node().mpiSwOverhead;
   proc_.commSec += ov.toSeconds();
   ctx_.delay(ov);
-  return rt_.postSend(proc_, c, dst, tag, data, wireBytes, mode);
+  return rt_.postSend(proc_, c, dst, tag, head, len, wireBytes, mode);
 }
 
 Request Env::isend(Comm c, int dst, int tag, ConstBytes data) {
-  return postSend(c, dst, tag, data, data.size(), Runtime::SendMode::Standard);
+  return postSend(c, dst, tag, data, data.size(), data.size(),
+                  Runtime::SendMode::Standard);
+}
+
+Request Env::isendZeros(Comm c, int dst, int tag, std::size_t bytes) {
+  return postSend(c, dst, tag, ConstBytes{}, bytes, bytes,
+                  Runtime::SendMode::Standard);
 }
 
 Request Env::issend(Comm c, int dst, int tag, ConstBytes data) {
@@ -116,13 +123,18 @@ Request Env::issend(Comm c, int dst, int tag, ConstBytes data) {
 
 Request Env::issend(Comm c, int dst, int tag, ConstBytes data,
                     std::size_t wireBytes) {
-  return postSend(c, dst, tag, data, wireBytes,
+  return postSend(c, dst, tag, data, data.size(), wireBytes,
                   Runtime::SendMode::Synchronous);
 }
 
 Request Env::irecv(Comm c, int src, int tag, Bytes buf) {
   checkUserTag(tag);
-  return rt_.postRecv(proc_, c, src, tag, buf);
+  return rt_.postRecv(proc_, c, src, tag, buf, std::nullopt);
+}
+
+Request Env::irecvDiscard(Comm c, int src, int tag, std::size_t capacity) {
+  checkUserTag(tag);
+  return rt_.postRecv(proc_, c, src, tag, Bytes{}, capacity);
 }
 
 void Env::send(Comm c, int dst, int tag, ConstBytes data) {
@@ -131,8 +143,8 @@ void Env::send(Comm c, int dst, int tag, ConstBytes data) {
 
 void Env::send(Comm c, int dst, int tag, ConstBytes data,
                std::size_t wireBytes) {
-  waitTracked(
-      postSend(c, dst, tag, data, wireBytes, Runtime::SendMode::Standard));
+  waitTracked(postSend(c, dst, tag, data, data.size(), wireBytes,
+                       Runtime::SendMode::Standard));
 }
 
 void Env::ssend(Comm c, int dst, int tag, ConstBytes data) {

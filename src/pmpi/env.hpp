@@ -91,7 +91,20 @@ class Env {
                  std::size_t wireBytes);
   Request irecv(Comm c, int src, int tag, Bytes buf);
 
-  void wait(const Request& r);
+  /// Standard-mode send of `bytes` zero bytes that needs no host buffer:
+  /// it costs, simulates and counts exactly like isend of a zero-filled
+  /// `bytes`-byte buffer, its Status reports `bytes`, and a receive into a
+  /// buffer gets the zeros.  For payloads nobody reads (the halo stencil).
+  Request isendZeros(Comm c, int dst, int tag, std::size_t bytes);
+  /// Receive that keeps none of the message: matching, truncation (past
+  /// `capacity` bytes), completion time, Status and every counter are
+  /// those of irecv into a `capacity`-byte buffer, but there is no buffer
+  /// and nothing is copied.
+  Request irecvDiscard(Comm c, int src, int tag, std::size_t capacity);
+
+  /// Blocks until `r` completes; returns its Status (a receive's source,
+  /// tag and payload bytes).
+  Status wait(const Request& r);
   /// Nonblocking completion check (consumes no simulated time).  A null
   /// handle, or one whose operation already completed and was waited on,
   /// reports done (MPI's inactive-request semantics).
@@ -214,8 +227,9 @@ class Env {
   void checkUserTag([[maybe_unused]] int tag) const {
     assert(tag == AnyTag || tag >= 0);
   }
-  /// Charges the sender's MPI software overhead, then posts the send.
-  Request postSend(Comm c, int dst, int tag, ConstBytes data,
+  /// Charges the sender's MPI software overhead, then posts the send
+  /// (payload: `head`, then zeros up to `len`; see Runtime::postSend).
+  Request postSend(Comm c, int dst, int tag, ConstBytes head, std::size_t len,
                    std::size_t wireBytes, Runtime::SendMode mode);
   /// Blocks until `r` completes, charging the elapsed time to commSec.
   /// Returns the completion Status and releases the request's pool slot

@@ -17,17 +17,17 @@
 // the receiver rebuilds the zero tail.  Blocks are recycled by exact size
 // while traffic is in flight and the whole arena resets to offset zero
 // whenever it drains, so the arena's size tracks peak concurrent eager
-// bytes, not cumulative traffic.
+// bytes, not cumulative traffic.  Growing moves only the bytes written
+// since the last drain, so reserved bytes nobody wrote are never touched.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
-#include <new>
 #include <stdexcept>
-#include <type_traits>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "hw/blob.hpp"
@@ -39,15 +39,20 @@ namespace cbsim::pmpi {
 struct RequestState {
   bool done = false;
   bool isRecv = false;
+  /// Receive side: keeps none of the message.  recvBuf is empty, and the
+  /// receive takes up to discardCapacity bytes, as a buffer that long would.
+  bool discard = false;
   Status status;
 
   // Receive side: posted filter + destination buffer.
   int commId = -1;
   int srcFilter = AnySource;
   int tagFilter = AnyTag;
+  std::uint32_t discardCapacity = 0;
   Bytes recvBuf;
 
   // Send side (rendezvous): the source buffer must stay valid until done.
+  // It holds the payload's head; the payload is zero past it.
   ConstBytes sendBuf;
 
   // Pool bookkeeping (RequestPool only).
@@ -55,7 +60,15 @@ struct RequestState {
   int ownerProc = -1;          ///< proc whose drain reclaims this slot
   std::uint32_t prevOwned = 0xffffffffu;  ///< intrusive per-owner list
   std::uint32_t nextOwned = 0xffffffffu;
+
+  /// Receive side: the longest payload the receive takes without truncating.
+  [[nodiscard]] std::size_t recvCapacity() const {
+    return discard ? discardCapacity : recvBuf.size();
+  }
 };
+// mem.request_pool_bytes counts slots of this size: the discard fields sit
+// in what was padding.
+static_assert(sizeof(RequestState) == 88);
 
 class RequestPool {
  public:
@@ -155,28 +168,6 @@ class RequestPool {
   std::uint32_t freeHead_ = kNone;
 };
 
-/// std::allocator whose value-less construct() default-initializes, so
-/// growing a byte vector with resize() writes nothing into the new bytes.
-/// Capacity still follows the standard library's own growth rule.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  DefaultInitAllocator() = default;
-  template <typename U>
-  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
-  template <typename U>
-  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-};
-
 class PayloadArena {
  public:
   /// Where store() put a payload.
@@ -185,23 +176,26 @@ class PayloadArena {
     std::uint32_t head = 0;  ///< bytes written: up to the last non-zero one
   };
 
-  /// Reserves `data.size()` bytes and copies in `data`'s non-zero head
-  /// only; the rest of the block holds whatever it held before, so the
+  /// Reserves `len` bytes for a payload that is `head` followed by zeros
+  /// up to `len` (head.size() <= len), and copies in only head's non-zero
+  /// part; the rest of the block holds whatever it held before, so the
   /// reader writes the zero tail itself.  Prefers an exact-size recycled
   /// block (the homogeneous-message common case); otherwise bump-extends.
   /// An empty payload holds nothing and is never released, so it is not
   /// counted as outstanding either.
-  Stored store(ConstBytes data) {
-    if (data.empty()) return {};
-    const auto len = static_cast<std::uint32_t>(data.size());
+  Stored store(ConstBytes head, std::uint32_t len) {
+    if (len == 0) return {};
     const Stored out{reserve(len),
-                     static_cast<std::uint32_t>(hw::nonZeroLength(data))};
-    std::memcpy(buf_.data() + out.off, data.data(), out.head);
+                     static_cast<std::uint32_t>(hw::nonZeroLength(head))};
+    if (out.head > 0) {
+      std::memcpy(buf_.get() + out.off, head.data(), out.head);
+      written_ = std::max(written_, out.off + out.head);
+    }
     return out;
   }
 
   [[nodiscard]] const std::byte* at(std::uint32_t off) const {
-    return buf_.data() + off;
+    return buf_.get() + off;
   }
 
   /// Returns a block.  When the last outstanding payload drains, the
@@ -209,7 +203,8 @@ class PayloadArena {
   void release(std::uint32_t off, std::uint32_t len) {
     if (outstanding_ > 0) --outstanding_;  // saturate: brokenDedupForTest
     if (outstanding_ == 0) {               // double-delivers double-release
-      buf_.clear();
+      size_ = 0;
+      written_ = 0;
       freeBlocks_.clear();
       return;
     }
@@ -217,16 +212,16 @@ class PayloadArena {
   }
 
   /// Forgets every payload (rank drain; nothing will be consumed again).
-  /// `= {}` picks the initializer-list assignment, so both vectors keep
-  /// their capacity, and capacityBytes() still counts it.
+  /// The buffer keeps its capacity, and capacityBytes() still counts it.
   void reset() {
-    buf_ = {};
-    freeBlocks_ = {};
+    size_ = 0;
+    written_ = 0;
+    freeBlocks_.clear();
     outstanding_ = 0;
   }
 
   [[nodiscard]] std::size_t outstanding() const { return outstanding_; }
-  [[nodiscard]] std::size_t capacityBytes() const { return buf_.capacity(); }
+  [[nodiscard]] std::size_t capacityBytes() const { return capacity_; }
   [[nodiscard]] std::size_t peakBytes() const { return peakBytes_; }
 
  private:
@@ -236,26 +231,49 @@ class PayloadArena {
   };
 
   /// Offset of a `len`-byte block: a recycled one of exactly that size,
-  /// else a new one at the end (grown without writing its bytes).
+  /// else a new one at the end.  Offsets are 32-bit, so an arena that would
+  /// pass 4 GiB refuses before it grows.  Growth follows libstdc++'s
+  /// std::vector rule (mem.payload_arena_bytes reports the capacity) and
+  /// copies only the bytes below the written mark.
   std::uint32_t reserve(std::uint32_t len) {
-    ++outstanding_;
     for (std::size_t i = 0; i < freeBlocks_.size(); ++i) {
       if (freeBlocks_[i].len != len) continue;
       const std::uint32_t off = freeBlocks_[i].off;
       freeBlocks_[i] = freeBlocks_.back();
       freeBlocks_.pop_back();
+      ++outstanding_;
       return off;
     }
-    const auto off = static_cast<std::uint32_t>(buf_.size());
-    buf_.resize(buf_.size() + len);
-    peakBytes_ = std::max(peakBytes_, buf_.size());
+    const std::size_t end = std::size_t{size_} + len;
+    if (end > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error(
+          "pmpi: eager payload arena of " + std::to_string(size_) +
+          " bytes cannot take a " + std::to_string(len) +
+          "-byte payload: its offsets are 32-bit");
+    }
+    if (end > capacity_) {
+      const std::size_t grown = size_ + std::max<std::size_t>(size_, len);
+      auto buf = std::make_unique_for_overwrite<std::byte[]>(grown);
+      if (written_ > 0) std::memcpy(buf.get(), buf_.get(), written_);
+      buf_ = std::move(buf);
+      capacity_ = grown;
+    }
+    const std::uint32_t off = size_;
+    size_ = static_cast<std::uint32_t>(end);
+    peakBytes_ = std::max<std::size_t>(peakBytes_, size_);
+    ++outstanding_;
     return off;
   }
 
-  std::vector<std::byte, DefaultInitAllocator<std::byte>> buf_;
+  std::unique_ptr<std::byte[]> buf_;
+  std::size_t capacity_ = 0;
+  std::uint32_t size_ = 0;     ///< bytes reserved since the last drain
+  std::uint32_t written_ = 0;  ///< end of the highest head since then
   std::vector<Block> freeBlocks_;
-  std::size_t outstanding_ = 0;
+  std::uint32_t outstanding_ = 0;
   std::size_t peakBytes_ = 0;
 };
+// mem.proc_slab_bytes counts sizeof(Proc), which holds one arena.
+static_assert(sizeof(PayloadArena) == 64);
 
 }  // namespace cbsim::pmpi

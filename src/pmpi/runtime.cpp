@@ -167,17 +167,16 @@ bool Runtime::matches(const RequestState& r, const Proc::UnexpectedMsg& m) {
 }
 
 Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
-                          ConstBytes data, std::size_t wireBytes,
-                          SendMode mode) {
-  if (wireBytes < data.size()) [[unlikely]] {
+                          ConstBytes head, std::size_t len,
+                          std::size_t wireBytes, SendMode mode) {
+  if (wireBytes < len) [[unlikely]] {
     throw std::invalid_argument(
         "pmpi: wire size of " + std::to_string(wireBytes) +
-        " bytes is smaller than the " + std::to_string(data.size()) +
+        " bytes is smaller than the " + std::to_string(len) +
         "-byte payload");
   }
-  if (data.size() > std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
-    throw std::invalid_argument("pmpi: payload of " +
-                                std::to_string(data.size()) +
+  if (len > std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+    throw std::invalid_argument("pmpi: payload of " + std::to_string(len) +
                                 " bytes exceeds the 4 GiB message limit");
   }
   const int dstIdx = sendTarget(c, src.idx, dstRank);
@@ -196,7 +195,7 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
   msg.srcRank = srcRank;
   msg.tag = tag;
   msg.bytes = wireBytes;
-  msg.payloadLen = static_cast<std::uint32_t>(data.size());
+  msg.payloadLen = static_cast<std::uint32_t>(len);
   msg.srcProcIdx = src.idx;
   if (obs::Tracer* tr = engine().tracer()) {
     MetricIds& ids = metricIds();
@@ -214,7 +213,7 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
   if (rendezvous) {
     // RTS carries no payload; the sender's buffer is pinned in the request
     // until the RDMA transfer completes.
-    reqState.sendBuf = data;
+    reqState.sendBuf = head;
     msg.rendezvous = true;
     msg.sendReq = req;
     transportSend(src.idx, dstIdx, params_.ctrlMsgBytes,
@@ -227,7 +226,8 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
     // written), so the message itself stays a 48-byte ticket and the send
     // buffer is free immediately.
     const PayloadArena::Stored stored =
-        procs_[static_cast<std::size_t>(dstIdx)].eagerPayloads.store(data);
+        procs_[static_cast<std::size_t>(dstIdx)].eagerPayloads.store(
+            head, msg.payloadLen);
     msg.payloadOff = stored.off;
     msg.payloadHead = stored.head;
     reqState.done = true;
@@ -240,7 +240,8 @@ Request Runtime::postSend(Proc& src, Comm c, int dstRank, int tag,
   return req;
 }
 
-Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf) {
+Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf,
+                          std::optional<std::size_t> discardCapacity) {
   const Request req = newRequest(dst);
   RequestState& reqState = requests_.get(req);
   reqState.isRecv = true;
@@ -248,6 +249,13 @@ Request Runtime::postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf) {
   reqState.srcFilter = srcRank;
   reqState.tagFilter = tag;
   reqState.recvBuf = buf;
+  if (discardCapacity) {
+    // No message exceeds the 4 GiB limit, so the clamp decides no
+    // truncation differently.
+    reqState.discard = true;
+    reqState.discardCapacity = static_cast<std::uint32_t>(std::min<std::size_t>(
+        *discardCapacity, std::numeric_limits<std::uint32_t>::max()));
+  }
 
   const auto pred = [&](const Proc::UnexpectedMsg& m) {
     return matches(reqState, m);
@@ -376,15 +384,20 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
     // match and this completion; its receive buffer lives on the unwound
     // stack, so the copy must not happen.
     if (!procLive(owner)) return;
-    if (msg.payloadLen > rs->recvBuf.size()) {
+    if (msg.payloadLen > rs->recvCapacity()) {
       throw std::runtime_error("pmpi: eager message truncates receive buffer");
     }
     if (msg.payloadLen > 0) {
-      // The arena holds only the non-zero head; the block past it and the
-      // receive buffer may hold older bytes, so the zeros are written here.
-      std::byte* out = rs->recvBuf.data();
-      std::memcpy(out, owner.eagerPayloads.at(msg.payloadOff), msg.payloadHead);
-      std::memset(out + msg.payloadHead, 0, msg.payloadLen - msg.payloadHead);
+      if (!rs->discard) {
+        // The arena holds only the non-zero head; the block past it and
+        // the receive buffer may hold older bytes, so the zeros are
+        // written here.
+        std::byte* out = rs->recvBuf.data();
+        std::memcpy(out, owner.eagerPayloads.at(msg.payloadOff),
+                    msg.payloadHead);
+        std::memset(out + msg.payloadHead, 0,
+                    msg.payloadLen - msg.payloadHead);
+      }
       owner.eagerPayloads.release(msg.payloadOff, msg.payloadLen);
     }
     completeRequest(owner, req, msg.srcRank, msg.tag, msg.payloadLen);
@@ -393,7 +406,7 @@ void Runtime::completeEagerRecv(Proc& dst, Request req, Proc::UnexpectedMsg msg)
 
 void Runtime::startRendezvousTransfer(Proc& dst, Request req,
                                       Proc::UnexpectedMsg msg) {
-  if (msg.payloadLen > requests_.get(req).recvBuf.size()) {
+  if (msg.payloadLen > requests_.get(req).recvCapacity()) {
     throw std::runtime_error("pmpi: rendezvous message truncates receive buffer");
   }
   const hw::Node& dstNode = machine_.node(dst.nodeId);
@@ -426,8 +439,17 @@ void Runtime::startRendezvousTransfer(Proc& dst, Request req,
                       RequestState* rr = requests_.find(req);
                       RequestState* ss = requests_.find(msg.sendReq);
                       if (rr == nullptr || ss == nullptr) return;
-                      std::memcpy(rr->recvBuf.data(), ss->sendBuf.data(),
-                                  msg.payloadLen);
+                      if (!rr->discard && msg.payloadLen > 0) {
+                        // The sender's buffer holds the payload's head;
+                        // the rest of the payload is zero.
+                        const ConstBytes head = ss->sendBuf;
+                        std::byte* out = rr->recvBuf.data();
+                        if (!head.empty()) {
+                          std::memcpy(out, head.data(), head.size());
+                        }
+                        std::memset(out + head.size(), 0,
+                                    msg.payloadLen - head.size());
+                      }
                       completeRequest(dst, req, msg.srcRank, msg.tag,
                                       msg.payloadLen);
                       completeRequest(src, msg.sendReq, msg.srcRank, msg.tag,

@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -270,14 +271,21 @@ class Runtime {
   /// Called from within the sender's process context (Env).  Returns the
   /// send request; for eager standard sends it is already complete.
   ///
-  /// `wireBytes` (>= data.size(), else std::invalid_argument) is the
-  /// message's simulated size: the protocol choice, fabric volume,
-  /// counters and trace events see a zero-padded buffer of that size.
-  /// The host stores and copies only `data`, and the receiver's Status
-  /// reports data.size().
-  Request postSend(Proc& src, Comm c, int dstRank, int tag, ConstBytes data,
-                   std::size_t wireBytes, SendMode mode);
-  Request postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf);
+  /// The payload is `len` bytes: `head` (head.size() <= len), then zeros.
+  /// The host reads and copies only `head`; the receiver's Status reports
+  /// `len`, and a receive into a buffer gets the zeros written.
+  ///
+  /// `wireBytes` (>= len, else std::invalid_argument) is the message's
+  /// simulated size: the protocol choice, fabric volume, counters and
+  /// trace events see the payload zero-padded to that size.  Padding is
+  /// never delivered.
+  Request postSend(Proc& src, Comm c, int dstRank, int tag, ConstBytes head,
+                   std::size_t len, std::size_t wireBytes, SendMode mode);
+  /// Posts a receive into `buf`, or, given `discardCapacity`, one that
+  /// keeps nothing (`buf` empty) and takes up to that many bytes, exactly
+  /// as a receive into a buffer that long would.
+  Request postRecv(Proc& dst, Comm c, int srcRank, int tag, Bytes buf,
+                   std::optional<std::size_t> discardCapacity);
 
   void deliverEager(int dstProcIdx, Proc::UnexpectedMsg msg);
   void deliverRts(int dstProcIdx, Proc::UnexpectedMsg msg);

@@ -712,6 +712,22 @@ TEST(DescCampaign, ResilienceRejectsNegativeRestartDelay) {
       << msg;
 }
 
+// A halo travels as one pmpi message, whose length is 32-bit: a longer
+// halo_bytes fails at parse time by key path, not at every rank's first
+// send; the limit itself is accepted.
+TEST(DescCampaign, HaloBytesPastTheMessageLimitFailByName) {
+  const auto halo = [](const std::string& bytes) {
+    return campaign::campaignSpecFromDescText(
+        R"({"campaign": "halo", "halo": {"halo_bytes": )" + bytes + "}}", "t");
+  };
+  const std::string msg = errorOf([&] { (void)halo("4294967296"); });
+  EXPECT_NE(msg.find("t.halo.halo_bytes: 4294967296 bytes exceeds pmpi's "
+                     "4 GiB message limit (at most 4294967295)"),
+            std::string::npos)
+      << msg;
+  EXPECT_NO_THROW((void)halo("4294967295"));
+}
+
 // A resilience fault_plan is read against the params' machine, as mc's
 // fault is: names resolve, unknown ones are rejected by path, and the
 // dump keeps the index form.

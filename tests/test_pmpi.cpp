@@ -11,6 +11,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -1019,48 +1021,106 @@ class InsertArena {
 };
 
 // mem.payload_arena_bytes and mem.payload_arena_peak_bytes are report
-// keys, so the head-only arena must grow exactly like the old one: over a
-// seeded mix of stores (lengths that recycle and lengths that do not,
-// dense, zero-tailed and all-zero), releases in any order and drain
-// resets, every offset, capacity and peak equals the reference's.
+// keys, so the head-only arena must grow exactly like the old one: over
+// seeded mixes of stores (lengths that recycle and lengths that do not,
+// dense, zero-tailed and all-zero, handed over with and without part of
+// their zero tail), releases in any order and drain resets, every offset,
+// capacity and peak equals the reference's.  Growth moves only the bytes
+// written since the last drain, so every live payload's head must survive
+// each growth; each round starts a fresh arena so that many growths happen
+// under live heads.
 TEST(PmpiMemory, HeadOnlyArenaKeepsOffsetsCapacityAndPeak) {
   static constexpr std::uint32_t kLens[] = {0, 1, 7, 8, 64, 64, 100, 1000,
                                             4096, 5000, 8192, 8192};
-  pmpi::PayloadArena arena;
-  InsertArena ref;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> live;  // (off, len)
+  struct Live {
+    std::uint32_t off;
+    std::uint32_t head;            ///< bytes the arena wrote
+    std::vector<std::byte> data;   ///< the whole payload
+  };
+  const auto headsIntact = [](const pmpi::PayloadArena& arena,
+                              const std::vector<Live>& live) {
+    return std::all_of(live.begin(), live.end(), [&](const Live& l) {
+      return std::equal(l.data.begin(), l.data.begin() + l.head,
+                        arena.at(l.off));
+    });
+  };
   sim::Rng rng(31);
-  std::vector<std::byte> data;
-  for (int op = 0; op < 4000; ++op) {
-    const std::uint64_t pick = rng.below(100);
-    if (pick < 55) {
-      data.assign(kLens[rng.below(std::size(kLens))], std::byte{0});
-      const std::size_t head = data.empty() ? 0 : rng.below(data.size() + 1);
-      for (std::size_t i = 0; i < head; ++i) {
-        data[i] = static_cast<std::byte>(rng.below(256));
+  int growthsUnderLiveHeads = 0;
+  std::size_t maxPeak = 0;
+  for (int round = 0; round < 40; ++round) {
+    pmpi::PayloadArena arena;
+    InsertArena ref;
+    std::vector<Live> live;
+    for (int op = 0; op < 100; ++op) {
+      SCOPED_TRACE("round " + std::to_string(round) + " op " +
+                   std::to_string(op));
+      const std::size_t capacityBefore = arena.capacityBytes();
+      const bool liveHeads = std::any_of(
+          live.begin(), live.end(), [](const Live& l) { return l.head > 0; });
+      const std::uint64_t pick = rng.below(100);
+      if (pick < 55) {
+        std::vector<std::byte> data(kLens[rng.below(std::size(kLens))],
+                                    std::byte{0});
+        const std::size_t nonZero = rng.below(data.size() + 1);
+        for (std::size_t i = 0; i < nonZero; ++i) {
+          data[i] = static_cast<std::byte>(rng.below(256));
+        }
+        // The head handed over covers every non-zero byte, and maybe some
+        // of the zeros after them.
+        const std::size_t given = nonZero + rng.below(data.size() - nonZero + 1);
+        const auto len = static_cast<std::uint32_t>(data.size());
+        const pmpi::PayloadArena::Stored got =
+            arena.store(pmpi::ConstBytes(data).first(given), len);
+        ASSERT_EQ(got.off, ref.store(data));
+        ASSERT_LE(got.head, given);
+        if (len > 0) live.push_back(Live{got.off, got.head, std::move(data)});
+      } else if (pick < 99 && !live.empty()) {
+        const std::size_t i = rng.below(live.size());
+        const Live l = std::move(live[i]);
+        live[i] = std::move(live.back());
+        live.pop_back();
+        const auto len = static_cast<std::uint32_t>(l.data.size());
+        arena.release(l.off, len);
+        ref.release(l.off, len);
+      } else if (pick == 99) {
+        arena.reset();
+        ref.reset();
+        live.clear();
       }
-      const pmpi::PayloadArena::Stored got = arena.store(data);
-      ASSERT_EQ(got.off, ref.store(data)) << "op " << op;
-      ASSERT_LE(got.head, data.size());
-      if (!data.empty()) {
-        live.emplace_back(got.off, static_cast<std::uint32_t>(data.size()));
+      ASSERT_EQ(arena.capacityBytes(), ref.capacityBytes());
+      ASSERT_EQ(arena.peakBytes(), ref.peakBytes());
+      if (arena.capacityBytes() != capacityBefore) {
+        ASSERT_TRUE(headsIntact(arena, live));
+        growthsUnderLiveHeads += liveHeads ? 1 : 0;
       }
-    } else if (pick < 99 && !live.empty()) {
-      const std::size_t i = rng.below(live.size());
-      const auto [off, len] = live[i];
-      live[i] = live.back();
-      live.pop_back();
-      arena.release(off, len);
-      ref.release(off, len);
-    } else if (pick == 99) {
-      arena.reset();
-      ref.reset();
-      live.clear();
     }
-    ASSERT_EQ(arena.capacityBytes(), ref.capacityBytes()) << "op " << op;
-    ASSERT_EQ(arena.peakBytes(), ref.peakBytes()) << "op " << op;
+    ASSERT_TRUE(headsIntact(arena, live));
+    maxPeak = std::max(maxPeak, ref.peakBytes());
   }
-  EXPECT_GT(ref.peakBytes(), 8192u);
+  EXPECT_GT(maxPeak, 8192u);
+  EXPECT_GE(growthsUnderLiveHeads, 40);
+}
+
+// Offsets are 32-bit: an arena holding 16 bytes refuses a 0xFFFFFFFF-byte
+// payload by name before it grows (nothing is allocated) and stays usable.
+TEST(PmpiMemory, ArenaRefusesToOutgrowItsOffsets) {
+  pmpi::PayloadArena arena;
+  const std::vector<std::byte> dense(16, std::byte{0x5A});
+  ASSERT_EQ(arena.store(dense, 16).off, 0u);
+  try {
+    (void)arena.store(pmpi::ConstBytes{}, 0xFFFFFFFFu);
+    ADD_FAILURE() << "a 4 GiB arena offset wrapped";
+  } catch (const std::length_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "pmpi: eager payload arena of 16 bytes cannot take a "
+                 "4294967295-byte payload: its offsets are 32-bit");
+  }
+  EXPECT_EQ(arena.capacityBytes(), 16u);
+  EXPECT_EQ(arena.peakBytes(), 16u);
+  EXPECT_EQ(arena.outstanding(), 1u);
+  EXPECT_TRUE(std::equal(dense.begin(), dense.end(), arena.at(0)));
+  arena.release(0, 16);
+  EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 /// Rank 0 sends each payload in turn and waits for an empty reply, so
@@ -1368,6 +1428,184 @@ TEST(PmpiWireSize, ShortReceiveBufferTruncatesOnBothProtocols) {
           << e.what();
     }
   }
+}
+
+// ---- Zero payloads and discarding receives -------------------------------------
+
+/// What one message from rank 0 to rank 1 looked like from both ends, and
+/// everything the world counted.
+struct ZeroRun {
+  std::vector<std::byte> received;  ///< rank 1's buffer (buffer receives)
+  pmpi::Status status;              ///< rank 1's receive Status
+  std::size_t probedBytes = 0;      ///< iprobe's count (receive posted late)
+  double sendDone = -1.0;           ///< simulated instant the send completed
+  double recvDone = -1.0;
+  /// Every metric key with its value and maximum.
+  std::vector<std::tuple<std::string, double, double>> metrics;
+  std::vector<std::size_t> memory;  ///< every Runtime::MemoryStats field
+};
+
+/// Rank 0 sends `n` zero bytes twice, from a zero-filled buffer or
+/// (`zeros`) with isendZeros; rank 1 receives each into a `capacity`-byte
+/// buffer filled with 0xAA or (`discard`) with irecvDiscard(capacity).
+/// Each receive is posted at once or (`!recvFirst`) a millisecond after
+/// the message arrived, behind an iprobe.  The second message waits for
+/// an empty reply to the first, so it shows whether the first gave its
+/// eager block back.
+ZeroRun runZeros(std::size_t n, std::size_t capacity, bool zeros, bool discard,
+                 bool recvFirst, bool reliable) {
+  obs::Tracer tracer;
+  tracer.setMetricsOnly(true);
+  pmpi::ProtocolParams protocol;
+  protocol.reliable = reliable;
+  pmpi::World w(hw::MachineConfig::deepEr(2, 2), protocol,
+                sim::Engine::kDefaultSeed, &tracer);
+  ZeroRun out;
+  w.registry.add("zeros", [&](Env& env) {
+    const Comm c = env.world();
+    for (int round = 0; round < 2; ++round) {
+      if (env.rank() == 0) {
+        if (round > 0) env.recv(c, 1, 8, pmpi::Bytes{});
+        const std::vector<std::byte> buf(zeros ? 0 : n, std::byte{0});
+        env.wait(zeros ? env.isendZeros(c, 1, 7, n)
+                       : env.isend(c, 1, 7, pmpi::ConstBytes(buf)));
+        out.sendDone = env.wtime();
+        continue;
+      }
+      if (!discard) out.received.assign(capacity, std::byte{0xAA});
+      if (!recvFirst) {
+        env.computeDelay(1_ms);
+        pmpi::Status st;
+        EXPECT_TRUE(env.iprobe(c, 0, 7, &st));
+        out.probedBytes = st.bytes;
+      }
+      out.status = env.wait(
+          discard ? env.irecvDiscard(c, 0, 7, capacity)
+                  : env.irecv(c, 0, 7, pmpi::Bytes(out.received)));
+      out.recvDone = env.wtime();
+      if (round == 0) env.send(c, 0, 8, pmpi::ConstBytes{});
+    }
+  });
+  w.rt.launch("zeros", hw::NodeKind::Cluster, 2);
+  w.run();
+  for (const auto& [name, e] : tracer.metrics().entries()) {
+    out.metrics.emplace_back(name, e.value, e.max);
+  }
+  const pmpi::Runtime::MemoryStats m = w.rt.memoryStats();
+  out.memory = {m.procSlabBytes,        m.requestSlots,
+                m.requestPoolBytes,     m.payloadArenaBytes,
+                m.payloadArenaPeakBytes, m.matchQueueBytes,
+                m.matchQueuePeakEntries, m.channelCount,
+                m.channelBytes};
+  return out;
+}
+
+// Differential oracle for zero sends and discarding receives: each of the
+// three pairings that uses one must simulate exactly like an n-byte
+// zero-filled buffer sent into a buffer receive (completion instants, every
+// metric, Status, iprobe's count, memoryStats()), and a buffer receive of a
+// zero send gets n zeros over its 0xAA bytes.  Draws straddle the eager
+// threshold, with the receive posted before and after arrival, on the plain
+// and the reliable transport.
+TEST(PmpiZeroPayload, SimulatesLikeAZeroFilledBuffer) {
+  const std::size_t threshold = pmpi::ProtocolParams{}.eagerThreshold;
+  sim::Rng rng(0x7a65726f);
+  int eager = 0;
+  int rendezvous = 0;
+  for (int trial = 0; trial < 32; ++trial) {
+    const std::size_t n = trial % 4 == 3 ? 1 + rng.below(4 * threshold)
+                                         : threshold - 64 + rng.below(129);
+    const std::size_t capacity = n + rng.below(65);
+    const bool recvFirst = trial % 2 == 1;
+    const bool reliable = (trial / 2) % 2 == 1;
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + std::to_string(n) +
+                 " B into " + std::to_string(capacity) + " B, receive " +
+                 (recvFirst ? "first" : "late") +
+                 (reliable ? ", reliable" : ", plain"));
+    const ZeroRun ref = runZeros(n, capacity, false, false, recvFirst, reliable);
+    EXPECT_EQ(ref.status.bytes, n);
+    EXPECT_EQ(ref.status.source, 0);
+    EXPECT_EQ(ref.status.tag, 7);
+    if (!recvFirst) {
+      EXPECT_EQ(ref.probedBytes, n);
+    }
+    for (const auto& [zeros, discard] :
+         {std::pair{true, false}, std::pair{false, true}, std::pair{true, true}}) {
+      SCOPED_TRACE(std::string(zeros ? "isendZeros" : "isend") + " into " +
+                   (discard ? "irecvDiscard" : "irecv"));
+      const ZeroRun got = runZeros(n, capacity, zeros, discard, recvFirst,
+                                   reliable);
+      EXPECT_EQ(got.sendDone, ref.sendDone);
+      EXPECT_EQ(got.recvDone, ref.recvDone);
+      EXPECT_EQ(got.metrics, ref.metrics);
+      EXPECT_EQ(got.memory, ref.memory);
+      EXPECT_EQ(got.status.bytes, ref.status.bytes);
+      EXPECT_EQ(got.status.source, ref.status.source);
+      EXPECT_EQ(got.status.tag, ref.status.tag);
+      EXPECT_EQ(got.probedBytes, ref.probedBytes);
+      if (!discard) {
+        EXPECT_EQ(got.received, ref.received);
+      }
+    }
+    std::vector<std::byte> want(n, std::byte{0});
+    want.resize(capacity, std::byte{0xAA});
+    EXPECT_EQ(ref.received, want);
+    eager += n <= threshold ? 1 : 0;
+    rendezvous += n > threshold ? 1 : 0;
+  }
+  EXPECT_GT(eager, 4);
+  EXPECT_GT(rendezvous, 4);
+}
+
+// A discarding receive truncates like a buffer of its capacity: one byte
+// short fails by name on both protocols, while an exact fit and a capacity
+// past the 4 GiB message limit take the message.
+TEST(PmpiZeroPayload, DiscardingReceiveTruncatesLikeABuffer) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {4096, "pmpi: eager message truncates receive buffer"},
+      {65536, "pmpi: rendezvous message truncates receive buffer"}};
+  for (const auto& [n, expected] : cases) {
+    for (const std::size_t capacity : {n - 1, n, std::size_t{1} << 32}) {
+      SCOPED_TRACE(std::to_string(n) + " B into " + std::to_string(capacity));
+      World w;
+      pmpi::Status st;
+      w.registry.add("trunc", [&, n = n, capacity](Env& env) {
+        if (env.rank() == 0) {
+          env.wait(env.isendZeros(env.world(), 1, 1, n));
+        } else {
+          st = env.wait(env.irecvDiscard(env.world(), 0, 1, capacity));
+        }
+      });
+      w.rt.launch("trunc", hw::NodeKind::Cluster, 2);
+      try {
+        w.engine.run();
+        EXPECT_GE(capacity, n) << "a short discarding receive took the message";
+        EXPECT_EQ(st.bytes, n);
+      } catch (const std::runtime_error& e) {
+        EXPECT_LT(capacity, n) << e.what();
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// A zero send's length is checked like a buffer's: past 4 GiB it is
+// refused by name, with no buffer of that size anywhere.
+TEST(PmpiZeroPayload, PastFourGiBIsRejectedByName) {
+  World w;
+  std::string error;
+  w.registry.add("huge", [&](Env& env) {
+    try {
+      (void)env.isendZeros(env.world(), 0, 1, std::size_t{1} << 32);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+  });
+  w.rt.launch("huge", hw::NodeKind::Cluster, 1);
+  w.run();
+  EXPECT_EQ(error, "pmpi: payload of 4294967296 bytes exceeds the 4 GiB "
+                   "message limit");
 }
 
 }  // namespace
