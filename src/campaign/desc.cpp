@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "campaign/runner.hpp"
@@ -17,100 +18,100 @@
 
 namespace cbsim::campaign {
 
+template <class Io>
+void fields(Io& io, CheckpointScheme& s) {
+  io.string("label", s.label, desc::required);
+  io.object("scr", s.scr, scr::scrConfigFromDesc, desc::required);
+}
+
 namespace {
 
 CheckpointScheme checkpointSchemeFromDesc(desc::Reader& r) {
   CheckpointScheme s;
-  s.label = r.stringAt("label");
-  desc::Reader scr = r.child("scr");
-  s.scr = scr::scrConfigFromDesc(scr);
+  fields(r, s);
   r.finish();
   if (s.label.empty()) r.fail("label must be non-empty");
   return s;
 }
 
-desc::Value toDesc(const CheckpointScheme& s) {
-  desc::Value v = desc::Value::object();
-  v.set("label", desc::Value::string(s.label));
-  v.set("scr", scr::toDesc(s.scr));
-  return v;
+/// Fails with `key`'s path when `r` holds a halo longer than pmpi's
+/// message limit.
+void haloBytesAt(desc::Reader& r, std::size_t& haloBytes) {
+  if (!r.has("halo_bytes")) return;
+  const desc::Reader hb = r.child("halo_bytes");
+  const std::uint64_t n = hb.asUint();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    hb.fail(std::to_string(n) + " bytes exceeds pmpi's 4 GiB message "
+            "limit (at most 4294967295)");
+  }
+  haloBytes = static_cast<std::size_t>(n);
 }
 
 }  // namespace
 
+desc::Value toDesc(const CheckpointScheme& s) { return desc::write(s); }
+
+template <class Io>
+void fields(Io& io, Fig8Params& p) {
+  io.object("xpic", p.xpic, xpic::xpicConfigFromDesc);
+  io.object("machine", p.machine, hw::machineConfigFromDesc);
+  io.int32s("node_counts", p.nodeCounts);
+}
+
 Fig8Params fig8ParamsFromDesc(desc::Reader& r) {
   Fig8Params p;
-  if (auto x = r.tryChild("xpic")) p.xpic = xpic::xpicConfigFromDesc(*x);
-  if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
-  if (auto nc = r.tryChild("node_counts")) {
-    p.nodeCounts.clear();
-    for (std::size_t i = 0; i < nc->size(); ++i) {
-      p.nodeCounts.push_back(nc->item(i).asInt32());
-    }
-    if (p.nodeCounts.empty()) nc->fail("node_counts must be non-empty");
-    for (const int n : p.nodeCounts) {
-      if (n < 1) nc->fail("node counts must be >= 1");
-    }
-  }
+  fields(r, p);
   r.finish();
+  // Only a described list can be bad, so these fail at its path.
+  if (p.nodeCounts.empty()) {
+    r.child("node_counts").fail("node_counts must be non-empty");
+  }
+  for (const int n : p.nodeCounts) {
+    if (n < 1) r.child("node_counts").fail("node counts must be >= 1");
+  }
   return p;
 }
 
-desc::Value toDesc(const Fig8Params& p) {
-  desc::Value v = desc::Value::object();
-  v.set("xpic", xpic::toDesc(p.xpic));
-  v.set("machine", hw::toDesc(p.machine));
-  desc::Value counts = desc::Value::array();
-  for (const int n : p.nodeCounts) counts.push(desc::Value::integer(n));
-  v.set("node_counts", std::move(counts));
-  return v;
+desc::Value toDesc(const Fig8Params& p) { return desc::write(p); }
+
+template <class Io>
+void fields(Io& io, ResilienceParams& p) {
+  io.numbers("mtbf_sec", p.mtbfSec);
+  io.objects("schemes", p.schemes, checkpointSchemeFromDesc);
+  io.int32("ranks", p.ranks);
+  io.int32("steps", p.steps);
+  io.seconds("step_sec", p.stepSec);
+  io.unsignedInt("state_bytes", p.stateBytes);
+  io.int32("max_attempts", p.maxAttempts);
+  io.object("protocol", p.protocol, pmpi::protocolParamsFromDesc);
+  io.optional("machine", p.machine, hw::machineConfigFromDesc);
+  // The reader binds fault_plan last (see resilienceParamsFromDesc).
+  if constexpr (std::is_same_v<Io, desc::Writer>) {
+    io.optional("fault_plan", p.faultPlan, nullptr);
+  }
+  io.number("drop_prob", p.dropProb);
+  io.number("corrupt_prob", p.corruptProb);
+  io.number("degrade_factor", p.degradeFactor);
+  io.seconds("degrade_from_sec", p.degradeFromSec);
+  io.seconds("degrade_until_sec", p.degradeUntilSec);
+  io.seconds("flap_from_sec", p.flapFromSec);
+  io.seconds("flap_until_sec", p.flapUntilSec);
+  io.int32("spare_nodes", p.spareNodes);
+  io.seconds("repair_sec", p.repairSec);
+  io.seconds("first_failure_at_sec", p.firstFailureAtSec);
+  io.seconds("restart_delay_sec", p.restartDelaySec);
 }
 
 ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   ResilienceParams p;
-  if (auto m = r.tryChild("mtbf_sec")) {
-    p.mtbfSec.clear();
-    for (std::size_t i = 0; i < m->size(); ++i) {
-      p.mtbfSec.push_back(m->item(i).asNumber());
-    }
-    if (p.mtbfSec.empty()) m->fail("mtbf_sec must be non-empty");
-    for (const double s : p.mtbfSec) {
-      if (s <= 0) m->fail("MTBF values must be > 0 seconds");
-    }
-  }
-  if (r.has("schemes")) {
-    p.schemes.clear();
-    r.eachIn("schemes", [&](desc::Reader& el) {
-      p.schemes.push_back(checkpointSchemeFromDesc(el));
-    });
-    if (p.schemes.empty()) r.fail("schemes must be non-empty");
-  }
-  p.ranks = r.int32At("ranks", p.ranks);
-  p.steps = r.int32At("steps", p.steps);
-  p.stepSec = hw::secondsAt(r, "step_sec", p.stepSec);
-  p.stateBytes = static_cast<std::size_t>(
-      r.uintAt("state_bytes", static_cast<std::uint64_t>(p.stateBytes)));
-  p.maxAttempts = r.int32At("max_attempts", p.maxAttempts);
-  if (auto pr = r.tryChild("protocol")) {
-    p.protocol = pmpi::protocolParamsFromDesc(*pr);
-  }
-  if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
   std::optional<desc::Reader> plan = r.tryChild("fault_plan");
-  p.dropProb = r.numberAt("drop_prob", p.dropProb);
-  p.corruptProb = r.numberAt("corrupt_prob", p.corruptProb);
-  p.degradeFactor = r.numberAt("degrade_factor", p.degradeFactor);
-  p.degradeFromSec = hw::secondsAt(r, "degrade_from_sec", p.degradeFromSec);
-  p.degradeUntilSec =
-      hw::secondsAt(r, "degrade_until_sec", p.degradeUntilSec);
-  p.flapFromSec = hw::secondsAt(r, "flap_from_sec", p.flapFromSec);
-  p.flapUntilSec = hw::secondsAt(r, "flap_until_sec", p.flapUntilSec);
-  p.spareNodes = r.int32At("spare_nodes", p.spareNodes);
-  p.repairSec = hw::secondsAt(r, "repair_sec", p.repairSec);
-  p.firstFailureAtSec =
-      hw::secondsAt(r, "first_failure_at_sec", p.firstFailureAtSec);
-  p.restartDelaySec =
-      hw::secondsAt(r, "restart_delay_sec", p.restartDelaySec);
+  fields(r, p);
   r.finish();
+  if (p.mtbfSec.empty()) r.child("mtbf_sec").fail("mtbf_sec must be non-empty");
+  for (const double s : p.mtbfSec) {
+    if (s <= 0) r.child("mtbf_sec").fail("MTBF values must be > 0 seconds");
+  }
+  if (p.schemes.empty()) r.fail("schemes must be non-empty");
   if (p.ranks < 1) r.fail("ranks must be >= 1");
   if (p.steps < 1) r.fail("steps must be >= 1");
   if (p.stepSec <= 0) r.fail("step_sec must be > 0");
@@ -135,70 +136,35 @@ ResilienceParams resilienceParamsFromDesc(desc::Reader& r) {
   return p;
 }
 
-desc::Value toDesc(const ResilienceParams& p) {
-  desc::Value v = desc::Value::object();
-  desc::Value mtbf = desc::Value::array();
-  for (const double s : p.mtbfSec) mtbf.push(desc::Value::number(s));
-  v.set("mtbf_sec", std::move(mtbf));
-  desc::Value schemes = desc::Value::array();
-  for (const CheckpointScheme& s : p.schemes) schemes.push(toDesc(s));
-  v.set("schemes", std::move(schemes));
-  v.set("ranks", desc::Value::integer(p.ranks));
-  v.set("steps", desc::Value::integer(p.steps));
-  v.set("step_sec", desc::Value::number(p.stepSec));
-  v.set("state_bytes",
-        desc::Value::unsignedInt(static_cast<std::uint64_t>(p.stateBytes)));
-  v.set("max_attempts", desc::Value::integer(p.maxAttempts));
-  v.set("protocol", pmpi::toDesc(p.protocol));
-  if (p.machine) v.set("machine", hw::toDesc(*p.machine));
-  if (p.faultPlan) v.set("fault_plan", fault::toDesc(*p.faultPlan));
-  v.set("drop_prob", desc::Value::number(p.dropProb));
-  v.set("corrupt_prob", desc::Value::number(p.corruptProb));
-  v.set("degrade_factor", desc::Value::number(p.degradeFactor));
-  v.set("degrade_from_sec", desc::Value::number(p.degradeFromSec));
-  v.set("degrade_until_sec", desc::Value::number(p.degradeUntilSec));
-  v.set("flap_from_sec", desc::Value::number(p.flapFromSec));
-  v.set("flap_until_sec", desc::Value::number(p.flapUntilSec));
-  v.set("spare_nodes", desc::Value::integer(p.spareNodes));
-  v.set("repair_sec", desc::Value::number(p.repairSec));
-  v.set("first_failure_at_sec", desc::Value::number(p.firstFailureAtSec));
-  v.set("restart_delay_sec", desc::Value::number(p.restartDelaySec));
-  return v;
+desc::Value toDesc(const ResilienceParams& p) { return desc::write(p); }
+
+template <class Io>
+void fields(Io& io, HaloParams& p) {
+  io.object("machine", p.machine, hw::machineConfigFromDesc);
+  io.object("fabric", p.fabric, extoll::fabricOptionsFromDesc);
+  io.int32s("rank_counts", p.rankCounts);
+  io.int32("steps", p.steps);
+  if constexpr (std::is_same_v<Io, desc::Reader>) {
+    haloBytesAt(io, p.haloBytes);
+  } else {
+    io.unsignedInt("halo_bytes", p.haloBytes);
+  }
+  io.seconds("compute_sec", p.computeSec);
+  io.int32("allreduce_every", p.allreduceEvery);
+  io.int32("fiber_stack_kb", p.fiberStackKb);
+  io.object("protocol", p.protocol, pmpi::protocolParamsFromDesc);
 }
 
 HaloParams haloParamsFromDesc(desc::Reader& r) {
   HaloParams p;
-  if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
-  if (auto f = r.tryChild("fabric")) {
-    p.fabric = extoll::fabricOptionsFromDesc(*f);
-  }
-  if (auto rc = r.tryChild("rank_counts")) {
-    p.rankCounts.clear();
-    for (std::size_t i = 0; i < rc->size(); ++i) {
-      p.rankCounts.push_back(rc->item(i).asInt32());
-    }
-    if (p.rankCounts.empty()) rc->fail("rank_counts must be non-empty");
-    for (const int n : p.rankCounts) {
-      if (n < 1) rc->fail("rank counts must be >= 1");
-    }
-  }
-  p.steps = r.int32At("steps", p.steps);
-  if (r.has("halo_bytes")) {
-    const desc::Reader hb = r.child("halo_bytes");
-    const std::uint64_t n = hb.asUint();
-    if (n > std::numeric_limits<std::uint32_t>::max()) {
-      hb.fail(std::to_string(n) + " bytes exceeds pmpi's 4 GiB message "
-              "limit (at most 4294967295)");
-    }
-    p.haloBytes = static_cast<std::size_t>(n);
-  }
-  p.computeSec = hw::secondsAt(r, "compute_sec", p.computeSec);
-  p.allreduceEvery = r.int32At("allreduce_every", p.allreduceEvery);
-  p.fiberStackKb = r.int32At("fiber_stack_kb", p.fiberStackKb);
-  if (auto pr = r.tryChild("protocol")) {
-    p.protocol = pmpi::protocolParamsFromDesc(*pr);
-  }
+  fields(r, p);
   r.finish();
+  if (p.rankCounts.empty()) {
+    r.child("rank_counts").fail("rank_counts must be non-empty");
+  }
+  for (const int n : p.rankCounts) {
+    if (n < 1) r.child("rank_counts").fail("rank counts must be >= 1");
+  }
   if (p.steps < 1) r.fail("steps must be >= 1");
   if (p.haloBytes < 1) r.fail("halo_bytes must be >= 1");
   if (p.computeSec < 0) r.fail("compute_sec must be >= 0");
@@ -207,39 +173,22 @@ HaloParams haloParamsFromDesc(desc::Reader& r) {
   return p;
 }
 
-desc::Value toDesc(const HaloParams& p) {
-  desc::Value v = desc::Value::object();
-  v.set("machine", hw::toDesc(p.machine));
-  v.set("fabric", extoll::toDesc(p.fabric));
-  desc::Value counts = desc::Value::array();
-  for (const int n : p.rankCounts) counts.push(desc::Value::integer(n));
-  v.set("rank_counts", std::move(counts));
-  v.set("steps", desc::Value::integer(p.steps));
-  v.set("halo_bytes",
-        desc::Value::unsignedInt(static_cast<std::uint64_t>(p.haloBytes)));
-  v.set("compute_sec", desc::Value::number(p.computeSec));
-  v.set("allreduce_every", desc::Value::integer(p.allreduceEvery));
-  v.set("fiber_stack_kb", desc::Value::integer(p.fiberStackKb));
-  v.set("protocol", pmpi::toDesc(p.protocol));
-  return v;
+desc::Value toDesc(const HaloParams& p) { return desc::write(p); }
+
+template <class Io>
+void fields(Io& io, PingPongParams& p) {
+  io.object("machine", p.machine, hw::machineConfigFromDesc);
+  io.object("protocol", p.protocol, pmpi::protocolParamsFromDesc);
 }
 
 PingPongParams pingpongParamsFromDesc(desc::Reader& r) {
   PingPongParams p;
-  if (auto m = r.tryChild("machine")) p.machine = hw::machineConfigFromDesc(*m);
-  if (auto pr = r.tryChild("protocol")) {
-    p.protocol = pmpi::protocolParamsFromDesc(*pr);
-  }
+  fields(r, p);
   r.finish();
   return p;
 }
 
-desc::Value toDesc(const PingPongParams& p) {
-  desc::Value v = desc::Value::object();
-  v.set("machine", hw::toDesc(p.machine));
-  v.set("protocol", pmpi::toDesc(p.protocol));
-  return v;
-}
+desc::Value toDesc(const PingPongParams& p) { return desc::write(p); }
 
 namespace {
 
@@ -312,9 +261,11 @@ CampaignSpec campaignSpecFromDesc(desc::Reader& r) {
     }
     r.fail("unknown campaign kind \"" + spec.kind + "\"; known: " + known);
   }
-  spec.name = r.stringAt("name", spec.kind);
-  spec.description = r.stringAt("description", kind->description);
-  spec.baseSeed = r.uintAt("base_seed", spec.baseSeed);
+  spec.name = spec.kind;
+  spec.description = kind->description;
+  r.string("name", spec.name);
+  r.string("description", spec.description);
+  r.unsignedInt("base_seed", spec.baseSeed);
   if (auto params = r.tryChild(spec.kind)) kind->read(*params, spec);
   r.finish();
   if (spec.name.empty()) r.fail("name must be non-empty");

@@ -9,41 +9,41 @@ namespace cbsim::chaos {
 
 namespace {
 
-ChaosSpec chaosSpecFromDesc(desc::Reader& r) {
-  ChaosSpec spec;
-  spec.name = r.stringAt("name", spec.name);
-  spec.seed = r.uintAt("seed", spec.seed);
-  spec.trials = r.int32At("trials", spec.trials);
-  if (spec.trials < 1) r.fail("trials must be >= 1");
-  desc::Reader sc = r.child("scenario");
-  if (sc.has("fault")) {
-    sc.child("fault").fail(
+mc::McScenario chaosScenarioFromDesc(desc::Reader& r) {
+  if (r.has("fault")) {
+    r.child("fault").fail(
         "a chaos scenario carries no fault plan: every trial installs the "
         "plan it generates");
   }
-  spec.scenario = mc::scenarioFromDesc(sc);
-  desc::Reader pr = r.child("profile");
-  spec.profile = profileFromDesc(pr);
-  r.finish();
-  return spec;
-}
-
-desc::Value toDesc(const ChaosSpec& spec) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(spec.name));
-  v.set("seed", desc::Value::unsignedInt(spec.seed));
-  v.set("trials", desc::Value::integer(spec.trials));
-  v.set("scenario", mc::toDesc(spec.scenario));
-  v.set("profile", toDesc(spec.profile));
-  return v;
+  return mc::scenarioFromDesc(r);
 }
 
 }  // namespace
 
+template <class Io>
+void fields(Io& io, ChaosSpec& spec) {
+  io.string("name", spec.name);
+  io.unsignedInt("seed", spec.seed);
+  io.int32("trials", spec.trials);
+  io.object("scenario", spec.scenario, chaosScenarioFromDesc, desc::required);
+  io.object("profile", spec.profile, profileFromDesc, desc::required);
+}
+
+template <class Io>
+void fields(Io& io, Artifact& a) {
+  io.string("name", a.name, desc::required);
+  io.unsignedInt("trial_seed", a.trialSeed, desc::required);
+  io.string("violation", a.violation);
+  io.object("scenario", a.scenario, mc::scenarioFromDesc, desc::required);
+}
+
 ChaosSpec chaosSpecFromDoc(const desc::Value& doc, const std::string& origin) {
   desc::Reader root(doc, origin);
   desc::Reader c = root.child("chaos");
-  ChaosSpec spec = chaosSpecFromDesc(c);
+  ChaosSpec spec;
+  fields(c, spec);
+  c.finish();
+  if (spec.trials < 1) c.fail("trials must be >= 1");
   root.finish();
   return spec;
 }
@@ -55,7 +55,7 @@ ChaosSpec chaosSpecFromDescText(const std::string& text,
 
 std::string dumpSpec(const ChaosSpec& spec) {
   desc::Value doc = desc::Value::object();
-  doc.set("chaos", toDesc(spec));
+  doc.set("chaos", desc::write(spec));
   return desc::dump(doc);
 }
 
@@ -108,13 +108,8 @@ Artifact makeArtifact(const ChaosSpec& spec, const FuzzResult& r) {
 }
 
 std::string dumpArtifact(const Artifact& a) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(a.name));
-  v.set("trial_seed", desc::Value::unsignedInt(a.trialSeed));
-  v.set("violation", desc::Value::string(a.violation));
-  v.set("scenario", mc::toDesc(a.scenario));
   desc::Value doc = desc::Value::object();
-  doc.set("chaos_artifact", std::move(v));
+  doc.set("chaos_artifact", desc::write(a));
   return desc::dump(doc);
 }
 
@@ -122,11 +117,7 @@ Artifact artifactFromDoc(const desc::Value& doc, const std::string& origin) {
   desc::Reader root(doc, origin);
   desc::Reader r = root.child("chaos_artifact");
   Artifact a;
-  a.name = r.stringAt("name");
-  a.trialSeed = r.uintAt("trial_seed");
-  a.violation = r.stringAt("violation", "");
-  desc::Reader sc = r.child("scenario");
-  a.scenario = mc::scenarioFromDesc(sc);
+  fields(r, a);
   r.finish();
   root.finish();
   return a;

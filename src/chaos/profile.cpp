@@ -1,28 +1,8 @@
 #include "chaos/profile.hpp"
 
+#include <utility>
+
 namespace cbsim::chaos {
-
-namespace {
-
-void targetsFromDesc(desc::Reader& r, std::string_view key,
-                     std::vector<int>& out) {
-  if (!r.has(key)) return;
-  r.eachIn(key, [&](desc::Reader& t) {
-    const int v = t.asInt32();
-    if (v < 0) t.fail("target index must be non-negative");
-    out.push_back(v);
-  });
-}
-
-void targetsToDesc(desc::Value& v, const char* key,
-                   const std::vector<int>& targets) {
-  if (targets.empty()) return;
-  desc::Value arr = desc::Value::array();
-  for (int t : targets) arr.push(desc::Value::integer(t));
-  v.set(key, std::move(arr));
-}
-
-}  // namespace
 
 std::string ChaosProfile::validate() const {
   if (horizonSec <= 0) return "horizon_sec must be positive";
@@ -66,66 +46,56 @@ std::string ChaosProfile::validate() const {
   return "";
 }
 
+template <class Io>
+void fields(Io& io, ChaosProfile& p) {
+  io.seconds("horizon_sec", p.horizonSec);
+  io.number("endpoint_rate_hz", p.endpointRateHz);
+  io.number("trunk_rate_hz", p.trunkRateHz);
+  io.number("switch_rate_hz", p.switchRateHz);
+  io.number("nam_rate_hz", p.namRateHz);
+  io.number("crash_rate_hz", p.crashRateHz);
+  io.number("storm_rate_hz", p.stormRateHz);
+  io.seconds("window_min_sec", p.windowMinSec);
+  io.seconds("window_max_sec", p.windowMaxSec);
+  io.number("down_weight", p.downWeight);
+  io.number("degrade_min_factor", p.degradeMinFactor);
+  io.number("degrade_max_factor", p.degradeMaxFactor);
+  io.seconds("crash_restart_min_sec", p.crashRestartMinSec);
+  io.seconds("crash_restart_max_sec", p.crashRestartMaxSec);
+  io.int32("storm_min_size", p.stormMinSize);
+  io.int32("storm_max_size", p.stormMaxSize);
+  io.seconds("storm_span_sec", p.stormSpanSec);
+  io.number("drop_prob_max", p.dropProbMax);
+  io.number("corrupt_prob_max", p.corruptProbMax);
+  io.int32s("endpoint_targets", p.endpointTargets);
+  io.int32s("trunk_targets", p.trunkTargets);
+  io.int32s("switch_targets", p.switchTargets);
+  io.int32s("nam_targets", p.namTargets);
+  io.int32s("crash_targets", p.crashTargets);
+}
+
 ChaosProfile profileFromDesc(desc::Reader& r) {
   ChaosProfile p;
-  p.horizonSec = r.numberAt("horizon_sec", p.horizonSec);
-  p.endpointRateHz = r.numberAt("endpoint_rate_hz", p.endpointRateHz);
-  p.trunkRateHz = r.numberAt("trunk_rate_hz", p.trunkRateHz);
-  p.switchRateHz = r.numberAt("switch_rate_hz", p.switchRateHz);
-  p.namRateHz = r.numberAt("nam_rate_hz", p.namRateHz);
-  p.crashRateHz = r.numberAt("crash_rate_hz", p.crashRateHz);
-  p.stormRateHz = r.numberAt("storm_rate_hz", p.stormRateHz);
-  p.windowMinSec = r.numberAt("window_min_sec", p.windowMinSec);
-  p.windowMaxSec = r.numberAt("window_max_sec", p.windowMaxSec);
-  p.downWeight = r.numberAt("down_weight", p.downWeight);
-  p.degradeMinFactor = r.numberAt("degrade_min_factor", p.degradeMinFactor);
-  p.degradeMaxFactor = r.numberAt("degrade_max_factor", p.degradeMaxFactor);
-  p.crashRestartMinSec =
-      r.numberAt("crash_restart_min_sec", p.crashRestartMinSec);
-  p.crashRestartMaxSec =
-      r.numberAt("crash_restart_max_sec", p.crashRestartMaxSec);
-  p.stormMinSize = r.int32At("storm_min_size", p.stormMinSize);
-  p.stormMaxSize = r.int32At("storm_max_size", p.stormMaxSize);
-  p.stormSpanSec = r.numberAt("storm_span_sec", p.stormSpanSec);
-  p.dropProbMax = r.numberAt("drop_prob_max", p.dropProbMax);
-  p.corruptProbMax = r.numberAt("corrupt_prob_max", p.corruptProbMax);
-  targetsFromDesc(r, "endpoint_targets", p.endpointTargets);
-  targetsFromDesc(r, "trunk_targets", p.trunkTargets);
-  targetsFromDesc(r, "switch_targets", p.switchTargets);
-  targetsFromDesc(r, "nam_targets", p.namTargets);
-  targetsFromDesc(r, "crash_targets", p.crashTargets);
+  fields(r, p);
   r.finish();
+  const std::pair<const char*, const std::vector<int>*> targets[] = {
+      {"endpoint_targets", &p.endpointTargets},
+      {"trunk_targets", &p.trunkTargets},
+      {"switch_targets", &p.switchTargets},
+      {"nam_targets", &p.namTargets},
+      {"crash_targets", &p.crashTargets},
+  };
+  for (const auto& [key, list] : targets) {
+    for (std::size_t i = 0; i < list->size(); ++i) {
+      if ((*list)[i] < 0) {
+        r.child(key).item(i).fail("target index must be non-negative");
+      }
+    }
+  }
   if (std::string err = p.validate(); !err.empty()) r.fail(err);
   return p;
 }
 
-desc::Value toDesc(const ChaosProfile& p) {
-  desc::Value v = desc::Value::object();
-  v.set("horizon_sec", desc::Value::number(p.horizonSec));
-  v.set("endpoint_rate_hz", desc::Value::number(p.endpointRateHz));
-  v.set("trunk_rate_hz", desc::Value::number(p.trunkRateHz));
-  v.set("switch_rate_hz", desc::Value::number(p.switchRateHz));
-  v.set("nam_rate_hz", desc::Value::number(p.namRateHz));
-  v.set("crash_rate_hz", desc::Value::number(p.crashRateHz));
-  v.set("storm_rate_hz", desc::Value::number(p.stormRateHz));
-  v.set("window_min_sec", desc::Value::number(p.windowMinSec));
-  v.set("window_max_sec", desc::Value::number(p.windowMaxSec));
-  v.set("down_weight", desc::Value::number(p.downWeight));
-  v.set("degrade_min_factor", desc::Value::number(p.degradeMinFactor));
-  v.set("degrade_max_factor", desc::Value::number(p.degradeMaxFactor));
-  v.set("crash_restart_min_sec", desc::Value::number(p.crashRestartMinSec));
-  v.set("crash_restart_max_sec", desc::Value::number(p.crashRestartMaxSec));
-  v.set("storm_min_size", desc::Value::integer(p.stormMinSize));
-  v.set("storm_max_size", desc::Value::integer(p.stormMaxSize));
-  v.set("storm_span_sec", desc::Value::number(p.stormSpanSec));
-  v.set("drop_prob_max", desc::Value::number(p.dropProbMax));
-  v.set("corrupt_prob_max", desc::Value::number(p.corruptProbMax));
-  targetsToDesc(v, "endpoint_targets", p.endpointTargets);
-  targetsToDesc(v, "trunk_targets", p.trunkTargets);
-  targetsToDesc(v, "switch_targets", p.switchTargets);
-  targetsToDesc(v, "nam_targets", p.namTargets);
-  targetsToDesc(v, "crash_targets", p.crashTargets);
-  return v;
-}
+desc::Value toDesc(const ChaosProfile& p) { return desc::write(p); }
 
 }  // namespace cbsim::chaos

@@ -83,27 +83,12 @@ std::string Reader::stringAt(std::string_view key) {
   return require(key, Value::Kind::String).asString();
 }
 
-std::string Reader::stringAt(std::string_view key, std::string def) {
-  if (!has(key)) return def;
-  return stringAt(key);
-}
-
 bool Reader::boolAt(std::string_view key) {
   return require(key, Value::Kind::Bool).asBool();
 }
 
-bool Reader::boolAt(std::string_view key, bool def) {
-  if (!has(key)) return def;
-  return boolAt(key);
-}
-
 double Reader::numberAt(std::string_view key) {
   return require(key, Value::Kind::Number).asNumber();
-}
-
-double Reader::numberAt(std::string_view key, double def) {
-  if (!has(key)) return def;
-  return numberAt(key);
 }
 
 std::int64_t Reader::intAt(std::string_view key) {
@@ -111,26 +96,84 @@ std::int64_t Reader::intAt(std::string_view key) {
   return c.asInt();
 }
 
-std::int64_t Reader::intAt(std::string_view key, std::int64_t def) {
-  if (!has(key)) return def;
-  return intAt(key);
-}
-
 std::uint64_t Reader::uintAt(std::string_view key) {
   Reader c = child(key);
   return c.asUint();
 }
 
-std::uint64_t Reader::uintAt(std::string_view key, std::uint64_t def) {
-  if (!has(key)) return def;
-  return uintAt(key);
-}
-
 int Reader::int32At(std::string_view key) { return child(key).asInt32(); }
 
-int Reader::int32At(std::string_view key, int def) {
-  if (!has(key)) return def;
-  return int32At(key);
+void Reader::string(std::string_view key, std::string& v, Need need) {
+  if (need == Need::Required || has(key)) v = stringAt(key);
+}
+
+void Reader::boolean(std::string_view key, bool& v) {
+  if (has(key)) v = boolAt(key);
+}
+
+void Reader::int32(std::string_view key, int& v, Need need) {
+  if (need == Need::Required || has(key)) v = int32At(key);
+}
+
+void Reader::int64(std::string_view key, long& v) {
+  if (has(key)) v = intAt(key);
+}
+
+void Reader::number(std::string_view key, double& v) {
+  if (has(key)) v = numberAt(key);
+}
+
+void Reader::time(std::string_view key, sim::SimTime& v, double psPerUnit) {
+  if (!has(key)) return;
+  const Reader c = child(key);
+  const double ps = c.asNumber() * psPerUnit;
+  // 2^63 ps is the first count int64_t cannot hold.
+  if (!(ps >= 0.0 && ps < 0x1p63)) {
+    c.fail("time " + formatNumber(c.asNumber()) +
+           " out of range (must be >= 0 and below 2^63 picoseconds)");
+  }
+  v = sim::SimTime::ps(std::llround(ps));
+}
+
+namespace {
+
+/// Key `key` of `r` counting units of `psPerUnit` picoseconds, kept as a
+/// double; fails with the key's path once the picosecond count is not
+/// below 2^63.
+double unitsAt(Reader& r, std::string_view key, double psPerUnit) {
+  const Reader c = r.child(key);
+  const double n = c.asNumber();
+  if (!(n * psPerUnit < 0x1p63)) {
+    c.fail("time " + formatNumber(n) +
+           " out of range (must be below 2^63 picoseconds)");
+  }
+  return n;
+}
+
+}  // namespace
+
+void Reader::seconds(std::string_view key, double& v, Need need) {
+  if (need == Need::Required || has(key)) v = unitsAt(*this, key, kPsPerSec);
+}
+
+void Reader::micros(std::string_view key, double& v) {
+  if (has(key)) v = unitsAt(*this, key, kPsPerUs);
+}
+
+void Reader::int32s(std::string_view key, std::vector<int>& v) {
+  if (!has(key)) return;
+  const Reader arr = child(key);
+  const std::size_t n = arr.size();
+  v.clear();
+  for (std::size_t i = 0; i < n; ++i) v.push_back(arr.item(i).asInt32());
+}
+
+void Reader::numbers(std::string_view key, std::vector<double>& v) {
+  if (!has(key)) return;
+  const Reader arr = child(key);
+  const std::size_t n = arr.size();
+  v.clear();
+  for (std::size_t i = 0; i < n; ++i) v.push_back(arr.item(i).asNumber());
 }
 
 void Reader::finish() {
@@ -230,6 +273,20 @@ bool Reader::asBool() const {
     fail(std::string("expected bool, got ") + v_->kindName());
   }
   return v_->asBool();
+}
+
+void Writer::int32s(std::string_view key, const std::vector<int>& v) {
+  if (v.empty()) return;
+  Value arr = Value::array();
+  for (const int x : v) arr.push(Value::integer(x));
+  set(key, std::move(arr));
+}
+
+void Writer::numbers(std::string_view key, const std::vector<double>& v) {
+  if (v.empty()) return;
+  Value arr = Value::array();
+  for (const double x : v) arr.push(Value::number(x));
+  set(key, std::move(arr));
 }
 
 std::string readFile(const std::string& path) {

@@ -2,43 +2,50 @@
 
 namespace cbsim::extoll {
 
+namespace {
+
+RoutingMode routingFromDesc(desc::Reader& r) {
+  const std::string& routing = r.asString();
+  if (routing == "auto") return RoutingMode::Auto;
+  if (routing == "enumerated") return RoutingMode::Enumerated;
+  if (routing == "structural") return RoutingMode::Structural;
+  r.fail("routing must be \"auto\", \"enumerated\", or \"structural\"");
+}
+
+CongestionModel modelFromDesc(desc::Reader& r) {
+  const std::string& model = r.asString();
+  if (model == "packet") return CongestionModel::Packet;
+  if (model == "flow") return CongestionModel::Flow;
+  r.fail("model must be \"packet\" or \"flow\"");
+}
+
+}  // namespace
+
+// Static rather than in the unnamed namespace: desc::Writer finds a
+// field's toDesc by argument-dependent lookup.
+static desc::Value toDesc(RoutingMode m) {
+  return desc::Value::string(m == RoutingMode::Enumerated   ? "enumerated"
+                             : m == RoutingMode::Structural ? "structural"
+                                                            : "auto");
+}
+
+static desc::Value toDesc(CongestionModel m) {
+  return desc::Value::string(m == CongestionModel::Flow ? "flow" : "packet");
+}
+
+template <class Io>
+void fields(Io& io, FabricOptions& o) {
+  io.object("routing", o.routing, routingFromDesc);
+  io.object("model", o.model, modelFromDesc);
+}
+
 FabricOptions fabricOptionsFromDesc(desc::Reader& r) {
   FabricOptions o;
-  const std::string routing = r.stringAt("routing", "auto");
-  if (routing == "auto") {
-    o.routing = RoutingMode::Auto;
-  } else if (routing == "enumerated") {
-    o.routing = RoutingMode::Enumerated;
-  } else if (routing == "structural") {
-    o.routing = RoutingMode::Structural;
-  } else {
-    r.fail("routing must be \"auto\", \"enumerated\", or \"structural\"");
-  }
-  const std::string model = r.stringAt("model", "packet");
-  if (model == "packet") {
-    o.model = CongestionModel::Packet;
-  } else if (model == "flow") {
-    o.model = CongestionModel::Flow;
-  } else {
-    r.fail("model must be \"packet\" or \"flow\"");
-  }
-  o.routeCacheCap = static_cast<std::size_t>(
-      r.uintAt("route_cache_cap", o.routeCacheCap));
-  if (o.routeCacheCap == 0) r.fail("route_cache_cap must be >= 1");
+  fields(r, o);
   r.finish();
   return o;
 }
 
-desc::Value toDesc(const FabricOptions& o) {
-  desc::Value v = desc::Value::object();
-  const char* routing = o.routing == RoutingMode::Enumerated   ? "enumerated"
-                        : o.routing == RoutingMode::Structural ? "structural"
-                                                               : "auto";
-  v.set("routing", desc::Value::string(routing));
-  v.set("model", desc::Value::string(
-                     o.model == CongestionModel::Flow ? "flow" : "packet"));
-  v.set("route_cache_cap", desc::Value::unsignedInt(o.routeCacheCap));
-  return v;
-}
+desc::Value toDesc(const FabricOptions& o) { return desc::write(o); }
 
 }  // namespace cbsim::extoll

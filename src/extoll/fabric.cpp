@@ -219,7 +219,7 @@ const Fabric::Path& Fabric::route(int srcEp, int dstEp) const {
     bridgeScratch_ = std::move(p);
     return bridgeScratch_;
   }
-  if (pathCache_.size() >= options_.routeCacheCap) pathCache_.clear();
+  if (pathCache_.size() >= kRouteCacheCap) pathCache_.clear();
   return pathCache_.emplace(key, std::move(p)).first->second;
 }
 

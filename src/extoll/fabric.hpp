@@ -68,11 +68,6 @@ enum class CongestionModel { Packet, Flow };
 struct FabricOptions {
   RoutingMode routing = RoutingMode::Auto;
   CongestionModel model = CongestionModel::Packet;
-  /// Route-cache entry cap (see Fabric::routeCacheSize): the memo is
-  /// cleared wholesale when it reaches this many entries.  Large worlds
-  /// with random traffic can cap it low to bound memory; structural
-  /// routing makes a miss O(1) anyway.
-  std::size_t routeCacheCap = 1u << 20;
 };
 
 class Fabric {
@@ -299,6 +294,9 @@ class Fabric {
     bool forward;
   };
   std::vector<std::vector<Edge>> switchAdj_;
+  /// Route-cache entry cap (see routeCacheSize): the memo is cleared
+  /// wholesale when it reaches this many entries, bounding its memory.
+  static constexpr std::size_t kRouteCacheCap = std::size_t{1} << 20;
   /// Memoized routing decisions.  Mutable: route() is logically const (the
   /// topology is frozen at construction) and worlds are single-threaded.
   mutable std::unordered_map<std::uint64_t, Path> pathCache_;

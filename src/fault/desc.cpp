@@ -9,12 +9,6 @@ namespace cbsim::fault {
 
 namespace {
 
-sim::SimTime timeFromSec(double s) { return sim::SimTime::seconds(s); }
-
-double secFromTime(sim::SimTime t) {
-  return static_cast<double>(t.picos()) / 1e12;
-}
-
 /// Reads a target reference that is an index, or — when `machine` is
 /// present — a name resolved through `resolve`.  Without a machine context
 /// a name is an error: there is nothing to resolve it against.
@@ -69,34 +63,33 @@ constexpr WindowKeys kWindows[] = {
 
 /// Reads the optional storm tag and checks out the fault's object.
 void finishFault(desc::Reader& r, Fault& f, FaultPlan& p) {
-  f.storm = r.int32At("storm", -1);
+  r.int32("storm", f.storm);
   if (f.storm < -1) r.fail("storm must be a non-negative id");
   r.finish();
   p.add(f);
 }
 
 desc::Value faultToDesc(const Fault& f, const char* targetKey) {
-  desc::Value o = desc::Value::object();
-  o.set(targetKey, desc::Value::integer(f.target));
+  desc::Writer w;
+  w.int32(targetKey, f.target);
   if (f.isWindow()) {
-    o.set("from_sec", desc::Value::number(secFromTime(f.from)));
-    o.set("until_sec", desc::Value::number(secFromTime(f.until)));
-    o.set("bw_factor", desc::Value::number(f.bwFactor));
+    w.time("from_sec", f.from, desc::kPsPerSec);
+    w.time("until_sec", f.until, desc::kPsPerSec);
+    w.number("bw_factor", f.bwFactor);
   } else {
-    o.set("at_sec", desc::Value::number(secFromTime(f.from)));
-    o.set("restart_after_sec",
-          desc::Value::number(secFromTime(f.restartAfter)));
+    w.time("at_sec", f.from, desc::kPsPerSec);
+    w.time("restart_after_sec", f.restartAfter, desc::kPsPerSec);
   }
-  if (f.storm >= 0) o.set("storm", desc::Value::integer(f.storm));
-  return o;
+  if (f.storm >= 0) w.int32("storm", f.storm);
+  return w.take();
 }
 
 }  // namespace
 
 FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
   FaultPlan p;
-  p.dropProb = r.numberAt("drop_prob", p.dropProb);
-  p.corruptProb = r.numberAt("corrupt_prob", p.corruptProb);
+  r.number("drop_prob", p.dropProb);
+  r.number("corrupt_prob", p.corruptProb);
   if (p.dropProb < 0.0 || p.dropProb > 1.0) {
     r.fail("drop_prob must be in [0, 1]");
   }
@@ -108,15 +101,17 @@ FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
     r.eachIn(k.array, [&](desc::Reader& w) {
       Fault f{.kind = k.kind,
               .target = targetAt(w, k.target, machine, k.resolve)};
-      const double from = w.numberAt("from_sec");
-      const double until = w.numberAt("until_sec");
-      f.bwFactor = w.numberAt("bw_factor", 0.0);
+      double from = 0;
+      double until = 0;
+      w.seconds("from_sec", from, desc::required);
+      w.seconds("until_sec", until, desc::required);
+      w.number("bw_factor", f.bwFactor);
       if (until <= from) w.fail("until_sec must be greater than from_sec");
       if (f.bwFactor < 0.0 || f.bwFactor > 1.0) {
         w.fail("bw_factor must be in [0, 1]");
       }
-      f.from = timeFromSec(from);
-      f.until = timeFromSec(until);
+      f.from = sim::SimTime::seconds(from);
+      f.until = sim::SimTime::seconds(until);
       finishFault(w, f, p);
     });
   }
@@ -124,10 +119,14 @@ FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
     r.eachIn("node_crashes", [&](desc::Reader& c) {
       Fault f{.kind = Kind::Crash,
               .target = targetAt(c, "node", machine, resolveNode)};
-      f.from = timeFromSec(c.numberAt("at_sec"));
-      const double restart = c.numberAt("restart_after_sec");
+      double at = 0;
+      double restart = 0;
+      c.seconds("at_sec", at, desc::required);
+      c.seconds("restart_after_sec", restart, desc::required);
+      if (at < 0.0) c.fail("at_sec must be >= 0");
       if (restart <= 0.0) c.fail("restart_after_sec must be positive");
-      f.restartAfter = timeFromSec(restart);
+      f.from = sim::SimTime::seconds(at);
+      f.restartAfter = sim::SimTime::seconds(restart);
       finishFault(c, f, p);
     });
   }
@@ -139,9 +138,9 @@ FaultPlan faultPlanFromDesc(desc::Reader& r, const hw::MachineConfig* machine) {
 }
 
 desc::Value toDesc(const FaultPlan& p) {
-  desc::Value v = desc::Value::object();
-  v.set("drop_prob", desc::Value::number(p.dropProb));
-  v.set("corrupt_prob", desc::Value::number(p.corruptProb));
+  desc::Writer v;
+  v.number("drop_prob", p.dropProb);
+  v.number("corrupt_prob", p.corruptProb);
   // One array per kind, ordered by target and, within a target, by
   // insertion (the order its window factors multiply in).
   for (const WindowKeys& k : kWindows) {
@@ -164,7 +163,7 @@ desc::Value toDesc(const FaultPlan& p) {
     for (const Fault& f : crashes) arr.push(faultToDesc(f, "node"));
     v.set("node_crashes", std::move(arr));
   }
-  return v;
+  return v.take();
 }
 
 }  // namespace cbsim::fault

@@ -1,7 +1,8 @@
 #include "hw/desc.hpp"
 
-#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace cbsim::hw {
@@ -285,52 +286,6 @@ std::vector<T> parsePresets(const PresetEntry (&table)[N], const char* what,
 
 }  // namespace
 
-// ---- SimTime <-> description numbers ---------------------------------------
-
-sim::SimTime timeAt(desc::Reader& r, std::string_view key, double picosPerUnit,
-                    sim::SimTime def) {
-  if (!r.has(key)) return def;
-  const desc::Reader v = r.child(key);
-  const double ps = v.asNumber() * picosPerUnit;
-  // 2^63 ps is the first count int64_t cannot hold.
-  if (!(ps >= 0.0 && ps < 0x1p63)) {
-    v.fail("time " + desc::formatNumber(v.asNumber()) +
-           " out of range (must be >= 0 and below 2^63 picoseconds)");
-  }
-  return sim::SimTime::ps(std::llround(ps));
-}
-
-namespace {
-
-/// Optional key `key` of `r` counting units of `picosPerUnit` picoseconds,
-/// kept as a double; fails with the key's path once the picosecond count
-/// is not below 2^63.
-double unitsAt(desc::Reader& r, std::string_view key, double picosPerUnit,
-               double def) {
-  if (!r.has(key)) return def;
-  const desc::Reader v = r.child(key);
-  const double n = v.asNumber();
-  if (!(n * picosPerUnit < 0x1p63)) {
-    v.fail("time " + desc::formatNumber(n) +
-           " out of range (must be below 2^63 picoseconds)");
-  }
-  return n;
-}
-
-}  // namespace
-
-double secondsAt(desc::Reader& r, std::string_view key, double def) {
-  return unitsAt(r, key, 1e12, def);
-}
-
-double microsAt(desc::Reader& r, std::string_view key, double def) {
-  return unitsAt(r, key, kPsPerUs, def);
-}
-
-double nsFromTime(sim::SimTime t) {
-  return static_cast<double>(t.picos()) / 1000.0;
-}
-
 // ---- NodeKind <-> description key ------------------------------------------
 
 const char* nodeKindKey(NodeKind k) {
@@ -355,165 +310,204 @@ NodeKind nodeKindFromKey(desc::Reader& r) {
          "\" (expected cluster, booster, storage, bridge or analytics)");
 }
 
+// The enum writers are static rather than in the unnamed namespace:
+// desc::Writer finds a field's toDesc by argument-dependent lookup.
+static desc::Value toDesc(NodeKind k) {
+  return desc::Value::string(nodeKindKey(k));
+}
+
+namespace {
+
+TopologySpec::Kind topologyKindFromDesc(desc::Reader& r) {
+  const std::string& kind = r.asString();
+  if (kind == "fat-tree") return TopologySpec::Kind::FatTree;
+  if (kind == "dragonfly") return TopologySpec::Kind::Dragonfly;
+  r.fail("unknown topology kind \"" + kind +
+         "\" (expected fat-tree or dragonfly)");
+}
+
+}  // namespace
+
+static desc::Value toDesc(TopologySpec::Kind k) {
+  return desc::Value::string(k == TopologySpec::Kind::FatTree ? "fat-tree"
+                                                              : "dragonfly");
+}
+
+// ---- Field lists -----------------------------------------------------------
+
+template <class Io>
+void fields(Io& io, CpuSpec& s) {
+  io.string("model", s.model);
+  io.string("microarchitecture", s.microarchitecture);
+  io.int32("sockets", s.sockets);
+  io.int32("cores", s.cores);
+  io.int32("threads_per_core", s.threadsPerCore);
+  io.number("freq_ghz", s.freqGHz);
+  io.number("flops_per_cycle_per_core", s.flopsPerCyclePerCore);
+  io.number("scalar_ipc", s.scalarIpc);
+  io.number("mem_bw_gbs", s.memBwGBs);
+  io.number("fast_mem_bw_gbs", s.fastMemBwGBs);
+  io.number("fast_mem_gib", s.fastMemGiB);
+  io.number("mem_gib", s.memGiB);
+  io.number("gather_scatter_eff", s.gatherScatterEff);
+  io.number("fork_join_base_cycles", s.forkJoinBaseCycles);
+  io.number("fork_join_per_thread_cycles", s.forkJoinPerThreadCycles);
+}
+
+template <class Io>
+void fields(Io& io, NetClassSpec& s) {
+  io.string("name", s.name);
+  io.number("link_bandwidth_gbs", s.linkBandwidthGBs);
+  io.number("protocol_efficiency", s.protocolEfficiency);
+  io.time("nic_latency_ns", s.nicLatency, desc::kPsPerNs);
+  io.time("switch_latency_ns", s.switchLatency, desc::kPsPerNs);
+  io.time("wire_latency_ns", s.wireLatency, desc::kPsPerNs);
+}
+
+/// NvmeSpec and DiskSpec share their keys.
+template <class Io, class Storage>
+void storageFields(Io& io, Storage& s) {
+  io.string("model", s.model);
+  io.number("capacity_gb", s.capacityGB);
+  io.number("read_bw_gbs", s.readBwGBs);
+  io.number("write_bw_gbs", s.writeBwGBs);
+  io.time("latency_ns", s.latency, desc::kPsPerNs);
+}
+
+template <class Io>
+void fields(Io& io, NvmeSpec& s) { storageFields(io, s); }
+
+template <class Io>
+void fields(Io& io, DiskSpec& s) { storageFields(io, s); }
+
+template <class Io>
+void fields(Io& io, NamSpec& s) {
+  io.string("model", s.model);
+  io.number("capacity_gb", s.capacityGB);
+  io.number("bandwidth_gbs", s.bandwidthGBs);
+  io.time("access_latency_ns", s.accessLatency, desc::kPsPerNs);
+}
+
+template <class Io>
+void fields(Io& io, SwitchSpec& s) {
+  io.string("name", s.name);
+  io.object("net", s.net, netClassSpecFromDesc);
+}
+
+template <class Io>
+void fields(Io& io, TrunkSpec& s) {
+  io.int32("switch_a", s.switchA, desc::required);
+  io.int32("switch_b", s.switchB, desc::required);
+  io.number("bandwidth_gbs", s.bandwidthGBs);
+  io.time("latency_ns", s.latency, desc::kPsPerNs);
+}
+
+template <class Io>
+void fields(Io& io, NodeGroupSpec& g) {
+  io.object("kind", g.kind, nodeKindFromKey, desc::required);
+  io.int32("count", g.count, desc::required);
+  io.string("name_prefix", g.namePrefix, desc::required);
+  io.object("cpu", g.cpu, cpuSpecFromDesc, desc::required);
+  io.optional("nvme", g.nvme, nvmeSpecFromDesc);
+  io.optional("disk", g.disk, diskSpecFromDesc);
+  io.int32("switch_id", g.switchId);
+  io.time("mpi_sw_overhead_ns", g.mpiSwOverhead, desc::kPsPerNs);
+  io.number("active_watts", g.activeWatts);
+}
+
+template <class Io>
+void fields(Io& io, TopologySpec& t) {
+  io.object("kind", t.kind, topologyKindFromDesc, desc::required);
+  if (t.kind == TopologySpec::Kind::FatTree) {
+    if constexpr (std::is_same_v<Io, desc::Reader>) {
+      // Read-only shorthand: k-port switches set all three sizes.
+      if (io.has("radix")) {
+        const int k = io.int32At("radix");
+        if (k < 2 || k % 2 != 0) {
+          io.fail("topology.radix must be an even switch port count >= 2 "
+                  "(got " + std::to_string(k) + "); a k-port fat-tree "
+                  "splits ports k/2 down, k/2 up");
+        }
+        t.pods = k;
+        t.spines = k / 2;
+        t.nodesPerPod = k / 2;
+      }
+    }
+    io.int32("pods", t.pods);
+    io.int32("spines", t.spines);
+    io.int32("nodes_per_pod", t.nodesPerPod);
+  } else {
+    io.int32("routers_per_group", t.routersPerGroup);
+    io.int32("nodes_per_router", t.nodesPerRouter);
+    io.int32("global_per_router", t.globalPerRouter);
+  }
+  io.object("node_kind", t.nodeKind, nodeKindFromKey);
+  io.object("cpu", t.cpu, cpuSpecFromDesc);
+  io.object("net", t.net, netClassSpecFromDesc);
+  io.number("trunk_bandwidth_gbs", t.trunkBandwidthGBs);
+  io.time("trunk_latency_ns", t.trunkLatency, desc::kPsPerNs);
+  io.time("mpi_sw_overhead_ns", t.mpiSwOverhead, desc::kPsPerNs);
+  io.number("active_watts", t.activeWatts);
+}
+
+/// The explicit machine form, NAM attachments aside (each merges its
+/// switch_id into the NAM's own keys).
+template <class Io>
+void fields(Io& io, MachineConfig& c) {
+  io.string("name", c.name);
+  io.boolean("bridge_between_switches", c.bridgeBetweenSwitches);
+  io.objects("switches", c.switches, switchSpecFromDesc, desc::required);
+  io.objects("groups", c.groups, nodeGroupSpecFromDesc, desc::required);
+  io.objects("trunks", c.trunks, trunkSpecFromDesc);
+}
+
 // ---- Readers ---------------------------------------------------------------
 
-CpuSpec cpuSpecFromDesc(desc::Reader& r) {
-  if (r.value().isString()) return cpuPreset(r.asString());
-  CpuSpec s;
-  if (r.has("preset")) s = cpuPreset(r.stringAt("preset"));
-  s.model = r.stringAt("model", s.model);
-  s.microarchitecture = r.stringAt("microarchitecture", s.microarchitecture);
-  s.sockets = r.int32At("sockets", s.sockets);
-  s.cores = r.int32At("cores", s.cores);
-  s.threadsPerCore = r.int32At("threads_per_core", s.threadsPerCore);
-  s.freqGHz = r.numberAt("freq_ghz", s.freqGHz);
-  s.flopsPerCyclePerCore =
-      r.numberAt("flops_per_cycle_per_core", s.flopsPerCyclePerCore);
-  s.scalarIpc = r.numberAt("scalar_ipc", s.scalarIpc);
-  s.memBwGBs = r.numberAt("mem_bw_gbs", s.memBwGBs);
-  s.fastMemBwGBs = r.numberAt("fast_mem_bw_gbs", s.fastMemBwGBs);
-  s.fastMemGiB = r.numberAt("fast_mem_gib", s.fastMemGiB);
-  s.memGiB = r.numberAt("mem_gib", s.memGiB);
-  s.gatherScatterEff = r.numberAt("gather_scatter_eff", s.gatherScatterEff);
-  s.forkJoinBaseCycles = r.numberAt("fork_join_base_cycles", s.forkJoinBaseCycles);
-  s.forkJoinPerThreadCycles =
-      r.numberAt("fork_join_per_thread_cycles", s.forkJoinPerThreadCycles);
+namespace {
+
+/// A spec with no preset form: defaults, its fields, no unknown keys.
+template <class S>
+S bind(desc::Reader& r) {
+  S s;
+  fields(r, s);
   r.finish();
   return s;
+}
+
+/// A spec that may be a preset name, or an object whose "preset" key
+/// seeds the fields it then overrides.
+template <class S>
+S bindWithPreset(desc::Reader& r, S (*preset)(const std::string&)) {
+  if (r.value().isString()) return preset(r.asString());
+  S s;
+  if (r.has("preset")) s = preset(r.stringAt("preset"));
+  fields(r, s);
+  r.finish();
+  return s;
+}
+
+}  // namespace
+
+CpuSpec cpuSpecFromDesc(desc::Reader& r) {
+  return bindWithPreset(r, cpuPreset);
 }
 
 NetClassSpec netClassSpecFromDesc(desc::Reader& r) {
-  if (r.value().isString()) return netPreset(r.asString());
-  NetClassSpec s;
-  if (r.has("preset")) s = netPreset(r.stringAt("preset"));
-  s.name = r.stringAt("name", s.name);
-  s.linkBandwidthGBs = r.numberAt("link_bandwidth_gbs", s.linkBandwidthGBs);
-  s.protocolEfficiency = r.numberAt("protocol_efficiency", s.protocolEfficiency);
-  s.nicLatency = timeAt(r, "nic_latency_ns", kPsPerNs, s.nicLatency);
-  s.switchLatency = timeAt(r, "switch_latency_ns", kPsPerNs, s.switchLatency);
-  s.wireLatency = timeAt(r, "wire_latency_ns", kPsPerNs, s.wireLatency);
-  r.finish();
-  return s;
+  return bindWithPreset(r, netPreset);
 }
 
-NvmeSpec nvmeSpecFromDesc(desc::Reader& r) {
-  NvmeSpec s;
-  s.model = r.stringAt("model", s.model);
-  s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
-  s.readBwGBs = r.numberAt("read_bw_gbs", s.readBwGBs);
-  s.writeBwGBs = r.numberAt("write_bw_gbs", s.writeBwGBs);
-  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
-  r.finish();
-  return s;
-}
-
-DiskSpec diskSpecFromDesc(desc::Reader& r) {
-  DiskSpec s;
-  s.model = r.stringAt("model", s.model);
-  s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
-  s.readBwGBs = r.numberAt("read_bw_gbs", s.readBwGBs);
-  s.writeBwGBs = r.numberAt("write_bw_gbs", s.writeBwGBs);
-  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
-  r.finish();
-  return s;
-}
-
-NamSpec namSpecFromDesc(desc::Reader& r) {
-  NamSpec s;
-  s.model = r.stringAt("model", s.model);
-  s.capacityGB = r.numberAt("capacity_gb", s.capacityGB);
-  s.bandwidthGBs = r.numberAt("bandwidth_gbs", s.bandwidthGBs);
-  s.accessLatency = timeAt(r, "access_latency_ns", kPsPerNs, s.accessLatency);
-  r.finish();
-  return s;
-}
-
-SwitchSpec switchSpecFromDesc(desc::Reader& r) {
-  SwitchSpec s;
-  s.name = r.stringAt("name", s.name);
-  if (r.has("net")) {
-    desc::Reader net = r.child("net");
-    s.net = netClassSpecFromDesc(net);
-  }
-  r.finish();
-  return s;
-}
-
-TrunkSpec trunkSpecFromDesc(desc::Reader& r) {
-  TrunkSpec s;
-  s.switchA = r.int32At("switch_a");
-  s.switchB = r.int32At("switch_b");
-  s.bandwidthGBs = r.numberAt("bandwidth_gbs", s.bandwidthGBs);
-  s.latency = timeAt(r, "latency_ns", kPsPerNs, s.latency);
-  r.finish();
-  return s;
-}
+NvmeSpec nvmeSpecFromDesc(desc::Reader& r) { return bind<NvmeSpec>(r); }
+DiskSpec diskSpecFromDesc(desc::Reader& r) { return bind<DiskSpec>(r); }
+NamSpec namSpecFromDesc(desc::Reader& r) { return bind<NamSpec>(r); }
+SwitchSpec switchSpecFromDesc(desc::Reader& r) { return bind<SwitchSpec>(r); }
+TrunkSpec trunkSpecFromDesc(desc::Reader& r) { return bind<TrunkSpec>(r); }
 
 NodeGroupSpec nodeGroupSpecFromDesc(desc::Reader& r) {
-  NodeGroupSpec g;
-  {
-    desc::Reader kind = r.child("kind");
-    g.kind = nodeKindFromKey(kind);
-  }
-  g.count = r.int32At("count");
-  g.namePrefix = r.stringAt("name_prefix");
-  {
-    desc::Reader cpu = r.child("cpu");
-    g.cpu = cpuSpecFromDesc(cpu);
-  }
-  if (auto nvme = r.tryChild("nvme")) g.nvme = nvmeSpecFromDesc(*nvme);
-  if (auto disk = r.tryChild("disk")) g.disk = diskSpecFromDesc(*disk);
-  g.switchId = r.int32At("switch_id", g.switchId);
-  g.mpiSwOverhead = timeAt(r, "mpi_sw_overhead_ns", kPsPerNs, g.mpiSwOverhead);
-  g.activeWatts = r.numberAt("active_watts", g.activeWatts);
-  r.finish();
-  return g;
+  return bind<NodeGroupSpec>(r);
 }
 
 TopologySpec topologySpecFromDesc(desc::Reader& r) {
-  TopologySpec t;
-  {
-    const std::string kind = r.stringAt("kind");
-    if (kind == "fat-tree") {
-      t.kind = TopologySpec::Kind::FatTree;
-    } else if (kind == "dragonfly") {
-      t.kind = TopologySpec::Kind::Dragonfly;
-    } else {
-      r.fail("unknown topology kind \"" + kind +
-             "\" (expected fat-tree or dragonfly)");
-    }
-  }
-  if (t.kind == TopologySpec::Kind::FatTree) {
-    if (r.has("radix")) {
-      const int k = r.int32At("radix");
-      if (k < 2 || k % 2 != 0) {
-        r.fail("topology.radix must be an even switch port count >= 2 (got " +
-               std::to_string(k) + "); a k-port fat-tree splits ports k/2 "
-               "down, k/2 up");
-      }
-      t.pods = k;
-      t.spines = k / 2;
-      t.nodesPerPod = k / 2;
-    }
-    t.pods = r.int32At("pods", t.pods);
-    t.spines = r.int32At("spines", t.spines);
-    t.nodesPerPod = r.int32At("nodes_per_pod", t.nodesPerPod);
-  } else {
-    t.routersPerGroup = r.int32At("routers_per_group", t.routersPerGroup);
-    t.nodesPerRouter = r.int32At("nodes_per_router", t.nodesPerRouter);
-    t.globalPerRouter = r.int32At("global_per_router", t.globalPerRouter);
-  }
-  if (r.has("node_kind")) {
-    desc::Reader kind = r.child("node_kind");
-    t.nodeKind = nodeKindFromKey(kind);
-  }
-  if (auto cpu = r.tryChild("cpu")) t.cpu = cpuSpecFromDesc(*cpu);
-  if (auto net = r.tryChild("net")) t.net = netClassSpecFromDesc(*net);
-  t.trunkBandwidthGBs = r.numberAt("trunk_bandwidth_gbs", t.trunkBandwidthGBs);
-  t.trunkLatency = timeAt(r, "trunk_latency_ns", kPsPerNs, t.trunkLatency);
-  t.mpiSwOverhead = timeAt(r, "mpi_sw_overhead_ns", kPsPerNs, t.mpiSwOverhead);
-  t.activeWatts = r.numberAt("active_watts", t.activeWatts);
-  r.finish();
+  TopologySpec t = bind<TopologySpec>(r);
   try {
     t.validate();
   } catch (const std::invalid_argument& e) {
@@ -541,7 +535,7 @@ MachineConfig machineConfigFromDesc(desc::Reader& r) {
   if (r.value().isString()) return machinePreset(r.asString());
   if (r.has("preset")) {
     MachineConfig cfg = machinePreset(r.stringAt("preset"));
-    cfg.name = r.stringAt("name", cfg.name);
+    r.string("name", cfg.name);
     constexpr std::pair<const char*, NodeKind> kCountKeys[] = {
         {"cluster_nodes", NodeKind::Cluster},
         {"booster_nodes", NodeKind::Booster},
@@ -565,36 +559,21 @@ MachineConfig machineConfigFromDesc(desc::Reader& r) {
     // Generated machine: the topology object IS the description; the
     // switch/group/trunk lists are its deterministic expansion and are
     // not accepted alongside it (they could drift).
-    const std::string name = r.stringAt("name", "");
+    std::string name;
+    r.string("name", name);
     TopologySpec spec;
-    {
-      desc::Reader topo = r.child("topology");
-      spec = topologySpecFromDesc(topo);
-    }
+    r.object("topology", spec, topologySpecFromDesc, desc::required);
     r.finish();
     MachineConfig cfg = spec.materialize(name);
     cfg.validate();
     return cfg;
   }
   MachineConfig cfg;
-  cfg.name = r.stringAt("name", cfg.name);
-  cfg.bridgeBetweenSwitches =
-      r.boolAt("bridge_between_switches", cfg.bridgeBetweenSwitches);
-  r.eachIn("switches", [&](desc::Reader& el) {
-    cfg.switches.push_back(switchSpecFromDesc(el));
-  });
-  r.eachIn("groups", [&](desc::Reader& el) {
-    cfg.groups.push_back(nodeGroupSpecFromDesc(el));
-  });
-  if (r.has("trunks")) {
-    r.eachIn("trunks", [&](desc::Reader& el) {
-      cfg.trunks.push_back(trunkSpecFromDesc(el));
-    });
-  }
+  fields(r, cfg);
   if (r.has("nams")) {
     r.eachIn("nams", [&](desc::Reader& el) {
       NamAttachment na;
-      na.switchId = el.int32At("switch_id", na.switchId);
+      el.int32("switch_id", na.switchId);
       // Remaining keys describe the NAM device itself.
       na.spec = namSpecFromDesc(el);
       cfg.nams.push_back(na);
@@ -607,142 +586,28 @@ MachineConfig machineConfigFromDesc(desc::Reader& r) {
 
 // ---- Writers ---------------------------------------------------------------
 
-desc::Value toDesc(const CpuSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("model", desc::Value::string(s.model));
-  v.set("microarchitecture", desc::Value::string(s.microarchitecture));
-  v.set("sockets", desc::Value::integer(s.sockets));
-  v.set("cores", desc::Value::integer(s.cores));
-  v.set("threads_per_core", desc::Value::integer(s.threadsPerCore));
-  v.set("freq_ghz", desc::Value::number(s.freqGHz));
-  v.set("flops_per_cycle_per_core", desc::Value::number(s.flopsPerCyclePerCore));
-  v.set("scalar_ipc", desc::Value::number(s.scalarIpc));
-  v.set("mem_bw_gbs", desc::Value::number(s.memBwGBs));
-  v.set("fast_mem_bw_gbs", desc::Value::number(s.fastMemBwGBs));
-  v.set("fast_mem_gib", desc::Value::number(s.fastMemGiB));
-  v.set("mem_gib", desc::Value::number(s.memGiB));
-  v.set("gather_scatter_eff", desc::Value::number(s.gatherScatterEff));
-  v.set("fork_join_base_cycles", desc::Value::number(s.forkJoinBaseCycles));
-  v.set("fork_join_per_thread_cycles",
-        desc::Value::number(s.forkJoinPerThreadCycles));
-  return v;
-}
-
-desc::Value toDesc(const NetClassSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(s.name));
-  v.set("link_bandwidth_gbs", desc::Value::number(s.linkBandwidthGBs));
-  v.set("protocol_efficiency", desc::Value::number(s.protocolEfficiency));
-  v.set("nic_latency_ns", desc::Value::number(nsFromTime(s.nicLatency)));
-  v.set("switch_latency_ns", desc::Value::number(nsFromTime(s.switchLatency)));
-  v.set("wire_latency_ns", desc::Value::number(nsFromTime(s.wireLatency)));
-  return v;
-}
-
-desc::Value toDesc(const NvmeSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("model", desc::Value::string(s.model));
-  v.set("capacity_gb", desc::Value::number(s.capacityGB));
-  v.set("read_bw_gbs", desc::Value::number(s.readBwGBs));
-  v.set("write_bw_gbs", desc::Value::number(s.writeBwGBs));
-  v.set("latency_ns", desc::Value::number(nsFromTime(s.latency)));
-  return v;
-}
-
-desc::Value toDesc(const DiskSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("model", desc::Value::string(s.model));
-  v.set("capacity_gb", desc::Value::number(s.capacityGB));
-  v.set("read_bw_gbs", desc::Value::number(s.readBwGBs));
-  v.set("write_bw_gbs", desc::Value::number(s.writeBwGBs));
-  v.set("latency_ns", desc::Value::number(nsFromTime(s.latency)));
-  return v;
-}
-
-desc::Value toDesc(const NamSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("model", desc::Value::string(s.model));
-  v.set("capacity_gb", desc::Value::number(s.capacityGB));
-  v.set("bandwidth_gbs", desc::Value::number(s.bandwidthGBs));
-  v.set("access_latency_ns", desc::Value::number(nsFromTime(s.accessLatency)));
-  return v;
-}
-
-desc::Value toDesc(const SwitchSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(s.name));
-  v.set("net", toDesc(s.net));
-  return v;
-}
-
-desc::Value toDesc(const TrunkSpec& s) {
-  desc::Value v = desc::Value::object();
-  v.set("switch_a", desc::Value::integer(s.switchA));
-  v.set("switch_b", desc::Value::integer(s.switchB));
-  v.set("bandwidth_gbs", desc::Value::number(s.bandwidthGBs));
-  v.set("latency_ns", desc::Value::number(nsFromTime(s.latency)));
-  return v;
-}
-
-desc::Value toDesc(const NodeGroupSpec& g) {
-  desc::Value v = desc::Value::object();
-  v.set("kind", desc::Value::string(nodeKindKey(g.kind)));
-  v.set("count", desc::Value::integer(g.count));
-  v.set("name_prefix", desc::Value::string(g.namePrefix));
-  v.set("cpu", toDesc(g.cpu));
-  if (g.nvme) v.set("nvme", toDesc(*g.nvme));
-  if (g.disk) v.set("disk", toDesc(*g.disk));
-  v.set("switch_id", desc::Value::integer(g.switchId));
-  v.set("mpi_sw_overhead_ns", desc::Value::number(nsFromTime(g.mpiSwOverhead)));
-  v.set("active_watts", desc::Value::number(g.activeWatts));
-  return v;
-}
-
-desc::Value toDesc(const TopologySpec& t) {
-  desc::Value v = desc::Value::object();
-  const bool ft = t.kind == TopologySpec::Kind::FatTree;
-  v.set("kind", desc::Value::string(ft ? "fat-tree" : "dragonfly"));
-  if (ft) {
-    v.set("pods", desc::Value::integer(t.pods));
-    v.set("spines", desc::Value::integer(t.spines));
-    v.set("nodes_per_pod", desc::Value::integer(t.nodesPerPod));
-  } else {
-    v.set("routers_per_group", desc::Value::integer(t.routersPerGroup));
-    v.set("nodes_per_router", desc::Value::integer(t.nodesPerRouter));
-    v.set("global_per_router", desc::Value::integer(t.globalPerRouter));
-  }
-  v.set("node_kind", desc::Value::string(nodeKindKey(t.nodeKind)));
-  v.set("cpu", toDesc(t.cpu));
-  v.set("net", toDesc(t.net));
-  v.set("trunk_bandwidth_gbs", desc::Value::number(t.trunkBandwidthGBs));
-  v.set("trunk_latency_ns", desc::Value::number(nsFromTime(t.trunkLatency)));
-  v.set("mpi_sw_overhead_ns", desc::Value::number(nsFromTime(t.mpiSwOverhead)));
-  v.set("active_watts", desc::Value::number(t.activeWatts));
-  return v;
-}
+desc::Value toDesc(const CpuSpec& s) { return desc::write(s); }
+desc::Value toDesc(const NetClassSpec& s) { return desc::write(s); }
+desc::Value toDesc(const NvmeSpec& s) { return desc::write(s); }
+desc::Value toDesc(const DiskSpec& s) { return desc::write(s); }
+desc::Value toDesc(const NamSpec& s) { return desc::write(s); }
+desc::Value toDesc(const SwitchSpec& s) { return desc::write(s); }
+desc::Value toDesc(const TrunkSpec& s) { return desc::write(s); }
+desc::Value toDesc(const NodeGroupSpec& g) { return desc::write(g); }
+desc::Value toDesc(const TopologySpec& t) { return desc::write(t); }
 
 desc::Value toDesc(const MachineConfig& c) {
-  desc::Value v = desc::Value::object();
-  v.set("name", desc::Value::string(c.name));
   if (c.topology) {
     // Compact canonical form: the topology object regenerates the
     // switch/group/trunk lists exactly (materialize() is deterministic),
     // so a 16k-node machine dumps as a dozen lines and still round-trips
     // byte-identically.
+    desc::Value v = desc::Value::object();
+    v.set("name", desc::Value::string(c.name));
     v.set("topology", toDesc(*c.topology));
     return v;
   }
-  v.set("bridge_between_switches",
-        desc::Value::boolean(c.bridgeBetweenSwitches));
-  desc::Value switches = desc::Value::array();
-  for (const SwitchSpec& s : c.switches) switches.push(toDesc(s));
-  v.set("switches", std::move(switches));
-  desc::Value groups = desc::Value::array();
-  for (const NodeGroupSpec& g : c.groups) groups.push(toDesc(g));
-  v.set("groups", std::move(groups));
-  desc::Value trunks = desc::Value::array();
-  for (const TrunkSpec& t : c.trunks) trunks.push(toDesc(t));
-  v.set("trunks", std::move(trunks));
+  desc::Value v = desc::write(c);
   desc::Value nams = desc::Value::array();
   for (const NamAttachment& na : c.nams) {
     desc::Value n = toDesc(na.spec);

@@ -10,6 +10,8 @@
 // Conventions:
 //   * keys are snake_case versions of the struct fields,
 //   * times are numbers in nanoseconds with an `_ns` suffix,
+//   * each struct's keys are one field list (see desc/schema.hpp) that
+//     both its reader and its toDesc() walk,
 //   * a CPU / net-class / machine value may be a preset name string
 //     ("xeon-haswell"), a full object, or an object with a "preset" key
 //     whose remaining keys override individual preset fields,
@@ -76,27 +78,5 @@ void setGroupCount(MachineConfig& cfg, NodeKind kind, int count);
 // ---- NodeKind <-> description key ------------------------------------------
 [[nodiscard]] const char* nodeKindKey(NodeKind k);
 [[nodiscard]] NodeKind nodeKindFromKey(desc::Reader& r);
-
-// ---- SimTime <-> description numbers ---------------------------------------
-/// Picoseconds per unit of the `_ns` and `_us` keys.
-inline constexpr double kPsPerNs = 1e3;
-inline constexpr double kPsPerUs = 1e6;
-/// Optional time key `key` of `r`, in units of `picosPerUnit` picoseconds;
-/// `def` when absent.  A negative value, or one whose picosecond count
-/// does not fit int64_t, fails with the key's path.
-[[nodiscard]] sim::SimTime timeAt(desc::Reader& r, std::string_view key,
-                                  double picosPerUnit, sim::SimTime def);
-/// Optional seconds key `key` of `r`, kept as a double (the `_sec` times
-/// of campaigns and mc scenarios); `def` when absent.  A value whose
-/// picosecond count is not below 2^63 (about 9.22e6 s) fails with the
-/// key's path.  Each key keeps its own lower bound, checked by its caller
-/// (`repair_sec` <= 0, for one, disables repair).
-[[nodiscard]] double secondsAt(desc::Reader& r, std::string_view key,
-                               double def);
-/// The same for a microseconds key kept as a double (mc's message-race
-/// delays): it fails past about 9.22e12 us.
-[[nodiscard]] double microsAt(desc::Reader& r, std::string_view key,
-                              double def);
-[[nodiscard]] double nsFromTime(sim::SimTime t);
 
 }  // namespace cbsim::hw

@@ -49,7 +49,7 @@ Trace parseTrace(const std::string& text, const std::string& origin) {
   if (version != 1) r.fail("unsupported trace version");
   Trace t;
   t.scenario = r.stringAt("scenario");
-  t.message = r.stringAt("message", "");
+  r.string("message", t.message);
   {
     desc::Reader arr = r.child("choices");
     for (std::size_t i = 0; i < arr.size(); ++i) {

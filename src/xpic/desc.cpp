@@ -14,33 +14,37 @@ XpicConfig xpicPreset(const std::string& name) {
                           "\" (known: table-ii, tiny)");
 }
 
+template <class Io>
+void fields(Io& io, XpicConfig& c) {
+  io.int32("nx", c.nx);
+  io.int32("ny", c.ny);
+  io.number("lx", c.lx);
+  io.number("ly", c.ly);
+  io.int32("nspec", c.nspec);
+  io.int32("ppc_real", c.ppcReal);
+  io.int32("ppc_modeled", c.ppcModeled);
+  io.number("vth_electron", c.vthElectron);
+  io.number("vth_ion", c.vthIon);
+  io.number("mass_ratio", c.massRatio);
+  io.number("drift_electron", c.driftElectron);
+  io.int32("steps", c.steps);
+  io.number("dt", c.dt);
+  io.number("theta", c.theta);
+  io.int32("cg_max_iter", c.cgMaxIter);
+  io.number("cg_tol", c.cgTol);
+  io.int32("mover_iterations", c.moverIterations);
+  io.micros("output_staging_us", c.outputStagingUs);
+  io.int32("history_every", c.historyEvery);
+  io.boolean("overlap_aux", c.overlapAux);
+  io.number("interface_doubles_per_cell", c.interfaceDoublesPerCell);
+  io.number("b0z", c.b0z);
+}
+
 XpicConfig xpicConfigFromDesc(desc::Reader& r) {
   if (r.value().isString()) return xpicPreset(r.asString());
   XpicConfig c;
   if (r.has("preset")) c = xpicPreset(r.stringAt("preset"));
-  c.nx = r.int32At("nx", c.nx);
-  c.ny = r.int32At("ny", c.ny);
-  c.lx = r.numberAt("lx", c.lx);
-  c.ly = r.numberAt("ly", c.ly);
-  c.nspec = r.int32At("nspec", c.nspec);
-  c.ppcReal = r.int32At("ppc_real", c.ppcReal);
-  c.ppcModeled = r.int32At("ppc_modeled", c.ppcModeled);
-  c.vthElectron = r.numberAt("vth_electron", c.vthElectron);
-  c.vthIon = r.numberAt("vth_ion", c.vthIon);
-  c.massRatio = r.numberAt("mass_ratio", c.massRatio);
-  c.driftElectron = r.numberAt("drift_electron", c.driftElectron);
-  c.steps = r.int32At("steps", c.steps);
-  c.dt = r.numberAt("dt", c.dt);
-  c.theta = r.numberAt("theta", c.theta);
-  c.cgMaxIter = r.int32At("cg_max_iter", c.cgMaxIter);
-  c.cgTol = r.numberAt("cg_tol", c.cgTol);
-  c.moverIterations = r.int32At("mover_iterations", c.moverIterations);
-  c.outputStagingUs = r.numberAt("output_staging_us", c.outputStagingUs);
-  c.historyEvery = r.int32At("history_every", c.historyEvery);
-  c.overlapAux = r.boolAt("overlap_aux", c.overlapAux);
-  c.interfaceDoublesPerCell =
-      r.numberAt("interface_doubles_per_cell", c.interfaceDoublesPerCell);
-  c.b0z = r.numberAt("b0z", c.b0z);
+  fields(r, c);
   r.finish();
   if (c.nx <= 0 || c.ny <= 0) r.fail("nx and ny must be positive");
   if (c.ppcReal <= 0 || c.ppcModeled <= 0) {
@@ -63,35 +67,10 @@ XpicConfig xpicConfigFromDesc(desc::Reader& r) {
         c.interfaceDoublesPerCell >= 0)) {
     r.fail("interface_doubles_per_cell must be finite and >= 0");
   }
+  if (c.outputStagingUs < 0) r.fail("output_staging_us must be >= 0");
   return c;
 }
 
-desc::Value toDesc(const XpicConfig& c) {
-  desc::Value v = desc::Value::object();
-  v.set("nx", desc::Value::integer(c.nx));
-  v.set("ny", desc::Value::integer(c.ny));
-  v.set("lx", desc::Value::number(c.lx));
-  v.set("ly", desc::Value::number(c.ly));
-  v.set("nspec", desc::Value::integer(c.nspec));
-  v.set("ppc_real", desc::Value::integer(c.ppcReal));
-  v.set("ppc_modeled", desc::Value::integer(c.ppcModeled));
-  v.set("vth_electron", desc::Value::number(c.vthElectron));
-  v.set("vth_ion", desc::Value::number(c.vthIon));
-  v.set("mass_ratio", desc::Value::number(c.massRatio));
-  v.set("drift_electron", desc::Value::number(c.driftElectron));
-  v.set("steps", desc::Value::integer(c.steps));
-  v.set("dt", desc::Value::number(c.dt));
-  v.set("theta", desc::Value::number(c.theta));
-  v.set("cg_max_iter", desc::Value::integer(c.cgMaxIter));
-  v.set("cg_tol", desc::Value::number(c.cgTol));
-  v.set("mover_iterations", desc::Value::integer(c.moverIterations));
-  v.set("output_staging_us", desc::Value::number(c.outputStagingUs));
-  v.set("history_every", desc::Value::integer(c.historyEvery));
-  v.set("overlap_aux", desc::Value::boolean(c.overlapAux));
-  v.set("interface_doubles_per_cell",
-        desc::Value::number(c.interfaceDoublesPerCell));
-  v.set("b0z", desc::Value::number(c.b0z));
-  return v;
-}
+desc::Value toDesc(const XpicConfig& c) { return desc::write(c); }
 
 }  // namespace cbsim::xpic

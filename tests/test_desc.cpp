@@ -233,6 +233,13 @@ TEST(DescSchema, IntKeysBeyondIntRangeFailByName) {
   }
 }
 
+/// Binds `text` as a fault plan without a machine context.
+void bindFaultPlan(const std::string& text) {
+  const desc::Value v = desc::parse(text);
+  desc::Reader r(v, "");
+  (void)fault::faultPlanFromDesc(r);
+}
+
 /// Binds each case's text, with `%` replaced by every value of `bad`, and
 /// expects the error to name the case's key path and the rejected value.
 void expectTimeKeysFailByName(
@@ -318,6 +325,28 @@ TEST(DescPmpi, TimeKeysOutOfRangeFailByName) {
                            {"1e300", "-1", "-1e-9", "9.3e12"});
 }
 
+// header_bytes, ctrl_msg_bytes and ack_bytes are wire sizes: -1e9 used to
+// validate, then fail scenarios with "Engine: callback at t=... is before
+// now", and 1e300 wrapped arrival times.  Each must be finite, >= 0 and
+// within pmpi's 4 GiB message limit.
+TEST(DescPmpi, WireSizeKeysOutOfRangeFailByName) {
+  for (const std::string key : {"header_bytes", "ctrl_msg_bytes", "ack_bytes"}) {
+    for (const std::string v : {"-1e9", "-1e12", "-1", "1e300", "4294967296"}) {
+      const std::string text = "{\"" + key + "\": " + v + "}";
+      const std::string msg = errorOf(
+          [&] { bindText<pmpi::protocolParamsFromDesc>(text); });
+      EXPECT_NE(msg.find(key + " must be finite, >= 0 and at most 4294967295"),
+                std::string::npos)
+          << text << ": " << msg;
+    }
+    for (const std::string v : {"0", "4294967295"}) {
+      EXPECT_NO_THROW(bindText<pmpi::protocolParamsFromDesc>(
+          "{\"" + key + "\": " + v + "}"))
+          << key << " " << v;
+    }
+  }
+}
+
 // The `_sec` keys of campaigns and mc scenarios stay doubles, but were
 // unchecked above: `"step_sec": 1e300` validated, then failed every
 // scenario at run time with an engine error naming neither key nor value.
@@ -350,6 +379,30 @@ TEST(DescSchema, SecondsKeysOutOfRangeFailByName) {
          "fault_quantum_sec"},
         {R"({"family": "checkpoint-restart", "restart_delay_sec": %})",
          "restart_delay_sec"}}},
+      // A crash at 1e300 s ran clean, never injected; windows that far out
+      // failed as "window must end after it starts".
+      {bindFaultPlan,
+       {{R"({"endpoint_windows": [{"endpoint": 0, "from_sec": %,
+             "until_sec": 9.21e6}]})",
+         "endpoint_windows[0].from_sec"},
+        {R"({"trunk_windows": [{"trunk": 0, "from_sec": 0, "until_sec": %}]})",
+         "trunk_windows[0].until_sec"},
+        {R"({"node_crashes": [{"node": 0, "at_sec": %,
+             "restart_after_sec": 1}]})",
+         "node_crashes[0].at_sec"},
+        {R"({"node_crashes": [{"node": 0, "at_sec": 0,
+             "restart_after_sec": %}]})",
+         "node_crashes[0].restart_after_sec"}}},
+      // A 1e7 s horizon exhausted memory drawing faults under --validate.
+      {bindText<chaos::profileFromDesc>,
+       {{R"({"horizon_sec": %})", "horizon_sec"},
+        {R"({"window_min_sec": %, "window_max_sec": 9.21e6})",
+         "window_min_sec"},
+        {R"({"window_max_sec": %})", "window_max_sec"},
+        {R"({"crash_restart_min_sec": %, "crash_restart_max_sec": 9.21e6})",
+         "crash_restart_min_sec"},
+        {R"({"crash_restart_max_sec": %})", "crash_restart_max_sec"},
+        {R"({"storm_span_sec": %})", "storm_span_sec"}}},
   };
   for (const auto& [bind, cases] : groups) {
     expectTimeKeysFailByName(bind, cases, {"1e300", "9.3e6"});
@@ -359,6 +412,13 @@ TEST(DescSchema, SecondsKeysOutOfRangeFailByName) {
       EXPECT_NO_THROW(bind(t)) << path;
     }
   }
+
+  // A crash in the simulated past is rejected at parse time too.
+  EXPECT_NE(errorOf([] {
+              bindFaultPlan(R"({"node_crashes": [{"node": 0, "at_sec": -1,
+                                "restart_after_sec": 1}]})");
+            }).find("desc: node_crashes[0]: at_sec must be >= 0"),
+            std::string::npos);
 
   const desc::Value v = desc::parse(R"({"step_sec": 9.2e6, "repair_sec": -1})");
   desc::Reader r(v, "");
@@ -532,6 +592,15 @@ TEST(DescXpic, RejectsOutOfRangeValues) {
       // A negative interface size would otherwise wrap the simulated clock.
       {R"({"interface_doubles_per_cell": -1})",
        "desc: xpic: interface_doubles_per_cell must be finite and >= 0"},
+      // A staging delay used to fail every scenario at run time instead.
+      {R"({"output_staging_us": -1})",
+       "desc: xpic: output_staging_us must be >= 0"},
+      {R"({"output_staging_us": 1e300})",
+       "desc: xpic.output_staging_us: time 1e+300 out of range (must be "
+       "below 2^63 picoseconds)"},
+      {R"({"output_staging_us": 9.3e12})",
+       "desc: xpic.output_staging_us: time 9300000000000 out of range (must "
+       "be below 2^63 picoseconds)"},
   };
   for (const auto& [text, expected] : cases) {
     const desc::Value v = desc::parse(text);
@@ -604,21 +673,6 @@ TEST(DescFault, RejectsInvalidWindows) {
   EXPECT_THROW((void)fault::faultPlanFromDesc(r), desc::SchemaError);
 }
 
-// route_cache_cap is a std::size_t: at 2^64 - 1 its dump must read back as
-// itself, not as -1.
-TEST(DescExtoll, RouteCacheCapDumpRoundTripsAtItsMaximum) {
-  const auto redump = [](const std::string& text) {
-    const desc::Value v = desc::parse(text);
-    desc::Reader r(v, "fabric");
-    return desc::dump(extoll::toDesc(extoll::fabricOptionsFromDesc(r)));
-  };
-  const std::string once = redump(R"({"route_cache_cap": 18446744073709551615})");
-  EXPECT_NE(once.find("\"route_cache_cap\": 18446744073709551615"),
-            std::string::npos)
-      << once;
-  EXPECT_EQ(redump(once), once);
-}
-
 // ---- Campaign layer --------------------------------------------------------
 
 TEST(DescCampaign, BuiltinTextsMatchTheRuntimeCampaigns) {
@@ -682,6 +736,15 @@ TEST(DescCampaign, UnknownKindAndKeysAreRejected) {
   EXPECT_NE(msg.find("desc: bad.json.fig8: unknown key \"node_cuont\""),
             std::string::npos)
       << msg;
+  // The route memo's cap is a constant, not a key.
+  const std::string cap = errorOf([] {
+    (void)campaign::campaignSpecFromDescText(
+        R"({"campaign": "halo", "halo": {"fabric": {"route_cache_cap": 1}}})",
+        "t");
+  });
+  EXPECT_NE(cap.find("desc: t.halo.fabric: unknown key \"route_cache_cap\""),
+            std::string::npos)
+      << cap;
   // Params for the wrong family are unknown keys, not silently ignored.
   EXPECT_THROW((void)campaign::campaignSpecFromDescText(
                    R"({"campaign": "fig8", "resilience": {}})", "t"),
